@@ -70,7 +70,13 @@ void BM_GreedySelect(benchmark::State& state) {
     benchmark::DoNotOptimize(cost);
   }
 }
-BENCHMARK(BM_GreedySelect)->Arg(3)->Arg(13)->Arg(30)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GreedySelect)
+    ->Arg(3)
+    ->Arg(13)
+    ->Arg(19)
+    ->Arg(21)
+    ->Arg(30)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IlpSelectSmall(benchmark::State& state) {
   const Prepared p = Prepare(static_cast<int>(state.range(0)));

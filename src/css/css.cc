@@ -57,6 +57,7 @@ int CssCatalog::AddStat(const StatKey& key) {
   stats_.push_back(key);
   index_[key] = idx;
   css_by_stat_.emplace_back();
+  readers_by_stat_.emplace_back();
   return idx;
 }
 
@@ -72,19 +73,24 @@ void CssCatalog::AddCss(CssEntry entry) {
   for (const StatKey& in : entry.inputs) {
     inputs.push_back(AddStat(in));
   }
-  // Detect duplicates by (target, sorted inputs).
-  std::vector<int> sorted = inputs;
-  std::sort(sorted.begin(), sorted.end());
+  std::sort(inputs.begin(), inputs.end());
+  inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
+  // Drop duplicates: same target and same input set.
   for (int existing : css_by_stat_[static_cast<size_t>(target)]) {
-    std::vector<int> other = entry_inputs_[static_cast<size_t>(existing)];
-    std::sort(other.begin(), other.end());
-    if (other == sorted) return;
+    const std::span<const int> other = css_inputs(existing);
+    if (std::equal(other.begin(), other.end(), inputs.begin(), inputs.end())) {
+      return;
+    }
   }
   const int css_idx = static_cast<int>(entries_.size());
   entries_.push_back(std::move(entry));
   entry_target_.push_back(target);
-  entry_inputs_.push_back(std::move(inputs));
+  input_index_.insert(input_index_.end(), inputs.begin(), inputs.end());
+  input_offsets_.push_back(input_index_.size());
   css_by_stat_[static_cast<size_t>(target)].push_back(css_idx);
+  for (int in : inputs) {
+    readers_by_stat_[static_cast<size_t>(in)].push_back(css_idx);
+  }
 }
 
 std::string CssCatalog::ToString(const AttrCatalog* catalog) const {

@@ -1,6 +1,7 @@
 #ifndef ETLOPT_CSS_CSS_H_
 #define ETLOPT_CSS_CSS_H_
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,7 +61,9 @@ struct CssEntry {
 
 // The output of Algorithm 1 for one block: the statistics universe S and the
 // generated CSSs, with input references resolved to dense indices for the
-// closure/selection algorithms.
+// closure/selection algorithms. Each CSS's input indices are stored once,
+// deduplicated and ascending, in flat offset/index arrays; a reverse index
+// lists, per statistic, the CSSs that read it.
 class CssCatalog {
  public:
   // Adds (or finds) a statistic; returns its dense index.
@@ -89,9 +92,15 @@ class CssCatalog {
     return css_by_stat_[static_cast<size_t>(stat_idx)];
   }
 
-  // Dense input stat indices of a CSS.
-  const std::vector<int>& css_inputs(int css_idx) const {
-    return entry_inputs_[static_cast<size_t>(css_idx)];
+  // Dense input stat indices of a CSS, deduplicated and ascending.
+  std::span<const int> css_inputs(int css_idx) const {
+    const size_t begin = input_offsets_[static_cast<size_t>(css_idx)];
+    const size_t end = input_offsets_[static_cast<size_t>(css_idx) + 1];
+    return {input_index_.data() + begin, end - begin};
+  }
+  // CSS indices that read `stat_idx` as an input, ascending.
+  const std::vector<int>& css_reading(int stat_idx) const {
+    return readers_by_stat_[static_cast<size_t>(stat_idx)];
   }
   int css_target(int css_idx) const {
     return entry_target_[static_cast<size_t>(css_idx)];
@@ -104,8 +113,10 @@ class CssCatalog {
   std::unordered_map<StatKey, int, StatKeyHash> index_;
   std::vector<CssEntry> entries_;
   std::vector<int> entry_target_;
-  std::vector<std::vector<int>> entry_inputs_;
+  std::vector<size_t> input_offsets_ = {0};  // num_css() + 1 entries
+  std::vector<int> input_index_;
   std::vector<std::vector<int>> css_by_stat_;
+  std::vector<std::vector<int>> readers_by_stat_;
 };
 
 }  // namespace etlopt

@@ -166,21 +166,21 @@ Result<StatValue> Estimator::Evaluate(const CssEntry& entry) {
   auto count_in = [&](int i) -> Result<int64_t> {
     return derived_.GetCount(entry.inputs[static_cast<size_t>(i)]);
   };
-  auto hist_in = [&](int i) -> Result<Histogram> {
+  auto hist_in = [&](int i) -> Result<const Histogram*> {
     return derived_.GetHist(entry.inputs[static_cast<size_t>(i)]);
   };
 
   switch (entry.rule) {
     case RuleId::kS1: {
       const WorkflowNode& op = ctx_->workflow().node(entry.op_node);
-      ETLOPT_ASSIGN_OR_RETURN(Histogram h, hist_in(0));
-      return StatValue::Count(h.CountMatching(op.predicate));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* h, hist_in(0));
+      return StatValue::Count(h->CountMatching(op.predicate));
     }
     case RuleId::kS2: {
       const WorkflowNode& op = ctx_->workflow().node(entry.op_node);
-      ETLOPT_ASSIGN_OR_RETURN(Histogram h, hist_in(0));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* h, hist_in(0));
       return StatValue::Hist(
-          h.FilterThenMarginalize(op.predicate, entry.target.attrs));
+          h->FilterThenMarginalize(op.predicate, entry.target.attrs));
     }
     case RuleId::kCopyCard:
     case RuleId::kG1:
@@ -189,23 +189,23 @@ Result<StatValue> Estimator::Evaluate(const CssEntry& entry) {
       return StatValue::Count(c);
     }
     case RuleId::kCopyHist: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram h, hist_in(0));
-      return StatValue::Hist(std::move(h));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* h, hist_in(0));
+      return StatValue::Hist(Histogram(*h));
     }
     case RuleId::kG2: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram h, hist_in(0));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* h, hist_in(0));
       return StatValue::Hist(
-          h.CollapseToDistinct().Marginalize(entry.target.attrs));
+          h->CollapseToDistinct().Marginalize(entry.target.attrs));
     }
     case RuleId::kJ1: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram a, hist_in(0));
-      ETLOPT_ASSIGN_OR_RETURN(Histogram b, hist_in(1));
-      return StatValue::Count(Histogram::DotProduct(a, b));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* a, hist_in(0));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* b, hist_in(1));
+      return StatValue::Count(Histogram::DotProduct(*a, *b));
     }
     case RuleId::kJ2: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram x, hist_in(0));
-      ETLOPT_ASSIGN_OR_RETURN(Histogram y, hist_in(1));
-      Histogram combined = Histogram::MultiplyBy(x, y);
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* x, hist_in(0));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* y, hist_in(1));
+      Histogram combined = Histogram::MultiplyBy(*x, *y);
       if (entry.marginalize) {
         combined = combined.Marginalize(entry.target.attrs);
       }
@@ -213,33 +213,33 @@ Result<StatValue> Estimator::Evaluate(const CssEntry& entry) {
     }
     case RuleId::kJ4: {
       // |e| = |H_{e∪k}^J / H_k^J| + |reject(L wrt k) ⋈ R|   (Eq. 1-3)
-      ETLOPT_ASSIGN_OR_RETURN(Histogram hek, hist_in(0));
-      ETLOPT_ASSIGN_OR_RETURN(Histogram hk, hist_in(1));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* hek, hist_in(0));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* hk, hist_in(1));
       ETLOPT_ASSIGN_OR_RETURN(int64_t reject_card, count_in(2));
       const Histogram matched =
-          Histogram::DivideByClamped(hek, hk, &clamped_);
+          Histogram::DivideByClamped(*hek, *hk, &clamped_);
       return StatValue::Count(matched.TotalCount() + reject_card);
     }
     case RuleId::kJ5: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram hek, hist_in(0));
-      ETLOPT_ASSIGN_OR_RETURN(Histogram hk, hist_in(1));
-      ETLOPT_ASSIGN_OR_RETURN(Histogram hreject, hist_in(2));
-      Histogram matched = Histogram::DivideByClamped(hek, hk, &clamped_)
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* hek, hist_in(0));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* hk, hist_in(1));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* hreject, hist_in(2));
+      Histogram matched = Histogram::DivideByClamped(*hek, *hk, &clamped_)
                               .Marginalize(entry.target.attrs);
-      matched.AddAll(hreject);
+      matched.AddAll(*hreject);
       return StatValue::Hist(std::move(matched));
     }
     case RuleId::kI1: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram h, hist_in(0));
-      return StatValue::Count(h.TotalCount());
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* h, hist_in(0));
+      return StatValue::Count(h->TotalCount());
     }
     case RuleId::kI2: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram h, hist_in(0));
-      return StatValue::Hist(h.Marginalize(entry.target.attrs));
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* h, hist_in(0));
+      return StatValue::Hist(h->Marginalize(entry.target.attrs));
     }
     case RuleId::kD1: {
-      ETLOPT_ASSIGN_OR_RETURN(Histogram h, hist_in(0));
-      return StatValue::Count(h.NumBuckets());
+      ETLOPT_ASSIGN_OR_RETURN(const Histogram* h, hist_in(0));
+      return StatValue::Count(h->NumBuckets());
     }
   }
   return Status::Internal("unhandled rule");
@@ -277,7 +277,8 @@ Result<int64_t> Estimator::Count(const StatKey& key) const {
 }
 
 Result<Histogram> Estimator::Hist(const StatKey& key) const {
-  return derived_.GetHist(key);
+  ETLOPT_ASSIGN_OR_RETURN(const Histogram* hist, derived_.GetHist(key));
+  return *hist;
 }
 
 Result<std::unordered_map<RelMask, int64_t>> Estimator::AllCardinalities(

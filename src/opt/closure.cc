@@ -1,7 +1,6 @@
 #include "opt/closure.h"
 
-#include <algorithm>
-#include <deque>
+#include <utility>
 
 #include "util/common.h"
 
@@ -16,25 +15,20 @@ std::vector<char> ComputeClosure(const CssCatalog& catalog,
   if (derivation != nullptr) derivation->assign(static_cast<size_t>(n), -1);
 
   // Counting-based fixpoint: each CSS fires once all its inputs are
-  // computable; firing makes its target computable.
+  // computable; firing makes its target computable. The scan below counts,
+  // per CSS in index order, the inputs not yet computable at that point, so
+  // a target fired by CSS f is waited on only by its readers before f. Each
+  // queued stat carries that bound; the reverse index is ascending, so the
+  // waiters are a prefix of css_reading(). The firing order, and with it the
+  // derivation the estimator and `explain` follow, must not change.
   const int m = catalog.num_css();
   std::vector<int> missing(static_cast<size_t>(m), 0);
-  std::vector<std::vector<int>> css_waiting_on(static_cast<size_t>(n));
-  std::deque<int> ready;  // newly computable stats
+  std::vector<std::pair<int, int>> ready;  // (stat, readers bound) in order
 
-  for (int s = 0; s < n; ++s) {
-    if (computable[static_cast<size_t>(s)]) ready.push_back(s);
-  }
   for (int c = 0; c < m; ++c) {
     int need = 0;
-    std::vector<int> inputs = catalog.css_inputs(c);
-    std::sort(inputs.begin(), inputs.end());
-    inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-    for (int input : inputs) {
-      if (!computable[static_cast<size_t>(input)]) {
-        ++need;
-        css_waiting_on[static_cast<size_t>(input)].push_back(c);
-      }
+    for (int input : catalog.css_inputs(c)) {
+      if (!computable[static_cast<size_t>(input)]) ++need;
     }
     missing[static_cast<size_t>(c)] = need;
     if (need == 0) {
@@ -42,15 +36,15 @@ std::vector<char> ComputeClosure(const CssCatalog& catalog,
       if (!computable[static_cast<size_t>(target)]) {
         computable[static_cast<size_t>(target)] = 1;
         if (derivation != nullptr) (*derivation)[static_cast<size_t>(target)] = c;
-        ready.push_back(target);
+        ready.emplace_back(target, c);
       }
     }
   }
 
-  while (!ready.empty()) {
-    const int s = ready.front();
-    ready.pop_front();
-    for (int c : css_waiting_on[static_cast<size_t>(s)]) {
+  for (size_t head = 0; head < ready.size(); ++head) {
+    const auto [s, bound] = ready[head];
+    for (int c : catalog.css_reading(s)) {
+      if (c >= bound) break;
       if (--missing[static_cast<size_t>(c)] == 0) {
         const int target = catalog.css_target(c);
         if (!computable[static_cast<size_t>(target)]) {
@@ -58,12 +52,45 @@ std::vector<char> ComputeClosure(const CssCatalog& catalog,
           if (derivation != nullptr) {
             (*derivation)[static_cast<size_t>(target)] = c;
           }
-          ready.push_back(target);
+          ready.emplace_back(target, m);
         }
       }
     }
   }
   return computable;
+}
+
+IncrementalClosure::IncrementalClosure(const CssCatalog& catalog)
+    : catalog_(catalog),
+      computable_(static_cast<size_t>(catalog.num_stats()), 0),
+      missing_(static_cast<size_t>(catalog.num_css()), 0) {
+  for (int c = 0; c < catalog.num_css(); ++c) {
+    missing_[static_cast<size_t>(c)] =
+        static_cast<int>(catalog.css_inputs(c).size());
+  }
+  // CSSs without inputs fire unconditionally.
+  for (int c = 0; c < catalog.num_css(); ++c) {
+    if (missing_[static_cast<size_t>(c)] == 0) Add(catalog.css_target(c));
+  }
+}
+
+void IncrementalClosure::Add(int stat) {
+  if (computable_[static_cast<size_t>(stat)]) return;
+  computable_[static_cast<size_t>(stat)] = 1;
+  stack_.push_back(stat);
+  while (!stack_.empty()) {
+    const int s = stack_.back();
+    stack_.pop_back();
+    for (int c : catalog_.css_reading(s)) {
+      if (--missing_[static_cast<size_t>(c)] == 0) {
+        const int target = catalog_.css_target(c);
+        if (!computable_[static_cast<size_t>(target)]) {
+          computable_[static_cast<size_t>(target)] = 1;
+          stack_.push_back(target);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace etlopt

@@ -17,6 +17,29 @@ std::vector<char> ComputeClosure(const CssCatalog& catalog,
                                  const std::vector<char>& observed,
                                  std::vector<int>* derivation = nullptr);
 
+// The same closure, grown one observation at a time: Add() propagates only
+// through the CSSs that read a newly computable statistic, so a sequence of
+// additions costs one pass over the catalog in total. After any sequence of
+// additions, flags() equals ComputeClosure of the added set.
+class IncrementalClosure {
+ public:
+  explicit IncrementalClosure(const CssCatalog& catalog);
+
+  // Makes `stat` computable and fires every CSS this completes.
+  void Add(int stat);
+
+  bool computable(int stat) const {
+    return computable_[static_cast<size_t>(stat)] != 0;
+  }
+  const std::vector<char>& flags() const { return computable_; }
+
+ private:
+  const CssCatalog& catalog_;
+  std::vector<char> computable_;
+  std::vector<int> missing_;  // per CSS: inputs not yet computable
+  std::vector<int> stack_;
+};
+
 }  // namespace etlopt
 
 #endif  // ETLOPT_OPT_CLOSURE_H_

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
+#include <iterator>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,88 +18,205 @@ constexpr double kInf = 1e300;
 struct Derivation {
   double cost = kInf;
   int via_css = -1;  // -1: observe directly
-  bool reachable = false;
+  bool reachable = false;  // final
+  bool queued = false;     // cost/via_css hold the best queued candidate
 };
-
-std::vector<int> UniqueInputs(const CssCatalog& catalog, int css) {
-  std::vector<int> inputs = catalog.css_inputs(css);
-  std::sort(inputs.begin(), inputs.end());
-  inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-  return inputs;
-}
 
 // Knuth's generalization of Dijkstra over the AND-OR CSS graph: the cheapest
 // way to make each statistic computable, where a CSS's cost is the sum of
 // its inputs' costs (sharing between inputs is ignored here — the greedy
 // outer loop recovers sharing through residual costs).
-std::vector<Derivation> BestDerivations(const CssCatalog& catalog,
-                                        const std::vector<char>& observable,
-                                        const std::vector<double>& residual) {
-  const int n = catalog.num_stats();
-  const int m = catalog.num_css();
-  std::vector<Derivation> best(static_cast<size_t>(n));
-  std::vector<char> finalized(static_cast<size_t>(n), 0);
-  std::vector<int> missing(static_cast<size_t>(m), 0);
-  std::vector<double> css_sum(static_cast<size_t>(m), 0.0);
-  std::vector<std::vector<int>> waiting(static_cast<size_t>(n));
-
-  using Item = std::pair<double, std::pair<int, int>>;  // (cost, (stat, css))
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-
-  for (int c = 0; c < m; ++c) {
-    const std::vector<int> inputs = UniqueInputs(catalog, c);
-    missing[static_cast<size_t>(c)] = static_cast<int>(inputs.size());
-    for (int in : inputs) waiting[static_cast<size_t>(in)].push_back(c);
-    if (inputs.empty()) {
-      pq.push({0.0, {catalog.css_target(c), c}});
+//
+// Candidates are (cost, stat, css) triples, css -1 meaning "observe", and
+// the search finalizes each statistic with its smallest candidate. A CSS
+// becomes a candidate when its last input is final, its cost summed over
+// its inputs in the order they became final. The triples are distinct, so
+// they are taken in one fixed order whatever else is queued: dropping a
+// candidate that cannot win (its target is final or holds a smaller
+// candidate) and streaming the observation candidates from a sorted list
+// instead of the heap change no derivation.
+//
+// One search serves every iteration of both greedy passes, which share the
+// observation costs: the per-CSS state template, the CSSs without inputs
+// and the statistics ordered by cost are built once, and the buffers are
+// reused.
+class DerivationSearch {
+ public:
+  DerivationSearch(const CssCatalog& catalog, const std::vector<double>& cost)
+      : catalog_(catalog),
+        cost_(cost),
+        best_(static_cast<size_t>(catalog.num_stats())),
+        wanted_(static_cast<size_t>(catalog.num_stats()), 0),
+        visit_stamp_(static_cast<size_t>(catalog.num_stats()), 0) {
+    const int n = catalog.num_stats();
+    const int m = catalog.num_css();
+    css_init_.reserve(static_cast<size_t>(m));
+    for (int c = 0; c < m; ++c) {
+      const int inputs = static_cast<int>(catalog.css_inputs(c).size());
+      css_init_.push_back({0.0, inputs, catalog.css_target(c)});
+      if (inputs == 0) no_input_css_.push_back(c);
     }
-  }
-  for (int s = 0; s < n; ++s) {
-    if (observable[static_cast<size_t>(s)]) {
-      pq.push({residual[static_cast<size_t>(s)], {s, -1}});
-    }
+    by_cost_.resize(static_cast<size_t>(n));
+    for (int s = 0; s < n; ++s) by_cost_[static_cast<size_t>(s)] = s;
+    std::sort(by_cost_.begin(), by_cost_.end(), [&](int a, int b) {
+      return std::tie(cost[static_cast<size_t>(a)], a) <
+             std::tie(cost[static_cast<size_t>(b)], b);
+    });
   }
 
-  while (!pq.empty()) {
-    const auto [cost, who] = pq.top();
-    pq.pop();
-    const int s = who.first;
-    if (finalized[static_cast<size_t>(s)]) continue;
-    finalized[static_cast<size_t>(s)] = 1;
-    best[static_cast<size_t>(s)] = Derivation{cost, who.second, true};
-    for (int c : waiting[static_cast<size_t>(s)]) {
-      css_sum[static_cast<size_t>(c)] += cost;
-      if (--missing[static_cast<size_t>(c)] == 0) {
-        pq.push({css_sum[static_cast<size_t>(c)],
-                 {catalog.css_target(c), c}});
+  // Recomputes the cheapest derivations, where observing an `observable`
+  // statistic costs nothing once it is `observed` and its cost otherwise
+  // (residual costs), stopping once every statistic of `wanted` (distinct
+  // indices) is final.
+  // A final statistic's derivation only uses statistics finalized before
+  // it, so the early stop changes no derivation reachable from `wanted`;
+  // when the search runs dry, statistics it did not finalize are
+  // unreachable and keep cost kInf.
+  void Run(const std::vector<char>& observable,
+           const std::vector<char>& observed, const std::vector<int>& wanted) {
+    std::fill(best_.begin(), best_.end(), Derivation{});
+    css_ = css_init_;
+    heap_.clear();
+    StreamObservations(observable, observed);
+    for (int c : no_input_css_) {
+      Offer(0.0, css_init_[static_cast<size_t>(c)].target, c);
+    }
+    for (int s : wanted) wanted_[static_cast<size_t>(s)] = 1;
+
+    size_t remaining = wanted.size();
+    size_t next_observation = 0;
+    while (remaining > 0) {
+      Item item{};
+      if (!heap_.empty() &&
+          (next_observation == observations_.size() ||
+           observations_[next_observation] > heap_.front())) {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+        item = heap_.back();
+        heap_.pop_back();
+      } else if (next_observation < observations_.size()) {
+        item = observations_[next_observation++];
+      } else {
+        break;
+      }
+      Derivation& d = best_[static_cast<size_t>(item.stat)];
+      if (d.reachable) continue;
+      d = Derivation{item.cost, item.css, true, true};
+      if (wanted_[static_cast<size_t>(item.stat)]) --remaining;
+      for (int c : catalog_.css_reading(item.stat)) {
+        CssState& state = css_[static_cast<size_t>(c)];
+        state.sum += item.cost;
+        if (--state.missing == 0) Offer(state.sum, state.target, c);
       }
     }
+    for (int s : wanted) wanted_[static_cast<size_t>(s)] = 0;
   }
-  return best;
-}
 
-// Collects the observable leaves of the chosen derivation of `stat`.
-void CollectBundle(const CssCatalog& catalog,
-                   const std::vector<Derivation>& derivs, int stat,
-                   std::vector<char>* visited, std::vector<int>* bundle) {
-  if ((*visited)[static_cast<size_t>(stat)]) return;
-  (*visited)[static_cast<size_t>(stat)] = 1;
-  const Derivation& d = derivs[static_cast<size_t>(stat)];
-  ETLOPT_CHECK(d.reachable);
-  if (d.via_css < 0) {
-    bundle->push_back(stat);
-    return;
+  const Derivation& best(int stat) const {
+    return best_[static_cast<size_t>(stat)];
   }
-  for (int in : UniqueInputs(catalog, d.via_css)) {
-    CollectBundle(catalog, derivs, in, visited, bundle);
+
+  // Replaces `bundle` with the observable leaves of the chosen derivation of
+  // `stat`, in depth-first order.
+  void CollectBundle(int stat, std::vector<int>* bundle) {
+    bundle->clear();
+    ++stamp_;
+    Collect(stat, bundle);
   }
-}
 
-}  // namespace
+ private:
+  struct Item {
+    double cost;
+    int stat;
+    int css;  // -1: observe directly
 
-SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
-                                       double budget,
-                                       std::vector<int>* uncovered_required) {
+    bool operator>(const Item& other) const {
+      return std::tie(cost, stat, css) >
+             std::tie(other.cost, other.stat, other.css);
+    }
+  };
+
+  struct CssState {
+    double sum;   // costs of the final inputs
+    int missing;  // inputs not yet final
+    int target;
+  };
+
+  // Queues CSS candidate (cost, stat, css) unless it cannot win.
+  void Offer(double cost, int stat, int css) {
+    Derivation& d = best_[static_cast<size_t>(stat)];
+    if (d.reachable ||
+        (d.queued && std::tie(d.cost, d.via_css) < std::tie(cost, css))) {
+      return;
+    }
+    d.cost = cost;
+    d.via_css = css;
+    d.queued = true;
+    heap_.push_back({cost, stat, css});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+
+  // Fills `observations_` with the observation candidates in (cost, stat)
+  // order: the free ones by index, merged with the rest by cost.
+  void StreamObservations(const std::vector<char>& observable,
+                          const std::vector<char>& observed) {
+    free_.clear();
+    paid_.clear();
+    for (int s = 0; s < static_cast<int>(cost_.size()); ++s) {
+      if (!observable[static_cast<size_t>(s)]) continue;
+      const double residual =
+          observed[static_cast<size_t>(s)] ? 0.0 : cost_[static_cast<size_t>(s)];
+      if (residual == 0.0) free_.push_back({residual, s, -1});
+    }
+    for (int s : by_cost_) {
+      if (observable[static_cast<size_t>(s)] &&
+          !observed[static_cast<size_t>(s)] &&
+          cost_[static_cast<size_t>(s)] != 0.0) {
+        paid_.push_back({cost_[static_cast<size_t>(s)], s, -1});
+      }
+    }
+    observations_.clear();
+    std::merge(free_.begin(), free_.end(), paid_.begin(), paid_.end(),
+               std::back_inserter(observations_),
+               [](const Item& a, const Item& b) { return b > a; });
+    for (const Item& item : observations_) {
+      best_[static_cast<size_t>(item.stat)] =
+          Derivation{item.cost, -1, false, true};
+    }
+  }
+
+  void Collect(int stat, std::vector<int>* bundle) {
+    int& stamp = visit_stamp_[static_cast<size_t>(stat)];
+    if (stamp == stamp_) return;
+    stamp = stamp_;
+    const Derivation& d = best(stat);
+    ETLOPT_CHECK(d.reachable);
+    if (d.via_css < 0) {
+      bundle->push_back(stat);
+      return;
+    }
+    for (int in : catalog_.css_inputs(d.via_css)) Collect(in, bundle);
+  }
+
+  const CssCatalog& catalog_;
+  const std::vector<double> cost_;  // per stat: observation cost
+  std::vector<CssState> css_init_;  // per CSS: state before any input is final
+  std::vector<int> no_input_css_;
+  std::vector<int> by_cost_;        // stat indices by (cost, index)
+
+  std::vector<Derivation> best_;    // per stat
+  std::vector<char> wanted_;        // per stat, set only during Run
+  std::vector<int> visit_stamp_;    // per stat, CollectBundle's visited mark
+  int stamp_ = 0;
+  std::vector<CssState> css_;
+  std::vector<Item> heap_;          // CSS candidates
+  std::vector<Item> free_, paid_, observations_;
+};
+
+// One greedy pass (see SelectGreedyWithBudget), deriving with `search`,
+// which was built for the costs of `problem`.
+SelectionResult GreedyCover(const SelectionProblem& problem, double budget,
+                            std::vector<int>* uncovered_required,
+                            DerivationSearch* search) {
   const CssCatalog& catalog = *problem.catalog;
   const int n = catalog.num_stats();
 
@@ -112,125 +230,105 @@ SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
   int64_t iterations = 0;
 
   std::vector<char> observed(static_cast<size_t>(n), 0);
-  std::vector<double> residual = problem.cost;
+  IncrementalClosure closure(catalog);
   double spent = 0.0;
   // Drift-flagged statistics are pre-seeded into the cover: they must be
   // re-observed regardless of what the derivation graph could supply.
   for (size_t s = 0; s < problem.must_observe.size(); ++s) {
     if (problem.must_observe[s]) {
       observed[s] = 1;
-      residual[s] = 0.0;
       spent += problem.cost[s];
+      closure.Add(static_cast<int>(s));
     }
   }
-  std::vector<char> computable = ComputeClosure(catalog, observed);
   std::vector<char> deferred(static_cast<size_t>(n), 0);
+  std::vector<int> pending;
+  std::vector<int> bundle;
 
   for (;;) {
     ++iterations;
-    bool progressed = false;
-    {
-      const std::vector<Derivation> derivs =
-          BestDerivations(catalog, problem.observable, residual);
-      ETLOPT_COUNTER_ADD("etlopt.opt.greedy.derivation_passes", 1);
-      // Uncovered, not yet deferred required statistics, cheapest first.
-      std::vector<int> pending;
-      for (int s = 0; s < n; ++s) {
-        if (problem.required[static_cast<size_t>(s)] &&
-            !computable[static_cast<size_t>(s)] &&
-            !deferred[static_cast<size_t>(s)]) {
-          pending.push_back(s);
-        }
-      }
-      if (pending.empty()) break;
-      ETLOPT_HIST_RECORD("etlopt.opt.greedy.candidate_set_size",
-                         static_cast<int64_t>(pending.size()));
-      std::sort(pending.begin(), pending.end(), [&](int a, int b) {
-        return derivs[static_cast<size_t>(a)].cost <
-               derivs[static_cast<size_t>(b)].cost;
-      });
-      for (int pick : pending) {
-        const Derivation& d = derivs[static_cast<size_t>(pick)];
-        if (!d.reachable) {
-          deferred[static_cast<size_t>(pick)] = 1;
-          continue;
-        }
-        std::vector<char> visited(static_cast<size_t>(n), 0);
-        std::vector<int> bundle;
-        CollectBundle(catalog, derivs, pick, &visited, &bundle);
-        // Actual incremental cost (the scalar derivation cost may double
-        // count shared inputs).
-        double added = 0.0;
-        for (int s : bundle) {
-          if (!observed[static_cast<size_t>(s)]) {
-            added += problem.cost[static_cast<size_t>(s)];
-          }
-        }
-        if (spent + added > budget) {
-          deferred[static_cast<size_t>(pick)] = 1;
-          continue;
-        }
-        for (int s : bundle) {
-          if (!observed[static_cast<size_t>(s)]) {
-            observed[static_cast<size_t>(s)] = 1;
-            residual[static_cast<size_t>(s)] = 0.0;
-          }
-        }
-        spent += added;
-        progressed = true;
-        break;
-      }
-      if (!progressed) break;  // nothing affordable/reachable remains
-    }
-    computable = ComputeClosure(catalog, observed);
-  }
-
-  bool all_covered = true;
-  for (int s = 0; s < n; ++s) {
-    if (problem.required[static_cast<size_t>(s)] &&
-        !computable[static_cast<size_t>(s)]) {
-      all_covered = false;
-      if (uncovered_required != nullptr) uncovered_required->push_back(s);
-    }
-  }
-  if (!all_covered) {
-    // Partial cover: report what was chosen so far (budget mode).
+    // Uncovered, not yet deferred required statistics, cheapest first.
+    pending.clear();
     for (int s = 0; s < n; ++s) {
-      if (observed[static_cast<size_t>(s)]) {
-        result.observed.push_back(s);
-        result.total_cost += problem.cost[static_cast<size_t>(s)];
+      if (problem.required[static_cast<size_t>(s)] && !closure.computable(s) &&
+          !deferred[static_cast<size_t>(s)]) {
+        pending.push_back(s);
       }
     }
-    result.feasible = false;
-    return result;
-  }
-
-  // Reverse-delete: drop observations that became redundant (most expensive
-  // first).
-  std::vector<int> kept;
-  for (int s = 0; s < n; ++s) {
-    if (observed[static_cast<size_t>(s)]) kept.push_back(s);
-  }
-  std::sort(kept.begin(), kept.end(), [&](int a, int b) {
-    return problem.cost[static_cast<size_t>(a)] >
-           problem.cost[static_cast<size_t>(b)];
-  });
-  for (int s : kept) {
-    if (static_cast<size_t>(s) < problem.must_observe.size() &&
-        problem.must_observe[static_cast<size_t>(s)]) {
-      continue;  // forced observations are never redundant
+    if (pending.empty()) break;
+    search->Run(problem.observable, observed, pending);
+    ETLOPT_COUNTER_ADD("etlopt.opt.greedy.derivation_passes", 1);
+    ETLOPT_HIST_RECORD("etlopt.opt.greedy.candidate_set_size",
+                       static_cast<int64_t>(pending.size()));
+    std::sort(pending.begin(), pending.end(), [&](int a, int b) {
+      return search->best(a).cost < search->best(b).cost;
+    });
+    bool progressed = false;
+    for (int pick : pending) {
+      if (!search->best(pick).reachable) {
+        deferred[static_cast<size_t>(pick)] = 1;
+        continue;
+      }
+      search->CollectBundle(pick, &bundle);
+      // Actual incremental cost (the scalar derivation cost may double
+      // count shared inputs).
+      double added = 0.0;
+      for (int s : bundle) {
+        if (!observed[static_cast<size_t>(s)]) {
+          added += problem.cost[static_cast<size_t>(s)];
+        }
+      }
+      if (spent + added > budget) {
+        deferred[static_cast<size_t>(pick)] = 1;
+        continue;
+      }
+      for (int s : bundle) {
+        if (!observed[static_cast<size_t>(s)]) {
+          observed[static_cast<size_t>(s)] = 1;
+          closure.Add(s);
+        }
+      }
+      spent += added;
+      progressed = true;
+      break;
     }
-    observed[static_cast<size_t>(s)] = 0;
-    std::vector<int> trial;
-    for (int t = 0; t < n; ++t) {
-      if (observed[static_cast<size_t>(t)]) trial.push_back(t);
-    }
-    if (!SelectionCovers(problem, trial)) {
-      observed[static_cast<size_t>(s)] = 1;  // still needed
-    }
+    if (!progressed) break;  // nothing affordable/reachable remains
   }
 
   result.feasible = true;
+  for (int s = 0; s < n; ++s) {
+    if (problem.required[static_cast<size_t>(s)] && !closure.computable(s)) {
+      result.feasible = false;
+      if (uncovered_required != nullptr) uncovered_required->push_back(s);
+    }
+  }
+  // A partial cover (budget mode) is reported as chosen so far; a full one
+  // first drops observations that became redundant (most expensive first).
+  if (result.feasible) {
+    std::vector<int> kept;
+    for (int s = 0; s < n; ++s) {
+      if (observed[static_cast<size_t>(s)]) kept.push_back(s);
+    }
+    std::sort(kept.begin(), kept.end(), [&](int a, int b) {
+      return problem.cost[static_cast<size_t>(a)] >
+             problem.cost[static_cast<size_t>(b)];
+    });
+    for (int s : kept) {
+      if (static_cast<size_t>(s) < problem.must_observe.size() &&
+          problem.must_observe[static_cast<size_t>(s)]) {
+        continue;  // forced observations are never redundant
+      }
+      observed[static_cast<size_t>(s)] = 0;
+      std::vector<int> trial;
+      for (int t = 0; t < n; ++t) {
+        if (observed[static_cast<size_t>(t)]) trial.push_back(t);
+      }
+      if (!SelectionCovers(problem, trial)) {
+        observed[static_cast<size_t>(s)] = 1;  // still needed
+      }
+    }
+  }
+
   for (int s = 0; s < n; ++s) {
     if (observed[static_cast<size_t>(s)]) {
       result.observed.push_back(s);
@@ -243,8 +341,18 @@ SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
   return result;
 }
 
+}  // namespace
+
+SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
+                                       double budget,
+                                       std::vector<int>* uncovered_required) {
+  DerivationSearch search(*problem.catalog, problem.cost);
+  return GreedyCover(problem, budget, uncovered_required, &search);
+}
+
 SelectionResult SelectGreedy(const SelectionProblem& problem) {
-  SelectionResult best = SelectGreedyWithBudget(problem, kInf, nullptr);
+  DerivationSearch search(*problem.catalog, problem.cost);
+  SelectionResult best = GreedyCover(problem, kInf, nullptr, &search);
 
   // The union-division CSSs strictly enlarge the search space, but a greedy
   // heuristic with more options can land on a worse cover. Re-run with the
@@ -266,7 +374,7 @@ SelectionResult SelectGreedy(const SelectionProblem& problem) {
         no_ud.observable[static_cast<size_t>(s)] = 0;
       }
     }
-    SelectionResult alt = SelectGreedyWithBudget(no_ud, kInf, nullptr);
+    SelectionResult alt = GreedyCover(no_ud, kInf, nullptr, &search);
     if (alt.feasible &&
         (!best.feasible || alt.total_cost < best.total_cost - 1e-9)) {
       alt.method = "greedy(no-ud-pass)";

@@ -1,7 +1,5 @@
 #include "opt/ilp_selector.h"
 
-#include <algorithm>
-
 #include "lp/ilp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,16 +7,6 @@
 #include "opt/greedy_selector.h"
 
 namespace etlopt {
-namespace {
-
-std::vector<int> UniqueInputs(const CssCatalog& catalog, int css) {
-  std::vector<int> inputs = catalog.css_inputs(css);
-  std::sort(inputs.begin(), inputs.end());
-  inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-  return inputs;
-}
-
-}  // namespace
 
 SelectionResult SelectIlp(const SelectionProblem& problem,
                           const IlpSelectorOptions& options) {
@@ -75,7 +63,7 @@ SelectionResult SelectIlp(const SelectionProblem& problem,
   // CSS covered only if all members computable: Σ y_k ≥ |CSS| z_j;
   // and covered implies computable: y_target ≥ z_j.
   for (int c = 0; c < m; ++c) {
-    const std::vector<int> inputs = UniqueInputs(catalog, c);
+    const std::span<const int> inputs = catalog.css_inputs(c);
     LpConstraint cover;
     cover.sense = ConstraintSense::kGreaterEqual;
     cover.rhs = 0.0;
@@ -152,21 +140,20 @@ SelectionResult SelectIlp(const SelectionProblem& problem,
   // Warm start from the greedy solution.
   {
     std::vector<double> warm(static_cast<size_t>(lp.num_variables()), 0.0);
-    std::vector<char> obs(static_cast<size_t>(n), 0);
-    for (int s : greedy.observed) obs[static_cast<size_t>(s)] = 1;
-    const std::vector<char> computable = ComputeClosure(catalog, obs);
-    for (int s = 0; s < n; ++s) {
+    IncrementalClosure closure(catalog);
+    for (int s : greedy.observed) {
+      closure.Add(s);
       const int xv = x_var[static_cast<size_t>(s)];
-      if (xv >= 0 && obs[static_cast<size_t>(s)]) {
-        warm[static_cast<size_t>(xv)] = 1.0;
-      }
+      if (xv >= 0) warm[static_cast<size_t>(xv)] = 1.0;
+    }
+    for (int s = 0; s < n; ++s) {
       warm[static_cast<size_t>(y_var[static_cast<size_t>(s)])] =
-          computable[static_cast<size_t>(s)] ? 1.0 : 0.0;
+          closure.computable(s) ? 1.0 : 0.0;
     }
     for (int c = 0; c < m; ++c) {
       bool covered = true;
       for (int in : catalog.css_inputs(c)) {
-        if (!computable[static_cast<size_t>(in)]) {
+        if (!closure.computable(in)) {
           covered = false;
           break;
         }

@@ -60,12 +60,10 @@ std::vector<StatKey> SelectionResult::ObservedKeys(
 
 bool SelectionCovers(const SelectionProblem& problem,
                      const std::vector<int>& observed) {
-  std::vector<char> obs(static_cast<size_t>(problem.num_stats()), 0);
-  for (int idx : observed) obs[static_cast<size_t>(idx)] = 1;
-  const std::vector<char> computable = ComputeClosure(*problem.catalog, obs);
+  IncrementalClosure closure(*problem.catalog);
+  for (int idx : observed) closure.Add(idx);
   for (int i = 0; i < problem.num_stats(); ++i) {
-    if (problem.required[static_cast<size_t>(i)] &&
-        !computable[static_cast<size_t>(i)]) {
+    if (problem.required[static_cast<size_t>(i)] && !closure.computable(i)) {
       return false;
     }
   }

@@ -105,14 +105,15 @@ class StatStore {
     return v->count();
   }
 
-  Result<Histogram> GetHist(const StatKey& key) const {
+  // The stored histogram, valid until the store is next modified.
+  Result<const Histogram*> GetHist(const StatKey& key) const {
     const StatValue* v = Find(key);
     if (v == nullptr) return Status::NotFound(key.ToString());
     if (v->is_count()) {
       return Status::Internal("statistic is not a histogram: " +
                               key.ToString());
     }
-    return v->hist();
+    return &v->hist();
   }
 
   size_t size() const { return values_.size(); }
