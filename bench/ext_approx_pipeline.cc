@@ -70,8 +70,10 @@ int main() {
     SelectionProblem problem = BuildSelectionProblem(ctx, ps, catalog, cm);
     const SelectionResult selection = SelectGreedy(problem);
     if (!selection.feasible) continue;
+    ExecutorOptions exec_options;
+    exec_options.retain_node_outputs = true;  // ground truth reads them
     const ExecutionResult exec =
-        Executor(&spec.workflow).Execute(sources).value();
+        Executor(&spec.workflow, exec_options).Execute(sources).value();
     const auto truth =
         ComputeGroundTruthCards(ctx, ps.subexpressions(), exec).value();
     CardMap truth_cards(truth.begin(), truth.end());

@@ -60,7 +60,9 @@ void BM_ObserveStatistics(benchmark::State& state) {
   const SourceMap sources = GenerateSources(spec, 3, 0.05);
   Pipeline pipeline;
   const auto analysis = pipeline.Analyze(spec.workflow).value();
-  Executor executor(analysis->workflow.get());
+  ExecutorOptions exec_options;
+  exec_options.retain_node_outputs = true;  // the taps read them
+  Executor executor(analysis->workflow.get(), exec_options);
   const ExecutionResult exec = executor.Execute(sources).value();
   const BlockAnalysis& ba = *analysis->blocks[0];
   const std::vector<StatKey> keys = ba.selection.ObservedKeys(ba.catalog);

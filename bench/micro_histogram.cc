@@ -1,7 +1,11 @@
-// Micro-benchmarks for the histogram algebra (the estimator's hot path).
+// Micro-benchmarks for the histogram algebra (the estimator's hot path),
+// from single kernels up to a whole Estimator::DeriveAll over a workload's
+// observed statistics.
 
 #include <benchmark/benchmark.h>
 
+#include "core/pipeline.h"
+#include "datagen/workload_suite.h"
 #include "stats/histogram.h"
 #include "util/random.h"
 
@@ -45,22 +49,45 @@ void BM_DotProduct(benchmark::State& state) {
 }
 BENCHMARK(BM_DotProduct)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// The low `arity` attribute bits.
+AttrMask LowMask(int64_t arity) { return (AttrMask{1} << arity) - 1; }
+
+// J2 multiply-through: an arity-k histogram scaled by a one-attribute
+// histogram over its first attribute.
 void BM_MultiplyBy(benchmark::State& state) {
-  const Histogram ab = RandomHist(state.range(0), 3000, 3, 0b11);
+  const int64_t arity = state.range(0);
+  const Histogram a = RandomHist(state.range(1), 3000, 3, LowMask(arity));
   const Histogram b = RandomHist(3000, 3000, 4, 0b01);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Histogram::MultiplyBy(ab, b).TotalCount());
+    benchmark::DoNotOptimize(Histogram::MultiplyBy(a, b).TotalCount());
   }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
 }
-BENCHMARK(BM_MultiplyBy)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_MultiplyBy)
+    ->ArgNames({"arity", "buckets"})
+    ->Args({2, 1000})
+    ->Args({2, 10000})
+    ->Args({3, 100000})
+    ->Args({5, 100000});
 
+// I2 marginalization: an arity-k histogram down to its first `keep`
+// attributes; keeping one gives few output buckets, keeping all but the
+// last about as many as the input.
 void BM_Marginalize(benchmark::State& state) {
-  const Histogram ab = RandomHist(state.range(0), 3000, 5, 0b111);
+  const Histogram a =
+      RandomHist(state.range(1), 3000, 5, LowMask(state.range(0)));
+  const AttrMask keep = LowMask(state.range(2));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ab.Marginalize(0b001).TotalCount());
+    benchmark::DoNotOptimize(a.Marginalize(keep).TotalCount());
   }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
 }
-BENCHMARK(BM_Marginalize)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_Marginalize)
+    ->ArgNames({"arity", "buckets", "keep"})
+    ->Args({3, 1000, 1})
+    ->Args({3, 10000, 1})
+    ->Args({3, 100000, 2})
+    ->Args({5, 100000, 4});
 
 void BM_UnionDivision(benchmark::State& state) {
   // Multiply then divide — the Eq. 2-3 round trip.
@@ -73,6 +100,34 @@ void BM_UnionDivision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnionDivision)->Arg(100)->Arg(1000);
+
+// Estimator::DeriveAll over every block of suite workload N, from the
+// statistics one serial exact-tap run observed at scale 0.05 (the advise
+// scale of the end-to-end plan_heavy workload for wf21: 1,107 derived
+// statistics, 1.1 M buckets).
+void BM_DeriveAll(benchmark::State& state) {
+  const WorkloadSpec spec = BuildWorkload(static_cast<int>(state.range(0)));
+  const SourceMap sources = GenerateSources(spec, 7, 0.05);
+  PipelineOptions options;
+  options.num_threads = 1;
+  const Pipeline pipeline(options);
+  const auto analysis = pipeline.Analyze(spec.workflow).value();
+  const RunOutcome run = pipeline.RunAndObserve(*analysis, sources).value();
+  for (auto _ : state) {
+    size_t derived = 0;
+    for (size_t b = 0; b < analysis->blocks.size(); ++b) {
+      const BlockAnalysis& ba = *analysis->blocks[b];
+      Estimator estimator(&ba.ctx, &ba.catalog);
+      if (!estimator.DeriveAll(run.block_stats[b]).ok()) {
+        state.SkipWithError("DeriveAll failed");
+        return;
+      }
+      derived += estimator.derived().size();
+    }
+    benchmark::DoNotOptimize(derived);
+  }
+}
+BENCHMARK(BM_DeriveAll)->Arg(13)->Arg(21)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace etlopt

@@ -183,6 +183,8 @@ Result<BudgetedLifecycleResult> RunBudgetedLifecycle(
   // plan's pipeline points. Strict mode aborts on the first violation
   // (through the salvage path, so this run still pays back statistics).
   ExecutorOptions first_run_options = options.executor;
+  // The taps (and salvage after an abort) read every pipeline point.
+  first_run_options.retain_node_outputs = true;
   if (options.guard.mode != obs::GuardMode::kOff) {
     if (const obs::RunRecord* last_clean = LastCleanRecord(history)) {
       for (const obs::RunRecord::SeCard& card : last_clean->cards) {
@@ -300,7 +302,9 @@ Result<BudgetedLifecycleResult> RunBudgetedLifecycle(
       std::vector<std::unordered_map<RelMask, NodeId>> se_nodes;
       ETLOPT_ASSIGN_OR_RETURN(const Workflow reordered,
                               PlanRewriter::Apply(workflow, bp, &se_nodes));
-      Executor rerun(&reordered);
+      ExecutorOptions rerun_options;
+      rerun_options.retain_node_outputs = true;  // covered SEs are read below
+      Executor rerun(&reordered, rerun_options);
       ETLOPT_ASSIGN_OR_RETURN(const ExecutionResult exec,
                               rerun.Execute(sources));
       ++result.executions;

@@ -235,6 +235,8 @@ Result<RunOutcome> Pipeline::RunAndObserve(
   // designed plan's pipeline points. Off-mode runs (and first runs, which
   // have no history) execute with an empty monitor map — the seed path.
   ExecutorOptions exec_options = options_.executor;
+  // The taps (and salvage after an abort) read every pipeline point.
+  exec_options.retain_node_outputs = true;
   if (options_.guard.mode != obs::GuardMode::kOff) {
     const obs::RunRecord* last_clean = LastCleanRecord(history);
     if (last_clean != nullptr) {
@@ -416,9 +418,6 @@ Result<OptimizeOutcome> Pipeline::Optimize(
       ETLOPT_ASSIGN_OR_RETURN(
           cards, estimator.AllCardinalities(ba.plan_space.subexpressions()));
     }
-    outcome.block_estimates.push_back(
-        OptimizeOutcome::BlockEstimates{estimator.derived(),
-                                        estimator.provenance()});
     if (guard_on) {
       // Guard evidence, part 2: per-SE confidence from provenance — exact
       // derivations score 1.0, sketch error bounds and drift-flagged
@@ -437,6 +436,9 @@ Result<OptimizeOutcome> Pipeline::Optimize(
         evidence.push_back(ev);
       }
     }
+    // The estimator is done: its derived store and provenance move over.
+    outcome.block_estimates.push_back(OptimizeOutcome::BlockEstimates{
+        estimator.TakeDerived(), estimator.TakeProvenance()});
     ETLOPT_COUNTER_ADD("etlopt.core.cards_estimated",
                        static_cast<int64_t>(cards.size()));
     if (complete) {

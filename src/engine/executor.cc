@@ -768,9 +768,25 @@ Result<ExecutionResult> Executor::Execute(const SourceMap& sources) const {
   ctx.backoff_rng = &backoff_rng;
   ctx.result = &result;
 
+  // Consumers still to run per node; a non-target output is released when
+  // its count reaches zero (unless the caller retains every output).
+  std::vector<int> pending_reads;
+  if (!options_.retain_node_outputs) {
+    pending_reads.assign(wf_->nodes().size(), 0);
+    for (const WorkflowNode& node : wf_->nodes()) {
+      for (NodeId in : node.inputs) ++pending_reads[static_cast<size_t>(in)];
+    }
+  }
   for (const WorkflowNode& node : wf_->nodes()) {
     ETLOPT_RETURN_IF_ERROR(ExecuteNodeStep(ctx, node));
     if (result.aborted()) break;
+    if (pending_reads.empty()) continue;
+    for (NodeId in : node.inputs) {
+      if (--pending_reads[static_cast<size_t>(in)] == 0 &&
+          wf_->node(in).target_name.empty()) {
+        result.node_outputs.erase(in);
+      }
+    }
   }
   if (result.aborted() && exec_span.active()) {
     exec_span.Arg("abort", AbortKindName(result.abort_kind));

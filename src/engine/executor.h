@@ -80,6 +80,13 @@ struct ExecutorOptions {
   // performance hint — outputs never depend on it.
   std::unordered_map<NodeId, int64_t> build_rows_hints;
 
+  // Keep every node's output in ExecutionResult::node_outputs. Off by
+  // default: Execute drops a non-target node's output once its last
+  // consumer has run, so a production run holds only the tables still
+  // ahead of it. Callers that read node_outputs after the run (the
+  // statistics taps, salvage, tests inspecting intermediates) set it.
+  bool retain_node_outputs = false;
+
   // Defaults overridden by ETLOPT_MAX_ERROR_RATE.
   static ExecutorOptions FromEnv();
 };
@@ -106,10 +113,13 @@ struct MonitorViolation {
 
 const char* AbortKindName(AbortKind kind);
 
-// Everything produced by one run of a workflow. `node_outputs` caches every
-// node's output so the instrumentation layer can observe any pipeline point
-// after the fact — semantically equivalent to the per-tuple handlers that
+// Everything produced by one run of a workflow. With
+// ExecutorOptions::retain_node_outputs, `node_outputs` caches every node's
+// output so the instrumentation layer can observe any pipeline point after
+// the fact — semantically equivalent to the per-tuple handlers that
 // commercial engines expose (Section 3.2.5) while keeping the engine simple.
+// Without it, only the outputs nothing consumed are left at the end: the
+// sink, materialized targets, and nodes without consumers.
 struct ExecutionResult {
   std::unordered_map<NodeId, Table> node_outputs;
   // Rows that found no match, per join node and side (captured for every

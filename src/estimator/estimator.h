@@ -2,6 +2,7 @@
 #define ETLOPT_ESTIMATOR_ESTIMATOR_H_
 
 #include <unordered_map>
+#include <utility>
 
 #include "css/css.h"
 #include "planspace/block.h"
@@ -50,6 +51,11 @@ class Estimator {
 
   // Per-statistic provenance recorded by DeriveAll.
   const ProvenanceMap& provenance() const { return provenance_; }
+
+  // Hand the derived store and the provenance to the caller without a
+  // copy. The estimator's lookups must not be used afterwards.
+  StatStore TakeDerived() { return std::move(derived_); }
+  ProvenanceMap TakeProvenance() { return std::move(provenance_); }
   const StatProvenance* FindProvenance(const StatKey& key) const {
     auto it = provenance_.find(key);
     return it == provenance_.end() ? nullptr : &it->second;

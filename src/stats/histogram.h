@@ -1,8 +1,10 @@
 #ifndef ETLOPT_STATS_HISTOGRAM_H_
 #define ETLOPT_STATS_HISTOGRAM_H_
 
+#include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "etl/predicate.h"
@@ -12,7 +14,8 @@
 
 namespace etlopt {
 
-// Hash for composite bucket keys.
+// Hash for composite value keys held as vectors (hash maps over rows and
+// group keys outside the histogram).
 struct ValueVecHash {
   size_t operator()(const std::vector<Value>& v) const {
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -34,9 +37,47 @@ struct ValueVecHash {
 // bucket-wise multiply ⟨H1|H2⟩ and divide H1/H2 (union-division, Eq. 2-3),
 // marginalization (identity rule I2), join propagation (J2/J3), and
 // predicate filtering (S1/S2).
+//
+// Layout: a flat, insertion-ordered open-addressing table. Bucket i's key is
+// keys_[i * arity, (i + 1) * arity) and its count is counts_[i]; slots_ is a
+// power-of-two directory of bucket indices (-1 = empty), probed linearly
+// from a full-avalanche hash of the packed key and kept at most half full.
+// Buckets are never removed, so a bucket whose additions sum to zero stays.
 class Histogram {
  public:
-  using BucketMap = std::unordered_map<std::vector<Value>, int64_t, ValueVecHash>;
+  // One bucket as seen through buckets(): the key's values (aligned with
+  // attrs()) and the bucket's count. The key points into the histogram and
+  // is valid until the next Add.
+  struct Bucket {
+    std::span<const Value> key;
+    int64_t count;
+  };
+
+  // Read-only view of the buckets in insertion order.
+  class BucketView {
+   public:
+    class Iterator {
+     public:
+      Iterator(const Histogram* h, int64_t i) : h_(h), i_(i) {}
+      Bucket operator*() const { return h_->BucketAt(i_); }
+      Iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator==(const Iterator& other) const { return i_ == other.i_; }
+
+     private:
+      const Histogram* h_;
+      int64_t i_;
+    };
+
+    explicit BucketView(const Histogram* h) : h_(h) {}
+    Iterator begin() const { return Iterator(h_, 0); }
+    Iterator end() const { return Iterator(h_, h_->NumBuckets()); }
+
+   private:
+    const Histogram* h_;
+  };
 
   Histogram() = default;
   explicit Histogram(AttrMask attrs);
@@ -46,19 +87,32 @@ class Histogram {
   int arity() const { return static_cast<int>(attrs_.size()); }
 
   // Adds `count` to the bucket for `key` (values aligned with attrs()).
-  void Add(const std::vector<Value>& key, int64_t count = 1);
+  // Adding zero is a no-op: it does not create the bucket.
+  void Add(std::span<const Value> key, int64_t count = 1);
+  void Add(std::initializer_list<Value> key, int64_t count = 1) {
+    Add(std::span<const Value>(key.begin(), key.size()), count);
+  }
   // Single-attribute convenience.
   void Add1(Value v, int64_t count = 1);
 
-  int64_t Get(const std::vector<Value>& key) const;
+  int64_t Get(std::span<const Value> key) const;
+  int64_t Get(std::initializer_list<Value> key) const {
+    return Get(std::span<const Value>(key.begin(), key.size()));
+  }
   int64_t Get1(Value v) const;
 
   // |H| in the paper: the sum of all bucket counts (equals |T|).
   int64_t TotalCount() const { return total_; }
   // Number of distinct value combinations (|a_T| when read as distinct).
-  int64_t NumBuckets() const { return static_cast<int64_t>(buckets_.size()); }
+  int64_t NumBuckets() const { return static_cast<int64_t>(counts_.size()); }
 
-  const BucketMap& buckets() const { return buckets_; }
+  BucketView buckets() const { return BucketView(this); }
+  Bucket BucketAt(int64_t i) const {
+    return Bucket{std::span<const Value>(KeyAt(i), attrs_.size()),
+                  counts_[static_cast<size_t>(i)]};
+  }
+  // The buckets in increasing lexicographic key order (stable renderings).
+  std::vector<Bucket> SortedBuckets() const;
 
   // ---- algebra ----
 
@@ -105,14 +159,35 @@ class Histogram {
   // the matched and rejected parts in union-division (Eq. 1).
   void AddAll(const Histogram& other);
 
+  // Same attributes and the same count on every key; insertion order does
+  // not matter.
   bool operator==(const Histogram& other) const;
 
   std::string ToString() const;
 
  private:
+  const Value* KeyAt(int64_t i) const {
+    return keys_.data() + static_cast<size_t>(i) * attrs_.size();
+  }
+  // Makes room for `buckets` buckets without growing the directory.
+  void Reserve(int64_t buckets);
+  // Bucket index of `key`, or -1.
+  int64_t Find(const Value* key) const;
+  // Adds `count` to `key`'s bucket, creating it when absent; count != 0.
+  void AddRaw(const Value* key, int64_t count);
+  // Appends a bucket for a key known to be absent (with its HashKey).
+  void AppendNew(const Value* key, int64_t count);
+  void AppendNew(const Value* key, uint64_t hash, int64_t count);
+  // Rebuilds the directory with `capacity` slots (a power of two).
+  void Rehash(size_t capacity);
+  // Shrinks an output whose reservation turned out far too large.
+  void FitToSize();
+
   std::vector<AttrId> attrs_;  // increasing order
   AttrMask attr_mask_ = 0;
-  BucketMap buckets_;
+  std::vector<Value> keys_;       // NumBuckets() x arity, insertion order
+  std::vector<int64_t> counts_;   // parallel to the keys
+  std::vector<int32_t> slots_;    // bucket index per slot, -1 when empty
   int64_t total_ = 0;
 };
 

@@ -209,10 +209,7 @@ std::string WriteStatStoreText(const StatStore& store) {
       const Histogram& hist = value.hist();
       out << " buckets=" << hist.NumBuckets() << mode_suffix << "\n";
       // Deterministic bucket order.
-      std::vector<std::pair<std::vector<Value>, int64_t>> entries(
-          hist.buckets().begin(), hist.buckets().end());
-      std::sort(entries.begin(), entries.end());
-      for (const auto& [bucket_key, count] : entries) {
+      for (const auto& [bucket_key, count] : hist.SortedBuckets()) {
         out << "bucket";
         for (Value v : bucket_key) out << " " << v;
         out << " = " << count << "\n";

@@ -42,7 +42,9 @@ ApproxSetup MakeSetup(const WorkloadSpec& spec, const SourceMap& sources) {
   SelectionProblem problem =
       BuildSelectionProblem(s.ctx, s.ps, s.catalog, cm);
   s.selection = SelectGreedy(problem);
-  s.exec = Executor(&s.spec.workflow).Execute(s.sources).value();
+  s.exec = Executor(&s.spec.workflow, testing_util::RetainOutputs())
+               .Execute(s.sources)
+               .value();
   s.truth =
       ComputeGroundTruthCards(s.ctx, s.ps.subexpressions(), s.exec).value();
   return s;
@@ -159,7 +161,9 @@ TEST(ApproxEstimatorTest, RejectStatisticsAreRejected) {
   const PlanSpace ps = PlanSpace::Build(ctx).value();
   const CssCatalog catalog = GenerateCss(ctx, ps, {});  // UD on
   const ExecutionResult exec =
-      Executor(&ex.workflow).Execute(ex.sources).value();
+      Executor(&ex.workflow, testing_util::RetainOutputs())
+          .Execute(ex.sources)
+          .value();
   ApproxConfig config(&ex.workflow.catalog(), 1);
   ApproxEstimator estimator(&ctx, &catalog, &config);
   const Status st = estimator.ObserveAndDerive(

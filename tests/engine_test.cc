@@ -47,7 +47,7 @@ class ExecutorTest : public ::testing::Test {
 };
 
 TEST_F(ExecutorTest, RunsPaperExample) {
-  Executor executor(&ex_.workflow);
+  Executor executor(&ex_.workflow, testing_util::RetainOutputs());
   Result<ExecutionResult> result = executor.Execute(ex_.sources);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // The sink output exists and matches the final join node output.
@@ -98,7 +98,8 @@ TEST(ExecutorOpsTest, FilterProjectTransformAggregate) {
   s.AddRow({6, 10});  // filtered out
   s.AddRow({1, 11});
   SourceMap sources{{"S", s}};
-  const ExecutionResult result = Executor(&wf).Execute(sources).value();
+  const ExecutionResult result =
+      Executor(&wf, testing_util::RetainOutputs()).Execute(sources).value();
   const Table& filtered = result.node_outputs.at(f);
   EXPECT_EQ(filtered.num_rows(), 3);
   const Table& derived = result.node_outputs.at(t);
@@ -121,7 +122,7 @@ TEST(ExecutorOpsTest, AggregateWithCountColumn) {
   s.AddRow({3});
   s.AddRow({4});
   const ExecutionResult result =
-      Executor(&wf).Execute({{"S", s}}).value();
+      Executor(&wf, testing_util::RetainOutputs()).Execute({{"S", s}}).value();
   const Table& out = result.node_outputs.at(g);
   ASSERT_EQ(out.num_rows(), 2);
   // Find the group with key 3.
@@ -147,7 +148,7 @@ TEST(ExecutorOpsTest, AggregateUdfDeduplicates) {
   s.AddRow({12});  // same bucket as 11
   s.AddRow({25});
   const ExecutionResult result =
-      Executor(&wf).Execute({{"S", s}}).value();
+      Executor(&wf, testing_util::RetainOutputs()).Execute({{"S", s}}).value();
   EXPECT_EQ(result.node_outputs.at(u).num_rows(), 2);
 }
 

@@ -18,7 +18,7 @@ class EstimatorFixture : public ::testing::Test {
     ctx_ = BlockContext::Build(&ex_.workflow, blocks[0]).value();
     ps_ = PlanSpace::Build(ctx_).value();
     catalog_ = GenerateCss(ctx_, ps_, {});
-    Executor executor(&ex_.workflow);
+    Executor executor(&ex_.workflow, testing_util::RetainOutputs());
     exec_ = executor.Execute(ex_.sources).value();
     truth_ =
         ComputeGroundTruthCards(ctx_, ps_.subexpressions(), exec_).value();
@@ -132,7 +132,8 @@ TEST(EstimatorChainTest, ChainDerivationsAreExact) {
   const BlockContext ctx = BlockContext::Build(&wf, blocks[0]).value();
   const PlanSpace ps = PlanSpace::Build(ctx).value();
   const CssCatalog catalog = GenerateCss(ctx, ps, {});
-  const ExecutionResult exec = Executor(&wf).Execute(sources).value();
+  const ExecutionResult exec =
+      Executor(&wf, testing_util::RetainOutputs()).Execute(sources).value();
   const auto truth =
       ComputeGroundTruthCards(ctx, ps.subexpressions(), exec).value();
 
@@ -172,7 +173,8 @@ TEST(EstimatorChainTest, GroupByDerivationIsExact) {
   const BlockContext ctx = BlockContext::Build(&wf, blocks[0]).value();
   const PlanSpace ps = PlanSpace::Build(ctx).value();
   const CssCatalog catalog = GenerateCss(ctx, ps, {});
-  const ExecutionResult exec = Executor(&wf).Execute(sources).value();
+  const ExecutionResult exec =
+      Executor(&wf, testing_util::RetainOutputs()).Execute(sources).value();
   const auto truth =
       ComputeGroundTruthCards(ctx, ps.subexpressions(), exec).value();
 

@@ -169,6 +169,7 @@ TEST_F(FaultTest, QuarantineBelowThresholdCompletes) {
   auto ex = testing_util::MakePaperExample();
   ExecutorOptions options = FastRetries();
   options.max_error_rate = 0.05;  // 1% injected < 5% allowed
+  options.retain_node_outputs = true;
   const auto result = Executor(&ex.workflow, options).Execute(ex.sources);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->aborted());

@@ -23,7 +23,9 @@ TEST(BudgetedLifecycleTest, TinyBudgetStillLearnsEverything) {
       BlockContext::Build(&ex.workflow, blocks[0]).value();
   const PlanSpace ps = PlanSpace::Build(ctx).value();
   const ExecutionResult exec =
-      Executor(&ex.workflow).Execute(ex.sources).value();
+      Executor(&ex.workflow, testing_util::RetainOutputs())
+          .Execute(ex.sources)
+          .value();
   const auto truth =
       ComputeGroundTruthCards(ctx, ps.subexpressions(), exec).value();
   ASSERT_EQ(life.block_cards.size(), 1u);
@@ -67,7 +69,9 @@ TEST(BudgetedLifecycleTest, FourWayStarUnderBudget) {
   // Verify learned == truth for the join block.
   const std::vector<Block> blocks = PartitionBlocks(spec.workflow);
   const ExecutionResult exec =
-      Executor(&spec.workflow).Execute(sources).value();
+      Executor(&spec.workflow, testing_util::RetainOutputs())
+          .Execute(sources)
+          .value();
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockContext ctx =
         BlockContext::Build(&spec.workflow, blocks[b]).value();

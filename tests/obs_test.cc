@@ -762,7 +762,7 @@ TEST(ObsExecutorIntegrationTest, RowCountersMatchExecutionResult) {
   registry.Reset();
 
   testing_util::PaperExample ex = testing_util::MakePaperExample();
-  Executor executor(&ex.workflow);
+  Executor executor(&ex.workflow, testing_util::RetainOutputs());
   Result<ExecutionResult> result = executor.Execute(ex.sources);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 

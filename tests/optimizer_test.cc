@@ -15,7 +15,7 @@ class OptimizerFixture : public ::testing::Test {
     const std::vector<Block> blocks = PartitionBlocks(ex_.workflow);
     ctx_ = BlockContext::Build(&ex_.workflow, blocks[0]).value();
     ps_ = PlanSpace::Build(ctx_).value();
-    Executor executor(&ex_.workflow);
+    Executor executor(&ex_.workflow, testing_util::RetainOutputs());
     exec_ = executor.Execute(ex_.sources).value();
     cards_ = ComputeGroundTruthCards(ctx_, ps_.subexpressions(), exec_)
                  .value();
@@ -105,7 +105,8 @@ TEST(OptimizerSkewTest, PicksSmallIntermediateFirst) {
   const std::vector<Block> blocks = PartitionBlocks(wf);
   const BlockContext ctx = BlockContext::Build(&wf, blocks[0]).value();
   const PlanSpace ps = PlanSpace::Build(ctx).value();
-  const ExecutionResult exec = Executor(&wf).Execute(sources).value();
+  const ExecutionResult exec =
+      Executor(&wf, testing_util::RetainOutputs()).Execute(sources).value();
   const CardMap cards =
       ComputeGroundTruthCards(ctx, ps.subexpressions(), exec).value();
   const OptimizedPlan plan = OptimizeJoins(ctx, ps, cards).value();

@@ -189,7 +189,9 @@ void ExpectExecutionsIdentical(const ExecutionResult& serial,
 TEST(ParallelExecutorTest, PaperExampleBitIdenticalAcrossWorkerCounts) {
   auto ex = testing_util::MakePaperExample();
   const ExecutionResult serial =
-      Executor(&ex.workflow).Execute(ex.sources).value();
+      Executor(&ex.workflow, testing_util::RetainOutputs())
+          .Execute(ex.sources)
+          .value();
   for (int threads : {2, 3, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ParallelOptions opts;
@@ -227,7 +229,10 @@ TEST(ParallelExecutorTest, FilterTransformChainBitIdentical) {
   sources["Fact"] = std::move(fact);
   sources["Dim"] = std::move(dim_t);
 
-  const ExecutionResult serial = Executor(&wf).Execute(sources).value();
+  const ExecutionResult serial =
+      Executor(&wf, testing_util::RetainOutputs())
+          .Execute(sources)
+          .value();
   ParallelOptions opts;
   opts.num_threads = 4;
   const ParallelResult par =
@@ -258,7 +263,10 @@ TEST(ParallelExecutorTest, AggregateGathersAndStaysBitIdentical) {
   sources["Fact"] = std::move(fact);
   sources["Dim"] = std::move(dim_t);
 
-  const ExecutionResult serial = Executor(&wf).Execute(sources).value();
+  const ExecutionResult serial =
+      Executor(&wf, testing_util::RetainOutputs())
+          .Execute(sources)
+          .value();
   ParallelOptions opts;
   opts.num_threads = 4;
   const ParallelResult par =
@@ -314,7 +322,9 @@ TEST(ParallelExecutorTest, RepeatedRunsWithPinnedPartitionsAreIdentical) {
   ExpectExecutionsIdentical(first.exec, second.exec);
   // And both match the serial run.
   const ExecutionResult serial =
-      Executor(&ex.workflow).Execute(ex.sources).value();
+      Executor(&ex.workflow, testing_util::RetainOutputs())
+          .Execute(ex.sources)
+          .value();
   ExpectExecutionsIdentical(serial, first.exec);
 }
 

@@ -136,7 +136,10 @@ TEST_F(RobustnessTest, TapAllocationFailureDowngradesToSketch) {
   const std::vector<Block> blocks = PartitionBlocks(ex.workflow);
   const BlockContext ctx =
       BlockContext::Build(&ex.workflow, blocks[0]).value();
-  const ExecutionResult exec = Executor(&ex.workflow).Execute(ex.sources).value();
+  const ExecutionResult exec =
+      Executor(&ex.workflow, testing_util::RetainOutputs())
+          .Execute(ex.sources)
+          .value();
 
   const StatKey card_key = StatKey::Card(0b001);
   const StatKey distinct_key =

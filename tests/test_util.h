@@ -10,6 +10,14 @@
 namespace etlopt {
 namespace testing_util {
 
+// Executor options that keep every node's output, for tests that inspect
+// intermediates or compute ground truth from them after the run.
+inline ExecutorOptions RetainOutputs() {
+  ExecutorOptions options;
+  options.retain_node_outputs = true;
+  return options;
+}
+
 // A 3-relation star fixture mirroring the paper's running example
 // (Figure 1): Orders(prod_id, cust_id) ⋈ Product(prod_id) ⋈
 // Customer(cust_id), designed as (Orders ⋈ Product) ⋈ Customer.
