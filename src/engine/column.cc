@@ -1,36 +1,8 @@
 #include "engine/column.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "util/logging.h"
 
 namespace etlopt {
-namespace {
-
-bool VectorizedFromEnv() {
-  const char* value = std::getenv("ETLOPT_VECTORIZED");
-  if (value == nullptr || *value == '\0') return true;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0);
-}
-
-std::atomic<bool>& VectorizedFlag() {
-  static std::atomic<bool> flag{VectorizedFromEnv()};
-  return flag;
-}
-
-}  // namespace
-
-bool VectorizedKernels() {
-  return VectorizedFlag().load(std::memory_order_relaxed);
-}
-
-void SetVectorizedKernels(bool on) {
-  VectorizedFlag().store(on, std::memory_order_relaxed);
-}
-
 namespace {
 
 // Branchless selection: always write the row index, advance the cursor by

@@ -35,14 +35,6 @@ inline uint64_t Hash64(Value v) {
   return x ^ (x >> 31);
 }
 
-// Whether the engine runs the batch-at-a-time kernels (default) or the
-// legacy row-at-a-time loops kept for the golden equivalence suite and
-// old-vs-new benchmarking. Initialized from ETLOPT_VECTORIZED ("0" / "off"
-// / "false" disable); both paths produce bit-identical outputs and
-// statistics.
-bool VectorizedKernels();
-void SetVectorizedKernels(bool on);
-
 // Appends to `sel` the row positions in [0, n) whose value satisfies
 // `pred`. One tight comparison loop per operator so the compiler can
 // vectorize; semantics match Predicate::Matches exactly.

@@ -120,56 +120,29 @@ Schema JoinOutputSchema(const Table& left, const Table& right, AttrId attr,
   return Schema(out_attrs);
 }
 
-// Legacy row-at-a-time hash join: unordered_map build, per-match row
-// materialization. Kept as the golden-suite / benchmark baseline.
-void HashJoinRows(const Table& left, const Table& right, int lkey, int rkey,
-                  const std::vector<int>& right_cols,
-                  int64_t build_rows_hint, Table* out, Table* rejects,
-                  int64_t* build_ns, int64_t* probe_ns) {
-  Timer phase;
-  std::unordered_map<Value, std::vector<int64_t>> build;
-  build.reserve(static_cast<size_t>(
-      build_rows_hint > 0 ? build_rows_hint : right.num_rows()));
-  for (int64_t r = 0; r < right.num_rows(); ++r) {
-    build[right.at(r, rkey)].push_back(r);
-  }
-  *build_ns = ElapsedNs(phase);
+}  // namespace
 
-  phase.Restart();
-  const size_t out_width = static_cast<size_t>(out->schema().size());
-  for (int64_t l = 0; l < left.num_rows(); ++l) {
-    const auto it = build.find(left.at(l, lkey));
-    if (it == build.end()) {
-      if (rejects != nullptr) {
-        rejects->AppendRowFrom(left, l);
-      }
-      continue;
-    }
-    for (int64_t r : it->second) {
-      std::vector<Value> row = left.row(l);
-      row.reserve(out_width);
-      for (int c : right_cols) {
-        row.push_back(right.at(r, c));
-      }
-      out->AddRow(row);
-    }
-  }
-  *probe_ns = ElapsedNs(phase);
-}
+Table HashJoin(const Table& left, const Table& right, AttrId attr,
+               Table* rejects, int64_t build_rows_hint) {
+  const int lkey = left.schema().IndexOf(attr);
+  const int rkey = right.schema().IndexOf(attr);
+  ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
 
-// Vectorized hash join: JoinHashTable precomputes 64-bit key hashes over
-// the build column in one pass, the probe loop only touches the key
-// columns and emits selection vectors, and output columns materialize via
-// gathers. Emission order (probe order x build-insertion order per key) is
-// identical to the legacy kernel, so outputs are bit-identical.
-void HashJoinColumnar(const Table& left, const Table& right, int lkey,
-                      int rkey, const std::vector<int>& right_cols,
-                      int64_t build_rows_hint, Table* out, Table* rejects,
-                      int64_t* build_ns, int64_t* probe_ns) {
+  std::vector<int> right_cols;
+  Schema out_schema = JoinOutputSchema(left, right, attr, &right_cols);
+
+  obs::ScopedSpan span("engine.hash_join");
+  if (build_rows_hint > 0) {
+    ETLOPT_COUNTER_ADD("etlopt.engine.join.build_hint_used", 1);
+  }
+  // JoinHashTable hashes the build keys in one pass; the probe loop only
+  // touches the key columns and emits selection vectors, and the output
+  // columns materialize via gathers. Emission order is probe order x
+  // build-insertion order per key.
   Timer phase;
   const JoinHashTable ht(right.column_data(rkey), right.num_rows(),
                          build_rows_hint);
-  *build_ns = ElapsedNs(phase);
+  const int64_t build_ns = ElapsedNs(phase);
 
   phase.Restart();
   const Value* lkeys = left.column_data(lkey);
@@ -192,7 +165,7 @@ void HashJoinColumnar(const Table& left, const Table& right, int lkey,
   }
 
   std::vector<ColumnPtr> out_cols;
-  out_cols.reserve(static_cast<size_t>(out->schema().size()));
+  out_cols.reserve(static_cast<size_t>(out_schema.size()));
   for (int c = 0; c < left.schema().size(); ++c) {
     auto col = std::make_shared<Column>();
     GatherColumn(left.column(c), lsel, col.get());
@@ -203,38 +176,12 @@ void HashJoinColumnar(const Table& left, const Table& right, int lkey,
     GatherColumn(right.column(c), rsel, col.get());
     out_cols.push_back(std::move(col));
   }
-  *out = Table::FromColumns(out->schema(), std::move(out_cols),
-                            static_cast<int64_t>(lsel.size()));
+  Table out = Table::FromColumns(std::move(out_schema), std::move(out_cols),
+                                 static_cast<int64_t>(lsel.size()));
   if (rejects != nullptr) {
     *rejects = Table::Gather(left, reject_sel);
   }
-  *probe_ns = ElapsedNs(phase);
-}
-
-}  // namespace
-
-Table HashJoin(const Table& left, const Table& right, AttrId attr,
-               Table* rejects, int64_t build_rows_hint) {
-  const int lkey = left.schema().IndexOf(attr);
-  const int rkey = right.schema().IndexOf(attr);
-  ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
-
-  std::vector<int> right_cols;
-  Table out{JoinOutputSchema(left, right, attr, &right_cols)};
-
-  obs::ScopedSpan span("engine.hash_join");
-  if (build_rows_hint > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.engine.join.build_hint_used", 1);
-  }
-  int64_t build_ns = 0;
-  int64_t probe_ns = 0;
-  if (VectorizedKernels()) {
-    HashJoinColumnar(left, right, lkey, rkey, right_cols, build_rows_hint,
-                     &out, rejects, &build_ns, &probe_ns);
-  } else {
-    HashJoinRows(left, right, lkey, rkey, right_cols, build_rows_hint, &out,
-                 rejects, &build_ns, &probe_ns);
-  }
+  const int64_t probe_ns = ElapsedNs(phase);
   ETLOPT_HIST_RECORD("etlopt.engine.join.hash_build_ns", build_ns);
   ETLOPT_HIST_RECORD("etlopt.engine.join.hash_probe_ns", probe_ns);
   if (span.active()) {
@@ -425,21 +372,13 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
     case OpKind::kFilter: {
       const Table& in = input(0);
       const int col = in.schema().IndexOf(node.predicate.attr);
-      if (VectorizedKernels()) {
-        // Vectorized: one comparison loop over the predicate column builds
-        // the selection, every output column is a gather.
-        SelVector sel;
-        sel.reserve(static_cast<size_t>(in.num_rows()));
-        BuildSelection(node.predicate, in.column_data(col), in.num_rows(),
-                       &sel);
-        out = Table::Gather(in, sel);
-      } else {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          if (node.predicate.Matches(in.at(r, col))) {
-            out.AppendRowFrom(in, r);
-          }
-        }
-      }
+      // One comparison loop over the predicate column builds the
+      // selection, every output column is a gather.
+      SelVector sel;
+      sel.reserve(static_cast<size_t>(in.num_rows()));
+      BuildSelection(node.predicate, in.column_data(col), in.num_rows(),
+                     &sel);
+      out = Table::Gather(in, sel);
       result.rows_processed += in.num_rows();
       break;
     }
@@ -447,22 +386,12 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
       const Table& in = input(0);
       std::vector<int> cols;
       for (AttrId a : node.keep) cols.push_back(in.schema().IndexOf(a));
-      if (VectorizedKernels()) {
-        // Copy-free: the kept columns are shared by pointer; downstream
-        // mutation clones them on write.
-        std::vector<ColumnPtr> kept;
-        kept.reserve(cols.size());
-        for (int c : cols) kept.push_back(in.shared_column(c));
-        out = Table::FromColumns(out.schema(), std::move(kept),
-                                 in.num_rows());
-      } else {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          std::vector<Value> projected;
-          projected.reserve(cols.size());
-          for (int c : cols) projected.push_back(in.at(r, c));
-          out.AddRow(projected);
-        }
-      }
+      // Copy-free: the kept columns are shared by pointer; downstream
+      // mutation clones them on write.
+      std::vector<ColumnPtr> kept;
+      kept.reserve(cols.size());
+      for (int c : cols) kept.push_back(in.shared_column(c));
+      out = Table::FromColumns(out.schema(), std::move(kept), in.num_rows());
       result.rows_processed += in.num_rows();
       break;
     }
@@ -483,7 +412,7 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
             out.AddRow(row);
           }
         }
-      } else if (VectorizedKernels()) {
+      } else {
         // Batched UDF: untouched columns are shared, the transformed (or
         // derived) column is one fn-application loop over the input array.
         auto mapped = std::make_shared<Column>();
@@ -498,18 +427,6 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
         if (!in_place) out_cols.push_back(std::move(mapped));
         out = Table::FromColumns(out.schema(), std::move(out_cols),
                                  in.num_rows());
-      } else if (t.output_attr == t.input_attr) {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          std::vector<Value> row = in.row(r);
-          row[static_cast<size_t>(col)] = t.fn(row[static_cast<size_t>(col)]);
-          out.AddRow(row);
-        }
-      } else {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          std::vector<Value> row = in.row(r);
-          row.push_back(t.fn(row[static_cast<size_t>(col)]));
-          out.AddRow(row);
-        }
       }
       result.rows_processed += in.num_rows();
       break;
@@ -523,9 +440,9 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
       std::vector<const Value*> data;
       data.reserve(cols.size());
       for (int c : cols) data.push_back(in.column_data(c));
-      // Output order follows the group map's iteration order, which is a
-      // function of the insertion sequence: single implementation so the
-      // order is one thing across engine modes.
+      // Output order follows the group map's iteration order, a function of
+      // the insertion sequence; the partitioned executor gathers its input
+      // and runs this same loop, so both produce one order.
       std::unordered_map<std::vector<Value>, int64_t, ValueVecHash> groups;
       for (int64_t r = 0; r < in.num_rows(); ++r) {
         std::vector<Value> key;
@@ -563,28 +480,14 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
       {
         const int lkey = left.schema().IndexOf(node.join.attr);
         const int rkey = right.schema().IndexOf(node.join.attr);
-        Table rrejects{right.schema()};
-        if (VectorizedKernels()) {
-          const JoinHashTable left_keys(left.column_data(lkey),
-                                        left.num_rows());
-          const Value* rkeys = right.column_data(rkey);
-          SelVector sel;
-          for (int64_t r = 0; r < right.num_rows(); ++r) {
-            if (!left_keys.Contains(rkeys[r])) sel.push_back(r);
-          }
-          rrejects = Table::Gather(right, sel);
-        } else {
-          std::unordered_map<Value, bool> left_keys;
-          for (int64_t l = 0; l < left.num_rows(); ++l) {
-            left_keys.emplace(left.at(l, lkey), true);
-          }
-          for (int64_t r = 0; r < right.num_rows(); ++r) {
-            if (left_keys.find(right.at(r, rkey)) == left_keys.end()) {
-              rrejects.AppendRowFrom(right, r);
-            }
-          }
+        const JoinHashTable left_keys(left.column_data(lkey),
+                                      left.num_rows());
+        const Value* rkeys = right.column_data(rkey);
+        SelVector sel;
+        for (int64_t r = 0; r < right.num_rows(); ++r) {
+          if (!left_keys.Contains(rkeys[r])) sel.push_back(r);
         }
-        result.join_rejects_right[node.id] = std::move(rrejects);
+        result.join_rejects_right[node.id] = Table::Gather(right, sel);
       }
       break;
     }

@@ -203,7 +203,8 @@ struct ExecutionResult {
   }
 };
 
-// Single-threaded row-at-a-time executor for ETL workflows.
+// Single-threaded executor for ETL workflows, running the columnar
+// kernels one operator at a time in topological order.
 //
 // Failure semantics: unrecoverable *configuration* errors (unbound source,
 // schema mismatch) return a non-OK Result as before. Injected *runtime*

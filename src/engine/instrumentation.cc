@@ -101,20 +101,13 @@ void ForEachPartition(ThreadPool* pool, int n,
   ETLOPT_CHECK_MSG(status.ok(), "partition tap scan failed");
 }
 
-std::vector<int> KeyColumns(const Schema& schema, AttrMask attrs) {
-  std::vector<int> cols;
-  for (int idx : MaskToIndices(attrs)) {
-    cols.push_back(schema.IndexOf(static_cast<AttrId>(idx)));
-  }
-  return cols;
-}
-
 // The key columns of `attrs` as raw column pointers — the zero-copy feed
 // the columnar tap kernels consume.
 std::vector<const Value*> KeyColumnData(const Table& t, AttrMask attrs) {
   std::vector<const Value*> data;
-  for (int c : KeyColumns(t.schema(), attrs)) {
-    data.push_back(t.column_data(c));
+  for (int idx : MaskToIndices(attrs)) {
+    data.push_back(
+        t.column_data(t.schema().IndexOf(static_cast<AttrId>(idx))));
   }
   return data;
 }
@@ -183,18 +176,7 @@ sketch::DistinctTap MergedDistinctTap(const std::vector<Table>& slices,
     const Table& t = slices[static_cast<size_t>(p)];
     if (t.num_rows() == 0) return;
     sketch::DistinctTap& tap = parts[static_cast<size_t>(p)];
-    if (VectorizedKernels()) {
-      tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
-      return;
-    }
-    const std::vector<int> cols = KeyColumns(t.schema(), attrs);
-    std::vector<Value> probe(cols.size());
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      for (size_t c = 0; c < cols.size(); ++c) {
-        probe[c] = t.at(r, cols[c]);
-      }
-      tap.AddRow(probe);
-    }
+    tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
   });
   const int64_t merge_start = obs::ProfileNowNs();
   for (size_t p = 1; p < parts.size(); ++p) {
@@ -215,18 +197,7 @@ sketch::HistTap MergedHistTap(const std::vector<Table>& slices, AttrMask attrs,
     const Table& t = slices[static_cast<size_t>(p)];
     if (t.num_rows() == 0) return;
     sketch::HistTap& tap = parts[static_cast<size_t>(p)];
-    if (VectorizedKernels()) {
-      tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
-      return;
-    }
-    const std::vector<int> cols = KeyColumns(t.schema(), attrs);
-    std::vector<Value> probe(cols.size());
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      for (size_t c = 0; c < cols.size(); ++c) {
-        probe[c] = t.at(r, cols[c]);
-      }
-      tap.AddRow(probe);
-    }
+    tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
   });
   const int64_t merge_start = obs::ProfileNowNs();
   for (size_t p = 1; p < parts.size(); ++p) {
@@ -319,30 +290,15 @@ Status StreamRejectSideJoin(const RejectJoinInputs& in, Emit&& emit) {
   if (lkey < 0 || rkey < 0) {
     return Status::Internal("join key missing from reject-join input");
   }
-  if (VectorizedKernels()) {
-    // Same emission order as the map-based build: left rows in order, each
-    // key's matches in R build order (JoinHashTable groups preserve it).
-    const JoinHashTable ht(in.r_table->column_data(rkey),
-                           in.r_table->num_rows());
-    const Value* lvals = in.rejects->column_data(lkey);
-    for (int64_t l = 0; l < in.rejects->num_rows(); ++l) {
-      const JoinHashTable::RowRange range = ht.Lookup(lvals[l]);
-      for (const int64_t* p = range.begin; p != range.end; ++p) {
-        emit(l, *p);
-      }
-    }
-    return Status::OK();
-  }
-  std::unordered_map<Value, std::vector<int64_t>> build;
-  build.reserve(static_cast<size_t>(in.r_table->num_rows()));
-  for (int64_t r = 0; r < in.r_table->num_rows(); ++r) {
-    build[in.r_table->at(r, rkey)].push_back(r);
-  }
+  // Pairs in HashJoin's emission order: reject rows in order, each key's
+  // matches in R build-insertion order (JoinHashTable groups preserve it).
+  const JoinHashTable ht(in.r_table->column_data(rkey),
+                         in.r_table->num_rows());
+  const Value* lvals = in.rejects->column_data(lkey);
   for (int64_t l = 0; l < in.rejects->num_rows(); ++l) {
-    const auto it = build.find(in.rejects->at(l, lkey));
-    if (it == build.end()) continue;
-    for (int64_t r : it->second) {
-      emit(l, r);
+    const JoinHashTable::RowRange range = ht.Lookup(lvals[l]);
+    for (const int64_t* p = range.begin; p != range.end; ++p) {
+      emit(l, *p);
     }
   }
   return Status::OK();
@@ -598,24 +554,11 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
               slices != nullptr
                   ? MergedDistinctTap(*slices, key.attrs, tap_config,
                                       par.pool, &local.merge_ns)
-                  : [&] {
-                      sketch::DistinctTap serial(tap_config);
-                      if (VectorizedKernels()) {
-                        serial.AddColumns(KeyColumnData(*table, key.attrs),
-                                          table->num_rows());
-                        return serial;
-                      }
-                      std::vector<int> cols =
-                          KeyColumns(table->schema(), key.attrs);
-                      std::vector<Value> probe(cols.size());
-                      for (int64_t r = 0; r < table->num_rows(); ++r) {
-                        for (size_t c = 0; c < cols.size(); ++c) {
-                          probe[c] = table->at(r, cols[c]);
-                        }
-                        serial.AddRow(probe);
-                      }
-                      return serial;
-                    }();
+                  : sketch::DistinctTap(tap_config);
+          if (slices == nullptr) {
+            tap.AddColumns(KeyColumnData(*table, key.attrs),
+                           table->num_rows());
+          }
           store.Set(key, StatValue::CountApprox(tap.Estimate(),
                                                 tap.RelError()));
           ++local.sketch_taps;
@@ -642,24 +585,11 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
               slices != nullptr
                   ? MergedHistTap(*slices, key.attrs, tap_config, Arity(key),
                                   par.pool, &local.merge_ns)
-                  : [&] {
-                      sketch::HistTap serial(tap_config, Arity(key));
-                      if (VectorizedKernels()) {
-                        serial.AddColumns(KeyColumnData(*table, key.attrs),
-                                          table->num_rows());
-                        return serial;
-                      }
-                      std::vector<int> cols =
-                          KeyColumns(table->schema(), key.attrs);
-                      std::vector<Value> probe(cols.size());
-                      for (int64_t r = 0; r < table->num_rows(); ++r) {
-                        for (size_t c = 0; c < cols.size(); ++c) {
-                          probe[c] = table->at(r, cols[c]);
-                        }
-                        serial.AddRow(probe);
-                      }
-                      return serial;
-                    }();
+                  : sketch::HistTap(tap_config, Arity(key));
+          if (slices == nullptr) {
+            tap.AddColumns(KeyColumnData(*table, key.attrs),
+                           table->num_rows());
+          }
           store.Set(key, StatValue::HistApprox(tap.Build(key.attrs),
                                                tap.RelError()));
           ++local.sketch_taps;

@@ -148,31 +148,16 @@ struct Slice {
   std::vector<std::vector<int64_t>> seq;
 };
 
-void AppendRow(Slice* out, std::vector<Value> row,
-               std::vector<int64_t> seq) {
-  out->table.AddRow(std::move(row));
-  out->seq.push_back(std::move(seq));
-}
-
 Slice ApplyFilterSlice(const WorkflowNode& node, const Schema& out_schema,
                        const Slice& in) {
   Slice out{Table{out_schema}, {}};
   const int col = in.table.schema().IndexOf(node.predicate.attr);
-  if (VectorizedKernels()) {
-    SelVector sel;
-    BuildSelection(node.predicate, in.table.column_data(col),
-                   in.table.num_rows(), &sel);
-    out.table = Table::Gather(in.table, sel);
-    out.seq.reserve(sel.size());
-    for (int64_t r : sel) out.seq.push_back(in.seq[static_cast<size_t>(r)]);
-    return out;
-  }
-  for (int64_t r = 0; r < in.table.num_rows(); ++r) {
-    if (node.predicate.Matches(in.table.at(r, col))) {
-      out.table.AppendRowFrom(in.table, r);
-      out.seq.push_back(in.seq[static_cast<size_t>(r)]);
-    }
-  }
+  SelVector sel;
+  BuildSelection(node.predicate, in.table.column_data(col),
+                 in.table.num_rows(), &sel);
+  out.table = Table::Gather(in.table, sel);
+  out.seq.reserve(sel.size());
+  for (int64_t r : sel) out.seq.push_back(in.seq[static_cast<size_t>(r)]);
   return out;
 }
 
@@ -180,23 +165,13 @@ Slice ApplyProjectSlice(const WorkflowNode& node, const Schema& out_schema,
                         const Slice& in) {
   std::vector<int> cols;
   for (AttrId a : node.keep) cols.push_back(in.table.schema().IndexOf(a));
-  if (VectorizedKernels()) {
-    // Copy-free: the kept columns are shared, not duplicated.
-    std::vector<ColumnPtr> kept;
-    kept.reserve(cols.size());
-    for (int c : cols) kept.push_back(in.table.shared_column(c));
-    return Slice{
-        Table::FromColumns(out_schema, std::move(kept), in.table.num_rows()),
-        in.seq};
-  }
-  Slice out{Table{out_schema}, in.seq};
-  for (int64_t r = 0; r < in.table.num_rows(); ++r) {
-    std::vector<Value> projected;
-    projected.reserve(cols.size());
-    for (int c : cols) projected.push_back(in.table.at(r, c));
-    out.table.AddRow(std::move(projected));
-  }
-  return out;
+  // Copy-free: the kept columns are shared, not duplicated.
+  std::vector<ColumnPtr> kept;
+  kept.reserve(cols.size());
+  for (int c : cols) kept.push_back(in.table.shared_column(c));
+  return Slice{
+      Table::FromColumns(out_schema, std::move(kept), in.table.num_rows()),
+      in.seq};
 }
 
 Slice ApplyTransformSlice(const WorkflowNode& node, const Schema& out_schema,
@@ -204,33 +179,20 @@ Slice ApplyTransformSlice(const WorkflowNode& node, const Schema& out_schema,
   const TransformSpec& t = node.transform;
   const int col = in.table.schema().IndexOf(t.input_attr);
   const bool in_place = t.output_attr == t.input_attr;
-  if (VectorizedKernels()) {
-    Column mapped;
-    MapColumn(t.fn, in.table.column_data(col), in.table.num_rows(), &mapped);
-    ColumnPtr mapped_col = std::make_shared<Column>(std::move(mapped));
-    std::vector<ColumnPtr> cols;
-    cols.reserve(static_cast<size_t>(in.table.num_columns()) +
-                 (in_place ? 0 : 1));
-    for (int c = 0; c < in.table.num_columns(); ++c) {
-      cols.push_back(in_place && c == col ? mapped_col
-                                          : in.table.shared_column(c));
-    }
-    if (!in_place) cols.push_back(std::move(mapped_col));
-    return Slice{
-        Table::FromColumns(out_schema, std::move(cols), in.table.num_rows()),
-        in.seq};
+  Column mapped;
+  MapColumn(t.fn, in.table.column_data(col), in.table.num_rows(), &mapped);
+  ColumnPtr mapped_col = std::make_shared<Column>(std::move(mapped));
+  std::vector<ColumnPtr> cols;
+  cols.reserve(static_cast<size_t>(in.table.num_columns()) +
+               (in_place ? 0 : 1));
+  for (int c = 0; c < in.table.num_columns(); ++c) {
+    cols.push_back(in_place && c == col ? mapped_col
+                                        : in.table.shared_column(c));
   }
-  Slice out{Table{out_schema}, in.seq};
-  for (int64_t r = 0; r < in.table.num_rows(); ++r) {
-    std::vector<Value> row = in.table.row(r);
-    if (in_place) {
-      row[static_cast<size_t>(col)] = t.fn(row[static_cast<size_t>(col)]);
-    } else {
-      row.push_back(t.fn(row[static_cast<size_t>(col)]));
-    }
-    out.table.AddRow(std::move(row));
-  }
-  return out;
+  if (!in_place) cols.push_back(std::move(mapped_col));
+  return Slice{
+      Table::FromColumns(out_schema, std::move(cols), in.table.num_rows()),
+      in.seq};
 }
 
 Slice CopySlice(const Schema& out_schema, const Slice& in) {
@@ -263,103 +225,62 @@ Slice ApplyJoinSlice(const WorkflowNode& node, const Schema& out_schema,
                                 : std::vector<int64_t>{r};
   };
 
-  if (VectorizedKernels()) {
-    // Same emission structure as the map-based kernel: probe rows in slice
-    // order, each key's matches in build order (JoinHashTable groups keep
-    // build insertion order), so the seq stream — and therefore the merge —
-    // is bit-identical.
-    Slice out{Table{out_schema}, {}};
-    const JoinHashTable ht(right.column_data(rkey), right.num_rows());
-    const Value* lvals = left.table.column_data(lkey);
-    SelVector lsel;
-    SelVector rsel;
-    SelVector reject_sel;
-    for (int64_t l = 0; l < left.table.num_rows(); ++l) {
-      const JoinHashTable::RowRange range = ht.Lookup(lvals[l]);
-      if (range.empty()) {
-        if (rejects != nullptr) reject_sel.push_back(l);
-        continue;
-      }
-      for (const int64_t* p = range.begin; p != range.end; ++p) {
-        lsel.push_back(l);
-        rsel.push_back(*p);
-        std::vector<int64_t> seq = left.seq[static_cast<size_t>(l)];
-        const std::vector<int64_t> rseq = right_seq_of(*p);
-        seq.insert(seq.end(), rseq.begin(), rseq.end());
-        out.seq.push_back(std::move(seq));
-      }
-    }
-    std::vector<ColumnPtr> out_cols;
-    out_cols.reserve(static_cast<size_t>(left.table.num_columns()) +
-                     right_cols.size());
-    for (int c = 0; c < left.table.num_columns(); ++c) {
-      auto col = std::make_shared<Column>();
-      GatherColumn(left.table.column(c), lsel, col.get());
-      out_cols.push_back(std::move(col));
-    }
-    for (int c : right_cols) {
-      auto col = std::make_shared<Column>();
-      GatherColumn(right.column(c), rsel, col.get());
-      out_cols.push_back(std::move(col));
-    }
-    out.table = Table::FromColumns(out_schema, std::move(out_cols),
-                                   static_cast<int64_t>(lsel.size()));
-    if (rejects != nullptr) {
-      rejects->table = Table::Gather(left.table, reject_sel);
-      rejects->seq.reserve(reject_sel.size());
-      for (int64_t l : reject_sel) {
-        rejects->seq.push_back(left.seq[static_cast<size_t>(l)]);
-      }
-    }
-    if (rrejects != nullptr) {
-      const JoinHashTable probed(left.table.column_data(lkey),
-                                 left.table.num_rows());
-      const Value* rvals = right.column_data(rkey);
-      SelVector rr;
-      for (int64_t r = 0; r < right.num_rows(); ++r) {
-        if (!probed.Contains(rvals[r])) rr.push_back(r);
-      }
-      rrejects->table = Table::Gather(right, rr);
-      rrejects->seq.reserve(rr.size());
-      for (int64_t r : rr) rrejects->seq.push_back(right_seq_of(r));
-    }
-    return out;
-  }
-
+  // JoinHashTable groups keep build-insertion order, so the seq stream —
+  // and therefore the merge — is bit-identical to the serial join.
   Slice out{Table{out_schema}, {}};
-  std::unordered_map<Value, std::vector<int64_t>> build;
-  build.reserve(static_cast<size_t>(right.num_rows()));
-  for (int64_t r = 0; r < right.num_rows(); ++r) {
-    build[right.at(r, rkey)].push_back(r);
-  }
-  std::unordered_map<Value, bool> probed_keys;
+  const JoinHashTable ht(right.column_data(rkey), right.num_rows());
+  const Value* lvals = left.table.column_data(lkey);
+  SelVector lsel;
+  SelVector rsel;
+  SelVector reject_sel;
   for (int64_t l = 0; l < left.table.num_rows(); ++l) {
-    const Value key = left.table.at(l, lkey);
-    if (rrejects != nullptr) probed_keys.emplace(key, true);
-    const auto it = build.find(key);
-    if (it == build.end()) {
-      if (rejects != nullptr) {
-        AppendRow(rejects, left.table.row(l), left.seq[static_cast<size_t>(l)]);
-      }
+    const JoinHashTable::RowRange range = ht.Lookup(lvals[l]);
+    if (range.empty()) {
+      if (rejects != nullptr) reject_sel.push_back(l);
       continue;
     }
-    for (int64_t r : it->second) {
-      std::vector<Value> row = left.table.row(l);
-      row.reserve(row.size() + right_cols.size());
-      for (int c : right_cols) row.push_back(right.at(r, c));
+    for (const int64_t* p = range.begin; p != range.end; ++p) {
+      lsel.push_back(l);
+      rsel.push_back(*p);
       std::vector<int64_t> seq = left.seq[static_cast<size_t>(l)];
-      const std::vector<int64_t> rseq = right_seq_of(r);
+      const std::vector<int64_t> rseq = right_seq_of(*p);
       seq.insert(seq.end(), rseq.begin(), rseq.end());
-      AppendRow(&out, std::move(row), std::move(seq));
+      out.seq.push_back(std::move(seq));
+    }
+  }
+  std::vector<ColumnPtr> out_cols;
+  out_cols.reserve(static_cast<size_t>(left.table.num_columns()) +
+                   right_cols.size());
+  for (int c = 0; c < left.table.num_columns(); ++c) {
+    auto col = std::make_shared<Column>();
+    GatherColumn(left.table.column(c), lsel, col.get());
+    out_cols.push_back(std::move(col));
+  }
+  for (int c : right_cols) {
+    auto col = std::make_shared<Column>();
+    GatherColumn(right.column(c), rsel, col.get());
+    out_cols.push_back(std::move(col));
+  }
+  out.table = Table::FromColumns(out_schema, std::move(out_cols),
+                                 static_cast<int64_t>(lsel.size()));
+  if (rejects != nullptr) {
+    rejects->table = Table::Gather(left.table, reject_sel);
+    rejects->seq.reserve(reject_sel.size());
+    for (int64_t l : reject_sel) {
+      rejects->seq.push_back(left.seq[static_cast<size_t>(l)]);
     }
   }
   if (rrejects != nullptr) {
+    const JoinHashTable probed(left.table.column_data(lkey),
+                               left.table.num_rows());
+    const Value* rvals = right.column_data(rkey);
+    SelVector rr;
     for (int64_t r = 0; r < right.num_rows(); ++r) {
-      if (probed_keys.find(right.at(r, rkey)) == probed_keys.end()) {
-        rrejects->table.AppendRowFrom(right, r);
-        rrejects->seq.push_back(right_seq_of(r));
-      }
+      if (!probed.Contains(rvals[r])) rr.push_back(r);
     }
+    rrejects->table = Table::Gather(right, rr);
+    rrejects->seq.reserve(rr.size());
+    for (int64_t r : rr) rrejects->seq.push_back(right_seq_of(r));
   }
   return out;
 }
@@ -717,27 +638,14 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
           const Table& right = result.node_outputs.at(node.inputs[1]);
           const int lkey = left.schema().IndexOf(node.join.attr);
           const int rkey = right.schema().IndexOf(node.join.attr);
-          if (VectorizedKernels()) {
-            const JoinHashTable left_keys(left.column_data(lkey),
-                                          left.num_rows());
-            const Value* rvals = right.column_data(rkey);
-            SelVector rr;
-            for (int64_t r = 0; r < right.num_rows(); ++r) {
-              if (!left_keys.Contains(rvals[r])) rr.push_back(r);
-            }
-            rrejects = Table::Gather(right, rr);
-          } else {
-            std::unordered_map<Value, bool> left_keys;
-            for (int64_t l = 0; l < left.num_rows(); ++l) {
-              left_keys.emplace(left.at(l, lkey), true);
-            }
-            rrejects = Table{right.schema()};
-            for (int64_t r = 0; r < right.num_rows(); ++r) {
-              if (left_keys.find(right.at(r, rkey)) == left_keys.end()) {
-                rrejects.AppendRowFrom(right, r);
-              }
-            }
+          const JoinHashTable left_keys(left.column_data(lkey),
+                                        left.num_rows());
+          const Value* rvals = right.column_data(rkey);
+          SelVector rr;
+          for (int64_t r = 0; r < right.num_rows(); ++r) {
+            if (!left_keys.Contains(rvals[r])) rr.push_back(r);
           }
+          rrejects = Table::Gather(right, rr);
         }
       }
       result.merge_ns += obs::ProfileNowNs() - merge_start;

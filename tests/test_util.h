@@ -1,10 +1,15 @@
 #ifndef ETLOPT_TESTS_TEST_UTIL_H_
 #define ETLOPT_TESTS_TEST_UTIL_H_
 
+#include <map>
+#include <sstream>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/executor.h"
 #include "etl/workflow_builder.h"
+#include "obs/ledger.h"
 #include "util/random.h"
 
 namespace etlopt {
@@ -79,6 +84,42 @@ inline Table RandomTable(const AttrCatalog& catalog,
     t.AddRow(std::move(row));
   }
   return t;
+}
+
+// Fingerprint of a table's rows in row order (the content of
+// MaterializeRows()), one "v,v,...\n" line per row. The text is digested in
+// chunks so a multi-million-row table is never formatted whole.
+inline std::string RowsDigest(const Table& table) {
+  constexpr size_t kChunkBytes = size_t{1} << 20;
+  std::string chunk_digests = std::to_string(table.num_rows()) + " rows\n";
+  std::string chunk;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    for (int c = 0; c < table.num_columns(); ++c) {
+      chunk += std::to_string(table.at(r, c));
+      chunk += c + 1 < table.num_columns() ? ',' : '\n';
+    }
+    if (chunk.size() >= kChunkBytes || r + 1 == table.num_rows()) {
+      chunk_digests += obs::FingerprintText(chunk) + "\n";
+      chunk.clear();
+    }
+  }
+  return obs::FingerprintText(chunk_digests);
+}
+
+// Fingerprint of keyed tables (node outputs, rejects, targets): one
+// "key rows-digest" line per table, in key order.
+template <typename Key>
+std::string TablesDigest(const std::unordered_map<Key, Table>& tables) {
+  const std::map<Key, const Table*> sorted = [&] {
+    std::map<Key, const Table*> by_key;
+    for (const auto& [key, table] : tables) by_key.emplace(key, &table);
+    return by_key;
+  }();
+  std::ostringstream text;
+  for (const auto& [key, table] : sorted) {
+    text << key << " " << RowsDigest(*table) << "\n";
+  }
+  return obs::FingerprintText(text.str());
 }
 
 }  // namespace testing_util

@@ -1,8 +1,8 @@
 // Unit tests for the columnar storage layer and vectorized kernels
 // (engine/column.*): selection vectors, gather, the join hash table's
 // build-order grouping, dictionary encoding, copy-on-write column sharing,
-// and the bit-identical agreement between the vectorized and legacy
-// operator/tap kernels.
+// the hash join against a nested-loop reference, a pinned operator chain,
+// and the row-wise vs column-wise tap feeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,18 +19,6 @@
 
 namespace etlopt {
 namespace {
-
-// Flips the kernel flag for one scope and restores it after.
-class ScopedKernels {
- public:
-  explicit ScopedKernels(bool on) : saved_(VectorizedKernels()) {
-    SetVectorizedKernels(on);
-  }
-  ~ScopedKernels() { SetVectorizedKernels(saved_); }
-
- private:
-  bool saved_;
-};
 
 TEST(BuildSelectionTest, MatchesPredicateForEveryOperator) {
   Rng rng(5);
@@ -157,34 +145,7 @@ TEST(TableCowTest, EqualityComparesContentNotSharing) {
   EXPECT_TRUE(a != rebuilt);
 }
 
-// ---- vectorized vs legacy kernel agreement ------------------------------
-
-ExecutionResult RunWithKernels(const Workflow& wf, const SourceMap& sources,
-                               bool vectorized) {
-  ScopedKernels scoped(vectorized);
-  return Executor(&wf).Execute(sources).value();
-}
-
-void ExpectSameExecution(const ExecutionResult& a, const ExecutionResult& b) {
-  ASSERT_EQ(a.node_outputs.size(), b.node_outputs.size());
-  for (const auto& [id, table] : a.node_outputs) {
-    EXPECT_EQ(table.MaterializeRows(),
-              b.node_outputs.at(id).MaterializeRows())
-        << "node " << id;
-  }
-  for (const auto& [id, table] : a.join_rejects) {
-    EXPECT_EQ(table.MaterializeRows(),
-              b.join_rejects.at(id).MaterializeRows())
-        << "rejects of join " << id;
-  }
-  for (const auto& [id, table] : a.join_rejects_right) {
-    EXPECT_EQ(table.MaterializeRows(),
-              b.join_rejects_right.at(id).MaterializeRows())
-        << "right rejects of join " << id;
-  }
-  EXPECT_EQ(a.rows_processed, b.rows_processed);
-  EXPECT_EQ(a.bytes_processed, b.bytes_processed);
-}
+// ---- kernels against pinned and reference results -----------------------
 
 TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
   WorkflowBuilder b("chain");
@@ -212,36 +173,55 @@ TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
   sources["Fact"] = std::move(fact);
   sources["Dim"] = std::move(dim_t);
 
-  const ExecutionResult legacy = RunWithKernels(wf, sources, false);
-  const ExecutionResult vectorized = RunWithKernels(wf, sources, true);
-  ExpectSameExecution(legacy, vectorized);
+  // Every node output, both reject sides and the work counters, as the
+  // row-at-a-time engine produced them before it was retired.
+  const ExecutionResult result =
+      Executor(&wf, testing_util::RetainOutputs()).Execute(sources).value();
+  EXPECT_EQ(testing_util::TablesDigest(result.node_outputs),
+            "876343c24b5a7ed1");
+  EXPECT_EQ(testing_util::TablesDigest(result.join_rejects),
+            "5e14c0e1e60c1693");
+  EXPECT_EQ(testing_util::TablesDigest(result.join_rejects_right),
+            "24d940732df00cd0");
+  EXPECT_EQ(result.rows_processed, 6649);
+  EXPECT_EQ(result.bytes_processed, 124176);
 }
 
 TEST(KernelEquivalenceTest, HashJoinWithDuplicatesAndHint) {
-  // Duplicate-heavy keys on both sides: per-key fan-out emission order is
-  // where the two kernels could diverge.
+  // Duplicate-heavy keys on both sides: per-key fan-out is where emission
+  // order could drift. The contract is probe order x build order.
   Schema ls({0, 1});
   Schema rs({0, 2});
   Table left{ls};
   Table right{rs};
   Rng rng(21);
   for (int i = 0; i < 500; ++i) {
-    left.AddRow({rng.NextInRange(1, 12), i});
+    left.AddRow({rng.NextInRange(1, 18), i});
   }
   for (int i = 0; i < 80; ++i) {
     right.AddRow({rng.NextInRange(1, 15), 1000 + i});
   }
+  // Nested-loop reference: every probe row against every build row in
+  // build order; unmatched probe rows are the left rejects, in probe order.
+  std::vector<std::vector<Value>> expected;
+  std::vector<std::vector<Value>> expected_rejects;
+  for (int64_t l = 0; l < left.num_rows(); ++l) {
+    bool matched = false;
+    for (int64_t r = 0; r < right.num_rows(); ++r) {
+      if (right.at(r, 0) != left.at(l, 0)) continue;
+      std::vector<Value> row = left.row(l);
+      row.push_back(right.at(r, 1));
+      expected.push_back(std::move(row));
+      matched = true;
+    }
+    if (!matched) expected_rejects.push_back(left.row(l));
+  }
+  ASSERT_FALSE(expected_rejects.empty());  // keys 16..18 never match
   for (int64_t hint : {-1, 10, 100000}) {
-    Table lr_legacy{ls};
-    Table lr_vec{ls};
-    ScopedKernels legacy(false);
-    const Table out_legacy = HashJoin(left, right, 0, &lr_legacy, hint);
-    SetVectorizedKernels(true);
-    const Table out_vec = HashJoin(left, right, 0, &lr_vec, hint);
-    EXPECT_EQ(out_legacy.MaterializeRows(), out_vec.MaterializeRows())
-        << "hint " << hint;
-    EXPECT_EQ(lr_legacy.MaterializeRows(), lr_vec.MaterializeRows())
-        << "hint " << hint;
+    Table rejects{ls};
+    const Table out = HashJoin(left, right, 0, &rejects, hint);
+    EXPECT_EQ(out.MaterializeRows(), expected) << "hint " << hint;
+    EXPECT_EQ(rejects.MaterializeRows(), expected_rejects) << "hint " << hint;
   }
 }
 
