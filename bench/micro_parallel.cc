@@ -7,9 +7,13 @@
 // Count-Min addition). Every run reports the fan-out and skew it actually
 // measured as benchmark counters, and the executor's merge-barrier time is
 // surfaced as merge_ms so gather cost is never hidden inside the scaling
-// numbers. The committed BENCH_parallel.json records the environment's CPU
-// count next to the curve: scaling past num_cpus is not observable on a
-// single-core container, and the numbers say so rather than pretend.
+// numbers. The JSON context carries the library's build (etlopt_build_type,
+// etlopt_compiler, etlopt_git_sha) next to google-benchmark's CPU count:
+// scaling past num_cpus is not observable, and a debug library's curve is
+// not evidence.
+//
+//   ./build/bench/micro_parallel --benchmark_out=BENCH_parallel.json
+//                                --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +24,7 @@
 #include "engine/parallel/parallel_executor.h"
 #include "engine/parallel/partition.h"
 #include "etl/workflow_builder.h"
+#include "obs/build_info.h"
 #include "sketch/sketch.h"
 #include "sketch/tap.h"
 #include "util/random.h"
@@ -166,4 +171,14 @@ BENCHMARK(BM_SketchTapMerge8Way)->Arg(1000000)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace etlopt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const etlopt::obs::BuildInfo& build = etlopt::obs::CurrentBuildInfo();
+  benchmark::AddCustomContext("etlopt_build_type", build.build_type);
+  benchmark::AddCustomContext("etlopt_compiler", build.compiler);
+  benchmark::AddCustomContext("etlopt_git_sha", build.git_sha);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

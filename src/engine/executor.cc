@@ -503,17 +503,14 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
   return Status::OK();
 }
 
-void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
-                    Table&& out, int64_t self_ns) {
+bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
+                    NodeInputSize in, int64_t rows_out, int64_t self_ns) {
   ExecutionResult& result = *ctx.result;
-  int64_t rows_in = 0;
-  for (NodeId in : node.inputs) {
-    rows_in += result.node_outputs.at(in).num_rows();
-  }
+  const int64_t rows_in = in.rows;
   // Crash points fire after the operator ran but before its output is
   // published — the salvage surface is exactly the completed prefix.
   if (!result.aborted() && ctx.inj != nullptr) {
-    const int64_t weight = rows_in > 0 ? rows_in : out.num_rows();
+    const int64_t weight = rows_in > 0 ? rows_in : rows_out;
     if (ctx.inj->OnOperator(OpFaultName(node), weight) ==
         fault::Kind::kCrash) {
       result.join_rejects.erase(node.id);
@@ -523,7 +520,7 @@ void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
                "injected crash fault at " + OpFaultName(node), node);
     }
   }
-  if (result.aborted()) return;
+  if (result.aborted()) return false;
   // Plan-regression monitors: one branch on an empty map when the guard is
   // disabled (benched by BM_GuardMonitorDisabled). Partitioned nodes reach
   // here with their gathered output, so the observed cardinality — and the
@@ -533,7 +530,7 @@ void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
     if (mon_it != ctx.options->monitors.end() &&
         mon_it->second.expected_rows >= 0.0) {
       const double expected = std::max(mon_it->second.expected_rows, 1.0);
-      const double actual = std::max<double>(out.num_rows(), 1.0);
+      const double actual = std::max<double>(rows_out, 1.0);
       const double qerror = std::max(expected / actual, actual / expected);
       if (qerror > ctx.options->monitor_qerror_bound) {
         MonitorViolation violation;
@@ -541,7 +538,7 @@ void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
         violation.block = mon_it->second.block;
         violation.se = mon_it->second.se;
         violation.expected = mon_it->second.expected_rows;
-        violation.actual = static_cast<double>(out.num_rows());
+        violation.actual = static_cast<double>(rows_out);
         violation.qerror = qerror;
         result.monitor_violations.push_back(violation);
         ETLOPT_COUNTER_ADD("etlopt.guard.monitor_violations", 1);
@@ -558,20 +555,15 @@ void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
                    "estimate monitor q-error " + std::to_string(qerror) +
                        " at " + OpFaultName(node),
                    node);
-          return;
+          return false;
         }
       }
     }
   }
   // Bytes entering the operator: mirrors rows_processed (sources read no
   // upstream node output, so they contribute none).
-  int64_t op_bytes = 0;
-  for (NodeId in : node.inputs) {
-    const Table& t = result.node_outputs.at(in);
-    op_bytes += t.num_rows() * 8 * t.schema().size();
-  }
+  const int64_t op_bytes = in.bytes;
   result.bytes_processed += op_bytes;
-  const int64_t rows_out = out.num_rows();
   if (ctx.profiling) {
     obs::OpProfile op;
     op.node = static_cast<int>(node.id);
@@ -604,15 +596,17 @@ void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
                          result.join_rejects_right.at(node.id).num_rows());
     }
   }
-  result.node_outputs[node.id] = std::move(out);
   ++result.nodes_completed;
+  return true;
 }
 
 Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node) {
   obs::ScopedSpan op_span(OpKindName(node.kind));
-  int64_t rows_in = 0;
-  for (NodeId in : node.inputs) {
-    rows_in += ctx.result->node_outputs.at(in).num_rows();
+  NodeInputSize in;
+  for (NodeId id : node.inputs) {
+    const Table& t = ctx.result->node_outputs.at(id);
+    in.rows += t.num_rows();
+    in.bytes += t.num_rows() * 8 * t.schema().size();
   }
   Table out;
   int64_t op_start_ns = 0;
@@ -626,10 +620,12 @@ Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node) {
   const int64_t rows_out = out.num_rows();
   if (op_span.active()) {
     op_span.Arg("node", static_cast<int64_t>(node.id));
-    op_span.Arg("rows_in", rows_in);
+    op_span.Arg("rows_in", in.rows);
     op_span.Arg("rows_out", rows_out);
   }
-  FinishNodeStep(ctx, node, std::move(out), self_ns);
+  if (FinishNodeStep(ctx, node, in, rows_out, self_ns)) {
+    ctx.result->node_outputs[node.id] = std::move(out);
+  }
   return Status::OK();
 }
 

@@ -258,12 +258,22 @@ void AbortRun(const NodeStepContext& ctx, AbortKind kind, std::string reason,
 Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
                          Table* out);
 
-// The post-operator half: crash-fault consult, byte accounting, profile op,
-// per-op metrics, and publication into result->node_outputs. `self_ns` is
-// the operator's measured self time (summed across workers when the node
-// ran partitioned). No-op beyond the consult when the run aborted.
-void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
-                    Table&& out, int64_t self_ns);
+// What entered an operator: its inputs' rows, and the bytes they occupy
+// (8 bytes per value).
+struct NodeInputSize {
+  int64_t rows = 0;
+  int64_t bytes = 0;
+};
+
+// The post-operator half: crash-fault consult, plan monitor, byte
+// accounting, profile op and per-op metrics. `in` and `rows_out` size the
+// operator (a partitioned node sums its partitions); `self_ns` is its
+// measured self time (summed across workers when the node ran
+// partitioned). Returns whether the output may be published: false when the
+// run aborted, before or inside this step. The caller publishes it into
+// result->node_outputs.
+bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
+                    NodeInputSize in, int64_t rows_out, int64_t self_ns);
 
 // ComputeNodeOutput + self-time measurement + FinishNodeStep, under the
 // operator's trace span: one full serial node step.

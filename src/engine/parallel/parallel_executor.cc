@@ -1,9 +1,11 @@
 #include "engine/parallel/parallel_executor.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -139,39 +141,42 @@ AttrId ChoosePartitionAttr(const Workflow& wf,
   return best;
 }
 
-// A partition-local table plus per-row provenance: the original source row
-// indices the row descends from, in join-nesting order. The serial executor
-// emits rows in exactly lexicographic provenance order, so the merge
-// barrier reassembles bit-identical tables by merging on it.
+// One partition's share of a node's output: its rows, in serial order, and
+// each row's rank — its position in the serial output of the node's rank
+// space. Ranks ascend within a slice, and the slices of one node hold
+// disjoint ranks. Nodes that keep their parent's rows (project, transform,
+// sink) share the parent's rank vector instead of copying it.
+using Ranks = std::shared_ptr<const std::vector<int64_t>>;
+
 struct Slice {
   Table table;
-  std::vector<std::vector<int64_t>> seq;
+  Ranks rank;  // null for a partition that dropped out before this node
 };
 
-Slice ApplyFilterSlice(const WorkflowNode& node, const Schema& out_schema,
-                       const Slice& in) {
-  Slice out{Table{out_schema}, {}};
-  const int col = in.table.schema().IndexOf(node.predicate.attr);
-  SelVector sel;
-  BuildSelection(node.predicate, in.table.column_data(col),
-                 in.table.num_rows(), &sel);
-  out.table = Table::Gather(in.table, sel);
-  out.seq.reserve(sel.size());
-  for (int64_t r : sel) out.seq.push_back(in.seq[static_cast<size_t>(r)]);
-  return out;
-}
+// A partitioned node's product of the partition phase.
+struct NodeRun {
+  std::vector<Slice> slices;  // one per partition
+  // Ranks lie in [0, rank_space). Sources and joins emit dense ranks;
+  // filters keep their parent's, which leaves gaps.
+  int64_t rank_space = 0;
+  int64_t rows = 0;               // summed over the published slices
+  int64_t self_ns = 0;            // summed over the workers (profiling)
+  std::optional<Table> gathered;  // serial-order output, when needed
+  Table rejects;                   // joins: left-side rejects, gathered
+  Table rrejects;                  // joins: right-side rejects, gathered
+};
 
 Slice ApplyProjectSlice(const WorkflowNode& node, const Schema& out_schema,
                         const Slice& in) {
-  std::vector<int> cols;
-  for (AttrId a : node.keep) cols.push_back(in.table.schema().IndexOf(a));
   // Copy-free: the kept columns are shared, not duplicated.
   std::vector<ColumnPtr> kept;
-  kept.reserve(cols.size());
-  for (int c : cols) kept.push_back(in.table.shared_column(c));
+  kept.reserve(node.keep.size());
+  for (AttrId a : node.keep) {
+    kept.push_back(in.table.shared_column(in.table.schema().IndexOf(a)));
+  }
   return Slice{
       Table::FromColumns(out_schema, std::move(kept), in.table.num_rows()),
-      in.seq};
+      in.rank};
 }
 
 Slice ApplyTransformSlice(const WorkflowNode& node, const Schema& out_schema,
@@ -179,170 +184,561 @@ Slice ApplyTransformSlice(const WorkflowNode& node, const Schema& out_schema,
   const TransformSpec& t = node.transform;
   const int col = in.table.schema().IndexOf(t.input_attr);
   const bool in_place = t.output_attr == t.input_attr;
-  Column mapped;
-  MapColumn(t.fn, in.table.column_data(col), in.table.num_rows(), &mapped);
-  ColumnPtr mapped_col = std::make_shared<Column>(std::move(mapped));
+  auto mapped = std::make_shared<Column>();
+  MapColumn(t.fn, in.table.column_data(col), in.table.num_rows(),
+            mapped.get());
   std::vector<ColumnPtr> cols;
   cols.reserve(static_cast<size_t>(in.table.num_columns()) +
                (in_place ? 0 : 1));
   for (int c = 0; c < in.table.num_columns(); ++c) {
-    cols.push_back(in_place && c == col ? mapped_col
-                                        : in.table.shared_column(c));
+    cols.push_back(in_place && c == col ? mapped : in.table.shared_column(c));
   }
-  if (!in_place) cols.push_back(std::move(mapped_col));
+  if (!in_place) cols.push_back(std::move(mapped));
   return Slice{
       Table::FromColumns(out_schema, std::move(cols), in.table.num_rows()),
-      in.seq};
+      in.rank};
 }
 
-Slice CopySlice(const Schema& out_schema, const Slice& in) {
-  Slice out{Table{out_schema}, in.seq};
-  out.table.AppendRows(in.table);
-  return out;
+// A set of rows (or ranks) as a bitmap, one bit each.
+using RowBits = std::vector<uint64_t>;
+
+RowBits MakeRowBits(int64_t rows) {
+  return RowBits(static_cast<size_t>((rows + 63) / 64), 0);
+}
+bool TestBit(const RowBits& bits, int64_t r) {
+  return (bits[static_cast<size_t>(r >> 6)] >> (r & 63)) & 1;
+}
+void SetBit(RowBits* bits, int64_t r) {
+  (*bits)[static_cast<size_t>(r >> 6)] |= uint64_t{1} << (r & 63);
 }
 
-// Partition-local hash join, seq-threading the serial kernel's emission
-// structure: probe rows in slice order, matches in build-insertion order.
-// `right_seq` is null for a broadcast build side, whose provenance is its
-// (serial) row index. `rejects` receives unmatched probe rows; `rrejects`
-// (co-partitioned only — a broadcast build side sees every partition's
-// keys) receives build rows whose key never occurs in the probe slice.
-Slice ApplyJoinSlice(const WorkflowNode& node, const Schema& out_schema,
-                     const Slice& left, const Table& right,
-                     const std::vector<std::vector<int64_t>>* right_seq,
-                     Slice* rejects, Slice* rrejects) {
-  const int lkey = left.table.schema().IndexOf(node.join.attr);
-  const int rkey = right.schema().IndexOf(node.join.attr);
-  ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
-  std::vector<int> right_cols;
-  for (int i = 0; i < right.schema().size(); ++i) {
-    if (right.schema().attrs()[static_cast<size_t>(i)] != node.join.attr) {
-      right_cols.push_back(i);
-    }
+// Rows of `bits`' domain [0, rows) whose bit is clear, ascending.
+SelVector ClearRows(const RowBits& bits, int64_t rows) {
+  SelVector sel;
+  for (int64_t r = 0; r < rows; ++r) {
+    if (!TestBit(bits, r)) sel.push_back(r);
   }
-  auto right_seq_of = [&](int64_t r) -> std::vector<int64_t> {
-    return right_seq != nullptr ? (*right_seq)[static_cast<size_t>(r)]
-                                : std::vector<int64_t>{r};
+  return sel;
+}
+
+// The rows `sel` of a slice, with their ranks.
+Slice SelectRows(const Slice& in, const SelVector& sel) {
+  auto rank = std::make_shared<std::vector<int64_t>>();
+  GatherColumn(*in.rank, sel, rank.get());
+  return Slice{Table::Gather(in.table, sel), std::move(rank)};
+}
+
+// A run of one partition's probe rows, probed as one task, so a partition
+// holding heavy keys spreads over the workers.
+constexpr int64_t kMorselRows = int64_t{1} << 14;
+
+struct Morsel {
+  int partition = 0;
+  int64_t begin = 0;  // probe rows [begin, end) of the partition's slice
+  int64_t end = 0;
+  int64_t out_rows = 0;
+  int64_t out_at = 0;  // the morsel's first output row in its partition
+};
+
+// Marks every build row whose key `range` holds in `hit`, which the
+// partition's (or, for a broadcast build, every) morsels share. A key's
+// build rows are marked together, so the first row of a range tells
+// whether the whole key is marked.
+void MarkHit(const JoinHashTable::RowRange& range, RowBits* hit) {
+  auto word = [hit](int64_t r) {
+    return std::atomic_ref<uint64_t>((*hit)[static_cast<size_t>(r >> 6)]);
   };
-
-  // JoinHashTable groups keep build-insertion order, so the seq stream —
-  // and therefore the merge — is bit-identical to the serial join.
-  Slice out{Table{out_schema}, {}};
-  const JoinHashTable ht(right.column_data(rkey), right.num_rows());
-  const Value* lvals = left.table.column_data(lkey);
-  SelVector lsel;
-  SelVector rsel;
-  SelVector reject_sel;
-  for (int64_t l = 0; l < left.table.num_rows(); ++l) {
-    const JoinHashTable::RowRange range = ht.Lookup(lvals[l]);
-    if (range.empty()) {
-      if (rejects != nullptr) reject_sel.push_back(l);
-      continue;
-    }
-    for (const int64_t* p = range.begin; p != range.end; ++p) {
-      lsel.push_back(l);
-      rsel.push_back(*p);
-      std::vector<int64_t> seq = left.seq[static_cast<size_t>(l)];
-      const std::vector<int64_t> rseq = right_seq_of(*p);
-      seq.insert(seq.end(), rseq.begin(), rseq.end());
-      out.seq.push_back(std::move(seq));
-    }
+  const int64_t first = *range.begin;
+  if ((word(first).load(std::memory_order_relaxed) >> (first & 63)) & 1) {
+    return;
   }
-  std::vector<ColumnPtr> out_cols;
-  out_cols.reserve(static_cast<size_t>(left.table.num_columns()) +
-                   right_cols.size());
-  for (int c = 0; c < left.table.num_columns(); ++c) {
-    auto col = std::make_shared<Column>();
-    GatherColumn(left.table.column(c), lsel, col.get());
-    out_cols.push_back(std::move(col));
+  for (const int64_t* r = range.begin; r != range.end; ++r) {
+    word(*r).fetch_or(uint64_t{1} << (*r & 63), std::memory_order_relaxed);
   }
-  for (int c : right_cols) {
-    auto col = std::make_shared<Column>();
-    GatherColumn(right.column(c), rsel, col.get());
-    out_cols.push_back(std::move(col));
-  }
-  out.table = Table::FromColumns(out_schema, std::move(out_cols),
-                                 static_cast<int64_t>(lsel.size()));
-  if (rejects != nullptr) {
-    rejects->table = Table::Gather(left.table, reject_sel);
-    rejects->seq.reserve(reject_sel.size());
-    for (int64_t l : reject_sel) {
-      rejects->seq.push_back(left.seq[static_cast<size_t>(l)]);
-    }
-  }
-  if (rrejects != nullptr) {
-    const JoinHashTable probed(left.table.column_data(lkey),
-                               left.table.num_rows());
-    const Value* rvals = right.column_data(rkey);
-    SelVector rr;
-    for (int64_t r = 0; r < right.num_rows(); ++r) {
-      if (!probed.Contains(rvals[r])) rr.push_back(r);
-    }
-    rrejects->table = Table::Gather(right, rr);
-    rrejects->seq.reserve(rr.size());
-    for (int64_t r : rr) rrejects->seq.push_back(right_seq_of(r));
-  }
-  return out;
 }
 
-// Reassembles partition slices into one table in provenance order (each
-// slice is already provenance-sorted, so this is a k-way merge).
-Table MergeSlicesBySeq(const Schema& schema, const std::vector<Slice>& slices) {
-  Table out{schema};
+// The merge barrier: reassembles slices into one table in serial order.
+// Row i of a slice lands at the dense position of its rank. Ranks that
+// cover [0, rank_space) are positions already; sparse ones (a filter's, or
+// those of a partition that crashed) are compacted through a bitmap over
+// the rank space and a prefix sum of its word popcounts. The scatter runs
+// on the pool in blocks of output positions: positions ascend within a
+// slice, so a block's rows form one run per slice, and every block is
+// written by one worker while it is cache-resident.
+Status GatherByRank(const Schema& schema, const std::vector<Slice>& slices,
+                    int64_t rank_space, ThreadPool* pool, Table* out) {
   int64_t total = 0;
   for (const Slice& s : slices) total += s.table.num_rows();
-  out.Reserve(static_cast<size_t>(total));
-  std::vector<size_t> cursor(slices.size(), 0);
-  for (;;) {
-    int best = -1;
-    for (size_t p = 0; p < slices.size(); ++p) {
-      if (cursor[p] >= slices[p].seq.size()) continue;
-      if (best < 0 || slices[p].seq[cursor[p]] <
-                          slices[static_cast<size_t>(best)]
-                              .seq[cursor[static_cast<size_t>(best)]]) {
-        best = static_cast<int>(p);
-      }
+  const int num_slices = static_cast<int>(slices.size());
+  std::vector<SelVector> compacted(slices.size());
+  if (total != rank_space) {
+    RowBits present = MakeRowBits(rank_space);
+    for (const Slice& s : slices) {
+      if (s.rank == nullptr) continue;
+      for (int64_t r : *s.rank) SetBit(&present, r);
     }
-    if (best < 0) break;
-    const size_t b = static_cast<size_t>(best);
-    out.AppendRowFrom(slices[b].table, static_cast<int64_t>(cursor[b]));
-    ++cursor[b];
+    std::vector<int64_t> before(present.size());
+    int64_t running = 0;
+    for (size_t w = 0; w < present.size(); ++w) {
+      before[w] = running;
+      running += std::popcount(present[w]);
+    }
+    ETLOPT_RETURN_IF_ERROR(pool->ParallelFor(num_slices, [&](int p) -> Status {
+      const Slice& s = slices[static_cast<size_t>(p)];
+      if (s.rank == nullptr) return Status::OK();
+      SelVector& pos = compacted[static_cast<size_t>(p)];
+      pos.resize(s.rank->size());
+      for (size_t i = 0; i < pos.size(); ++i) {
+        const int64_t r = (*s.rank)[i];
+        const size_t w = static_cast<size_t>(r >> 6);
+        const uint64_t below = (uint64_t{1} << (r & 63)) - 1;
+        pos[i] = before[w] + std::popcount(present[w] & below);
+      }
+      return Status::OK();
+    }));
   }
-  return out;
+  std::vector<const SelVector*> positions(slices.size(), nullptr);
+  for (size_t p = 0; p < slices.size(); ++p) {
+    if (slices[p].rank == nullptr) continue;
+    positions[p] = total != rank_space ? &compacted[p] : slices[p].rank.get();
+  }
+
+  const int num_cols = schema.size();
+  std::vector<ColumnPtr> cols(static_cast<size_t>(num_cols));
+  ETLOPT_RETURN_IF_ERROR(pool->ParallelFor(num_cols, [&](int c) -> Status {
+    cols[static_cast<size_t>(c)] =
+        std::make_shared<Column>(static_cast<size_t>(total));
+    return Status::OK();
+  }));
+  constexpr int64_t kBlock = int64_t{1} << 15;
+  const int64_t num_blocks = (total + kBlock - 1) / kBlock;
+  ETLOPT_RETURN_IF_ERROR(pool->ParallelFor(
+      static_cast<int>(num_blocks), [&](int b) -> Status {
+        const int64_t lo = b * kBlock;
+        const int64_t hi = std::min(total, lo + kBlock);
+        for (size_t p = 0; p < slices.size(); ++p) {
+          if (positions[p] == nullptr) continue;
+          const SelVector& pos = *positions[p];
+          const auto first = std::lower_bound(pos.begin(), pos.end(), lo);
+          const auto last = std::lower_bound(first, pos.end(), hi);
+          const int64_t a = first - pos.begin();
+          const int64_t e = last - pos.begin();
+          for (int c = 0; c < num_cols; ++c) {
+            Value* dst = cols[static_cast<size_t>(c)]->data();
+            const Value* src = slices[p].table.column_data(c);
+            for (int64_t i = a; i < e; ++i) dst[pos[i]] = src[i];
+          }
+        }
+        return Status::OK();
+      }));
+  *out = Table::FromColumns(schema, std::move(cols), total);
+  return Status::OK();
 }
 
-// The serial executor's in-switch rows_processed bookkeeping, applied to a
-// gathered node at the merge barrier (FinishNodeStep covers everything
+// The serial executor's in-switch rows_processed bookkeeping for a
+// partitioned node, from row counts (FinishNodeStep covers everything
 // after the switch).
-void AccountRowsProcessed(const WorkflowNode& node, const Table& out,
+void AccountRowsProcessed(const WorkflowNode& node,
+                          const std::vector<int64_t>& rows, int64_t rows_out,
                           ExecutionResult* result) {
   switch (node.kind) {
     case OpKind::kFilter:
     case OpKind::kProject:
     case OpKind::kTransform:
     case OpKind::kAggregate:
-      result->rows_processed += result->node_outputs.at(node.inputs[0])
-                                    .num_rows();
+      result->rows_processed += rows[static_cast<size_t>(node.inputs[0])];
       break;
     case OpKind::kJoin:
-      result->rows_processed +=
-          result->node_outputs.at(node.inputs[0]).num_rows() +
-          result->node_outputs.at(node.inputs[1]).num_rows();
+      result->rows_processed += rows[static_cast<size_t>(node.inputs[0])] +
+                                rows[static_cast<size_t>(node.inputs[1])];
       break;
     case OpKind::kMaterialize:
     case OpKind::kSink:
-      result->rows_processed += out.num_rows();
+      result->rows_processed += rows_out;
       break;
     case OpKind::kSource:
       break;
   }
 }
 
-// One partition's view of the run: chain progress and per-node self time.
-struct PartitionOutcome {
-  bool completed = true;
-  NodeId failed_node = kInvalidNode;
-  std::unordered_map<NodeId, int64_t> self_ns;
+// The partitioned chain, run node by node across the partitions: one
+// ParallelFor per node, and per join a probe pass over morsels, a
+// prefix-sum barrier and a pass that ranks and materializes the matches.
+// Within a partition, nodes run (and consult partition-scoped faults) in
+// chain order; a partition that crashes drops out from its failure node on.
+class PartitionPhase {
+ public:
+  PartitionPhase(const Workflow* wf, const std::vector<NodeClass>* classes,
+                 int num_partitions, ThreadPool* pool,
+                 const NodeStepContext* ctx)
+      : wf_(wf),
+        classes_(classes),
+        num_partitions_(num_partitions),
+        pool_(pool),
+        ctx_(ctx),
+        runs_(wf->nodes().size()),
+        alive_(static_cast<size_t>(num_partitions), 1),
+        failed_node_(static_cast<size_t>(num_partitions), kInvalidNode) {}
+
+  NodeRun& run(NodeId id) { return runs_[static_cast<size_t>(id)]; }
+  bool completed(int p) const { return alive_[static_cast<size_t>(p)] != 0; }
+  NodeId failed_node(int p) const {
+    return failed_node_[static_cast<size_t>(p)];
+  }
+
+  // Seeds a partitioned source: its slices, ranked by source row index.
+  void AddSource(NodeId id, TablePartitions parts) {
+    NodeRun& r = run(id);
+    r.slices.resize(static_cast<size_t>(num_partitions_));
+    for (int p = 0; p < num_partitions_; ++p) {
+      const size_t sp = static_cast<size_t>(p);
+      r.rows += parts.parts[sp].num_rows();
+      r.slices[sp] = Slice{std::move(parts.parts[sp]),
+                           std::make_shared<std::vector<int64_t>>(
+                               std::move(parts.row_index[sp]))};
+    }
+    r.rank_space = r.rows;
+  }
+
+  Status RunNode(const WorkflowNode& node) {
+    NodeRun& r = run(node.id);
+    r.slices.resize(static_cast<size_t>(num_partitions_));
+    ETLOPT_RETURN_IF_ERROR(node.kind == OpKind::kJoin ? RunJoin(node)
+                                                      : RunUnary(node));
+    for (const Slice& s : r.slices) r.rows += s.table.num_rows();
+    return Status::OK();
+  }
+
+  // Gathers `slices` into serial order, timing the barrier.
+  Status Gather(const Schema& schema, const std::vector<Slice>& slices,
+                int64_t rank_space, Table* out) {
+    const int64_t start = obs::ProfileNowNs();
+    const Status status = GatherByRank(schema, slices, rank_space, pool_, out);
+    ctx_->result->merge_ns += obs::ProfileNowNs() - start;
+    return status;
+  }
+
+ private:
+  bool partitioned(NodeId id) const {
+    return (*classes_)[static_cast<size_t>(id)].mode == Mode::kPartitioned;
+  }
+  int64_t Now() const { return ctx_->profiling ? obs::ProfileNowNs() : 0; }
+
+  // Partition-scoped crash faults mirror the serial crash point: after the
+  // operator ran, before its slice is published — the partition's salvage
+  // surface is its completed prefix.
+  bool Crashes(const WorkflowNode& node, int p) {
+    if (ctx_->inj == nullptr) return false;
+    const size_t sp = static_cast<size_t>(p);
+    int64_t slice_rows_in = 0;
+    for (NodeId in : node.inputs) {
+      if (partitioned(in)) slice_rows_in += run(in).slices[sp].table.num_rows();
+    }
+    if (ctx_->inj->OnPartition(std::to_string(p),
+                               std::max<int64_t>(slice_rows_in, 1)) !=
+        fault::Kind::kCrash) {
+      return false;
+    }
+    alive_[sp] = 0;
+    failed_node_[sp] = node.id;
+    return true;
+  }
+
+  Status RunUnary(const WorkflowNode& node) {
+    NodeRun& r = run(node.id);
+    const NodeRun& in_run = run(node.inputs[0]);
+    const Schema& out_schema = wf_->output_schema(node.id);
+    r.rank_space = in_run.rank_space;
+    std::atomic<int64_t> ns{0};
+    ETLOPT_RETURN_IF_ERROR(
+        pool_->ParallelFor(num_partitions_, [&](int p) -> Status {
+          const size_t sp = static_cast<size_t>(p);
+          if (!completed(p)) return Status::OK();
+          const Slice& in = in_run.slices[sp];
+          obs::ScopedSpan op_span(OpKindName(node.kind));
+          const int64_t start = Now();
+          Slice out;
+          switch (node.kind) {
+            case OpKind::kFilter: {
+              SelVector sel;
+              BuildSelection(node.predicate,
+                             in.table.column_data(in.table.schema().IndexOf(
+                                 node.predicate.attr)),
+                             in.table.num_rows(), &sel);
+              out = SelectRows(in, sel);
+              break;
+            }
+            case OpKind::kProject:
+              out = ApplyProjectSlice(node, out_schema, in);
+              break;
+            case OpKind::kTransform:
+              out = ApplyTransformSlice(node, out_schema, in);
+              break;
+            case OpKind::kMaterialize:
+            case OpKind::kSink:
+              out = in;
+              break;
+            case OpKind::kSource:
+            case OpKind::kJoin:
+            case OpKind::kAggregate:
+              ETLOPT_CHECK_MSG(false, "node kind cannot run partitioned");
+              break;
+          }
+          ns.fetch_add(Now() - start, std::memory_order_relaxed);
+          if (op_span.active()) {
+            op_span.Arg("node", static_cast<int64_t>(node.id));
+            op_span.Arg("partition", static_cast<int64_t>(p));
+            op_span.Arg("rows_out", out.table.num_rows());
+          }
+          if (Crashes(node, p)) return Status::OK();
+          r.slices[sp] = std::move(out);
+          return Status::OK();
+        }));
+    r.self_ns += ns.load();
+    return Status::OK();
+  }
+
+  // A partitioned join, over morsels of each partition's probe slice.
+  // Pass 1 writes each probe row's match count at its rank in a vector over
+  // the probe rank space (probe rows own distinct ranks, so morsels write
+  // without contention); a prefix sum turns counts into offsets. Pass 2
+  // probes again and gives the j-th match of a probe row the rank
+  // offset[probe rank] + j: the serial emission order (probe order x
+  // build-insertion order), exact because a co-partitioned build holds all
+  // of a key's rows in one partition and a broadcast build holds all rows.
+  Status RunJoin(const WorkflowNode& node) {
+    const size_t num_parts = static_cast<size_t>(num_partitions_);
+    NodeRun& r = run(node.id);
+    const NodeRun& left = run(node.inputs[0]);
+    const NodeRun* right = partitioned(node.inputs[1])
+                               ? &run(node.inputs[1])
+                               : nullptr;  // null: a broadcast build
+    const Schema& left_schema = wf_->output_schema(node.inputs[0]);
+    const Schema& out_schema = wf_->output_schema(node.id);
+    const int lkey = left_schema.IndexOf(node.join.attr);
+    const int rkey = wf_->output_schema(node.inputs[1]).IndexOf(node.join.attr);
+    ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
+    const Table* broadcast =
+        right != nullptr ? nullptr
+                         : &ctx_->result->node_outputs.at(node.inputs[1]);
+    auto build_side = [&](size_t p) -> const Table& {
+      return right != nullptr ? right->slices[p].table : *broadcast;
+    };
+    std::atomic<int64_t> ns{0};
+    auto timed = [&](int64_t start) {
+      ns.fetch_add(Now() - start, std::memory_order_relaxed);
+    };
+
+    // Every running partition probes and emits. One that crashed earlier
+    // still marks the build rows its published probe slice hits: broadcast
+    // right rejects are taken against every probe row the barrier holds.
+    std::vector<char> emits(num_parts, 0);
+    std::vector<Morsel> morsels;
+    for (size_t p = 0; p < num_parts; ++p) {
+      const Slice& ls = left.slices[p];
+      emits[p] = completed(static_cast<int>(p));
+      if (ls.rank == nullptr || (right != nullptr && emits[p] == 0)) continue;
+      const int64_t n = ls.table.num_rows();
+      for (int64_t lo = 0; lo < n; lo += kMorselRows) {
+        morsels.push_back(
+            Morsel{static_cast<int>(p), lo, std::min(n, lo + kMorselRows)});
+      }
+    }
+
+    // Build sides: one table per partition when co-partitioned, one shared
+    // table (lookups are read-only) for a broadcast build.
+    std::vector<std::optional<JoinHashTable>> tables(right ? num_parts : 1);
+    std::vector<RowBits> hit(tables.size());
+    int64_t start = Now();
+    if (right != nullptr) {
+      ETLOPT_RETURN_IF_ERROR(
+          pool_->ParallelFor(num_partitions_, [&](int p) -> Status {
+            const size_t sp = static_cast<size_t>(p);
+            if (emits[sp] == 0) return Status::OK();
+            const int64_t task_start = Now();
+            const Table& rt = build_side(sp);
+            tables[sp].emplace(rt.column_data(rkey), rt.num_rows());
+            hit[sp] = MakeRowBits(rt.num_rows());
+            timed(task_start);
+            return Status::OK();
+          }));
+    } else {
+      const auto hint = ctx_->options->build_rows_hints.find(node.id);
+      tables[0].emplace(
+          broadcast->column_data(rkey), broadcast->num_rows(),
+          hint != ctx_->options->build_rows_hints.end() ? hint->second : -1);
+      hit[0] = MakeRowBits(broadcast->num_rows());
+      timed(start);
+    }
+
+    // Pass 1: count matches, mark build rows hit.
+    std::vector<int64_t> offsets(static_cast<size_t>(left.rank_space), 0);
+    ETLOPT_RETURN_IF_ERROR(pool_->ParallelFor(
+        static_cast<int>(morsels.size()), [&](int i) -> Status {
+          Morsel& m = morsels[static_cast<size_t>(i)];
+          const size_t sp = static_cast<size_t>(m.partition);
+          const size_t t = right != nullptr ? sp : 0;
+          const int64_t task_start = Now();
+          const Value* lkeys = left.slices[sp].table.column_data(lkey);
+          const std::vector<int64_t>& lrank = *left.slices[sp].rank;
+          for (int64_t l = m.begin; l < m.end; ++l) {
+            const JoinHashTable::RowRange range = tables[t]->Lookup(lkeys[l]);
+            if (range.empty()) continue;
+            MarkHit(range, &hit[t]);
+            if (emits[sp] == 0) continue;
+            offsets[static_cast<size_t>(lrank[static_cast<size_t>(l)])] =
+                range.size();
+            m.out_rows += range.size();
+          }
+          timed(task_start);
+          return Status::OK();
+        }));
+
+    // Partition-scoped faults, after the partition's probe: a crashed
+    // partition takes its counts back.
+    start = Now();
+    for (size_t p = 0; p < num_parts; ++p) {
+      if (emits[p] == 0 || !Crashes(node, static_cast<int>(p))) continue;
+      emits[p] = 0;
+      for (int64_t rank : *left.slices[p].rank) {
+        offsets[static_cast<size_t>(rank)] = 0;
+      }
+    }
+
+    // Rejects, per surviving partition: left rows without a match keep
+    // their probe ranks; build rows of a co-partitioned join whose key no
+    // probe row hit keep their build ranks.
+    std::vector<Slice> rejects(num_parts);
+    std::vector<Slice> rrejects(num_parts);
+    ETLOPT_RETURN_IF_ERROR(
+        pool_->ParallelFor(num_partitions_, [&](int p) -> Status {
+          const size_t sp = static_cast<size_t>(p);
+          if (emits[sp] == 0) return Status::OK();
+          const int64_t task_start = Now();
+          const Slice& ls = left.slices[sp];
+          SelVector unmatched;
+          for (int64_t l = 0; l < ls.table.num_rows(); ++l) {
+            const int64_t rank = (*ls.rank)[static_cast<size_t>(l)];
+            if (offsets[static_cast<size_t>(rank)] == 0) unmatched.push_back(l);
+          }
+          rejects[sp] = SelectRows(ls, unmatched);
+          if (right != nullptr) {
+            const Slice& rs = right->slices[sp];
+            rrejects[sp] =
+                SelectRows(rs, ClearRows(hit[sp], rs.table.num_rows()));
+          }
+          timed(task_start);
+          return Status::OK();
+        }));
+
+    // Offsets, and each surviving partition's output laid out morsel by
+    // morsel, its columns (and ranks) allocated in parallel.
+    int64_t total = 0;
+    for (int64_t& offset : offsets) {
+      const int64_t count = offset;
+      offset = total;
+      total += count;
+    }
+    r.rank_space = total;
+    std::vector<int64_t> out_rows(num_parts, 0);
+    for (Morsel& m : morsels) {
+      m.out_at = out_rows[static_cast<size_t>(m.partition)];
+      out_rows[static_cast<size_t>(m.partition)] += m.out_rows;
+    }
+    const int num_left = left_schema.size();
+    const size_t num_cols = static_cast<size_t>(out_schema.size()) + 1;
+    std::vector<ColumnPtr> cols(num_parts * num_cols);  // ranks last
+    ETLOPT_RETURN_IF_ERROR(pool_->ParallelFor(
+        static_cast<int>(cols.size()), [&](int i) -> Status {
+          const size_t sp = static_cast<size_t>(i) / num_cols;
+          if (emits[sp] == 0) return Status::OK();
+          cols[static_cast<size_t>(i)] =
+              std::make_shared<Column>(static_cast<size_t>(out_rows[sp]));
+          return Status::OK();
+        }));
+    timed(start);
+
+    // Pass 2: probe again; rank and materialize each morsel's matches at
+    // its place in the partition's output.
+    ETLOPT_RETURN_IF_ERROR(pool_->ParallelFor(
+        static_cast<int>(morsels.size()), [&](int i) -> Status {
+          const Morsel& m = morsels[static_cast<size_t>(i)];
+          const size_t sp = static_cast<size_t>(m.partition);
+          if (emits[sp] == 0) return Status::OK();
+          obs::ScopedSpan op_span(OpKindName(node.kind));
+          const int64_t task_start = Now();
+          const Table& lt = left.slices[sp].table;
+          const std::vector<int64_t>& lrank = *left.slices[sp].rank;
+          const Table& rt = build_side(sp);
+          const JoinHashTable& ht = *tables[right != nullptr ? sp : 0];
+          const Value* lkeys = lt.column_data(lkey);
+          ColumnPtr* out = &cols[sp * num_cols];
+          SelVector lsel;
+          SelVector rsel;
+          lsel.reserve(static_cast<size_t>(m.out_rows));
+          rsel.reserve(static_cast<size_t>(m.out_rows));
+          Value* rank = out[num_cols - 1]->data() + m.out_at;
+          for (int64_t l = m.begin; l < m.end; ++l) {
+            const JoinHashTable::RowRange range = ht.Lookup(lkeys[l]);
+            const int64_t offset =
+                offsets[static_cast<size_t>(lrank[static_cast<size_t>(l)])];
+            for (int64_t j = 0; j < range.size(); ++j) {
+              *rank++ = offset + j;
+              lsel.push_back(l);
+              rsel.push_back(range.begin[j]);
+            }
+          }
+          int c = 0;
+          for (; c < num_left; ++c) {
+            const Value* src = lt.column_data(c);
+            Value* dst = out[c]->data() + m.out_at;
+            for (size_t k = 0; k < lsel.size(); ++k) dst[k] = src[lsel[k]];
+          }
+          for (int rc = 0; rc < rt.num_columns(); ++rc) {
+            if (rc == rkey) continue;
+            const Value* src = rt.column_data(rc);
+            Value* dst = out[c++]->data() + m.out_at;
+            for (size_t k = 0; k < rsel.size(); ++k) dst[k] = src[rsel[k]];
+          }
+          timed(task_start);
+          if (op_span.active()) {
+            op_span.Arg("node", static_cast<int64_t>(node.id));
+            op_span.Arg("partition", static_cast<int64_t>(m.partition));
+            op_span.Arg("rows_out", m.out_rows);
+          }
+          return Status::OK();
+        }));
+    r.self_ns += ns.load();
+
+    for (size_t p = 0; p < num_parts; ++p) {
+      if (emits[p] == 0) continue;
+      std::vector<ColumnPtr> out(cols.begin() + p * num_cols,
+                                 cols.begin() + (p + 1) * num_cols - 1);
+      r.slices[p] = Slice{Table::FromColumns(out_schema, std::move(out),
+                                             out_rows[p]),
+                          std::move(cols[(p + 1) * num_cols - 1])};
+    }
+    ETLOPT_RETURN_IF_ERROR(
+        Gather(left_schema, rejects, left.rank_space, &r.rejects));
+    if (right != nullptr) {
+      return Gather(wf_->output_schema(node.inputs[1]), rrejects,
+                    right->rank_space, &r.rrejects);
+    }
+    // Broadcast: the build rows no partition's probe keys hit, in build
+    // order.
+    r.rrejects =
+        Table::Gather(*broadcast, ClearRows(hit[0], broadcast->num_rows()));
+    return Status::OK();
+  }
+
+  const Workflow* wf_;
+  const std::vector<NodeClass>* classes_;
+  int num_partitions_;
+  ThreadPool* pool_;
+  const NodeStepContext* ctx_;
+  std::vector<NodeRun> runs_;
+  std::vector<char> alive_;  // char, not bool: partitions write their own
+  std::vector<NodeId> failed_node_;
 };
 
 }  // namespace
@@ -382,19 +778,67 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   result.partitions_total = num_partitions;
 
   fault::FaultInjector* inj = fault::FaultInjector::Global();
-  const bool profiling = obs::ProfilerEnabled();
   Rng backoff_rng(inj != nullptr ? inj->seed() : 0x5eedULL);
   NodeStepContext ctx;
   ctx.wf = wf_;
   ctx.sources = &sources;
   ctx.options = &options_.executor;
   ctx.inj = inj;
-  ctx.profiling = profiling;
+  ctx.profiling = obs::ProfilerEnabled();
   ctx.backoff_rng = &backoff_rng;
   ctx.result = &result;
 
   auto cls = [&](NodeId id) -> const NodeClass& {
     return classes[static_cast<size_t>(id)];
+  };
+  auto partitioned_source = [&](const WorkflowNode& node) {
+    return node.kind == OpKind::kSource &&
+           cls(node.id).mode == Mode::kPartitioned;
+  };
+
+  // Output retention. Unless the caller retains every output, a node's
+  // output leaves node_outputs once its last consumer ran (the serial
+  // rule), its slices go once its last partition-local consumer ran, and a
+  // partitioned node is gathered only when something reads it in serial
+  // order: a target, a post-phase consumer, or the caller (no consumer).
+  const bool retain = options_.executor.retain_node_outputs;
+  const size_t num_nodes = wf_->nodes().size();
+  std::vector<int> pending_reads(num_nodes, 0);
+  std::vector<int> local_reads(num_nodes, 0);
+  std::vector<char> serial_read(num_nodes, 0);
+  for (const WorkflowNode& node : wf_->nodes()) {
+    for (NodeId in : node.inputs) {
+      const size_t si = static_cast<size_t>(in);
+      ++pending_reads[si];
+      if (cls(node.id).mode == Mode::kPartitioned) ++local_reads[si];
+      if (cls(node.id).mode == Mode::kPost) serial_read[si] = 1;
+    }
+  }
+  auto needs_gather = [&](const WorkflowNode& node) {
+    const size_t si = static_cast<size_t>(node.id);
+    return retain || !node.target_name.empty() || serial_read[si] != 0 ||
+           pending_reads[si] == 0;
+  };
+  auto release_inputs = [&](const WorkflowNode& node) {
+    if (retain) return;
+    for (NodeId in : node.inputs) {
+      if (--pending_reads[static_cast<size_t>(in)] == 0 &&
+          wf_->node(in).target_name.empty()) {
+        result.node_outputs.erase(in);
+      }
+    }
+  };
+  // Rows of every node's (serial) output, for the row and byte accounting
+  // of partitioned nodes, whose inputs need not be gathered.
+  std::vector<int64_t> rows(num_nodes, 0);
+  auto input_size = [&](const WorkflowNode& node) {
+    NodeInputSize in;
+    for (NodeId id : node.inputs) {
+      const int64_t r = rows[static_cast<size_t>(id)];
+      in.rows += r;
+      in.bytes += r * 8 * wf_->output_schema(id).size();
+    }
+    return in;
   };
 
   // ---- pre phase: sources and broadcast chains, fully serial -------------
@@ -402,176 +846,76 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   // quarantine, error-rate aborts, watermarks); a partitioned source's
   // published output is partitioned afterwards.
   for (const WorkflowNode& node : wf_->nodes()) {
-    if (cls(node.id).mode == Mode::kPre ||
-        (cls(node.id).mode == Mode::kPartitioned &&
-         node.kind == OpKind::kSource)) {
+    if (cls(node.id).mode == Mode::kPre || partitioned_source(node)) {
       ETLOPT_RETURN_IF_ERROR(ExecuteNodeStep(ctx, node));
       if (result.aborted()) break;
+      rows[static_cast<size_t>(node.id)] =
+          result.node_outputs.at(node.id).num_rows();
+      release_inputs(node);
     }
   }
 
-  // The chain the workers run: partitioned non-source nodes in plan order.
-  std::vector<const WorkflowNode*> chain;
-  for (const WorkflowNode& node : wf_->nodes()) {
-    if (cls(node.id).mode == Mode::kPartitioned &&
-        node.kind != OpKind::kSource) {
-      chain.push_back(&node);
-    }
+  std::optional<ThreadPool> local_pool;
+  if (pool == nullptr) {
+    local_pool.emplace(threads);
+    pool = &*local_pool;
   }
-
-  // Per-node slice stores, slot-per-partition so workers never contend.
-  std::unordered_map<NodeId, std::vector<Slice>> slice_map;
-  std::unordered_map<NodeId, std::vector<Slice>> reject_map;
-  std::unordered_map<NodeId, std::vector<Slice>> rreject_map;
-  std::vector<PartitionOutcome> outcomes(
-      static_cast<size_t>(num_partitions));
+  PartitionPhase phase(wf_, &classes, num_partitions, pool, &ctx);
 
   if (!result.aborted()) {
     // ---- partition the partitioned sources -------------------------------
     result.partition_rows.assign(static_cast<size_t>(num_partitions), 0);
+    int64_t total_rows = 0;
     for (const WorkflowNode& node : wf_->nodes()) {
-      if (node.kind != OpKind::kSource ||
-          cls(node.id).mode != Mode::kPartitioned) {
+      if (!partitioned_source(node)) continue;
+      TablePartitions parts = HashPartition(result.node_outputs.at(node.id),
+                                            part_attr, num_partitions, pool);
+      for (int p = 0; p < num_partitions; ++p) {
+        const int64_t n = parts.parts[static_cast<size_t>(p)].num_rows();
+        result.partition_rows[static_cast<size_t>(p)] += n;
+        total_rows += n;
+      }
+      phase.AddSource(node.id, std::move(parts));
+    }
+    const int64_t max_rows = *std::max_element(result.partition_rows.begin(),
+                                               result.partition_rows.end());
+    result.partition_skew =
+        total_rows > 0 ? static_cast<double>(max_rows) * num_partitions /
+                             static_cast<double>(total_rows)
+                       : 0.0;
+
+    // ---- partition phase: the chain, node by node ------------------------
+    for (const WorkflowNode& node : wf_->nodes()) {
+      if (cls(node.id).mode != Mode::kPartitioned || partitioned_source(node)) {
         continue;
       }
-      TablePartitions parts = HashPartition(result.node_outputs.at(node.id),
-                                            part_attr, num_partitions);
-      std::vector<Slice>& slices = slice_map[node.id];
-      slices.resize(static_cast<size_t>(num_partitions));
-      for (int p = 0; p < num_partitions; ++p) {
-        const size_t sp = static_cast<size_t>(p);
-        result.partition_rows[sp] += parts.parts[sp].num_rows();
-        std::vector<std::vector<int64_t>> seq;
-        seq.reserve(parts.row_index[sp].size());
-        for (int64_t orig : parts.row_index[sp]) seq.push_back({orig});
-        slices[sp] = Slice{std::move(parts.parts[sp]), std::move(seq)};
-      }
-    }
-    {
-      int64_t max_rows = 0;
-      int64_t total_rows = 0;
-      for (int64_t rows : result.partition_rows) {
-        max_rows = std::max(max_rows, rows);
-        total_rows += rows;
-      }
-      result.partition_skew =
-          total_rows > 0 ? static_cast<double>(max_rows) * num_partitions /
-                               static_cast<double>(total_rows)
-                         : 0.0;
-    }
-    for (const WorkflowNode* node : chain) {
-      slice_map[node->id].resize(static_cast<size_t>(num_partitions));
-      if (node->kind == OpKind::kJoin) {
-        reject_map[node->id].resize(static_cast<size_t>(num_partitions));
-        if (cls(node->inputs[1]).mode == Mode::kPartitioned) {
-          rreject_map[node->id].resize(static_cast<size_t>(num_partitions));
+      ETLOPT_RETURN_IF_ERROR(phase.RunNode(node));
+      NodeRun& run = phase.run(node.id);
+      rows[static_cast<size_t>(node.id)] = run.rows;
+      if (needs_gather(node)) {
+        const NodeRun& in_run = phase.run(node.inputs[0]);
+        if ((node.kind == OpKind::kSink ||
+             node.kind == OpKind::kMaterialize) &&
+            in_run.gathered.has_value() && in_run.rows == run.rows) {
+          // A target holds its input's rows: share the gathered columns,
+          // as the serial executor does.
+          run.gathered = *in_run.gathered;
+        } else {
+          run.gathered.emplace();
+          ETLOPT_RETURN_IF_ERROR(phase.Gather(wf_->output_schema(node.id),
+                                              run.slices, run.rank_space,
+                                              &*run.gathered));
         }
       }
-    }
-
-    // ---- partition phase: chains on the worker pool ----------------------
-    std::optional<ThreadPool> local_pool;
-    if (pool == nullptr) {
-      local_pool.emplace(threads);
-      pool = &*local_pool;
-    }
-    const Status pf = pool->ParallelFor(num_partitions, [&](int p) -> Status {
-      const size_t sp = static_cast<size_t>(p);
-      PartitionOutcome& outcome = outcomes[sp];
-      obs::ScopedSpan part_span("parallel.partition");
-      if (part_span.active()) {
-        part_span.Arg("partition", static_cast<int64_t>(p));
-      }
-      const std::string part_name = std::to_string(p);
-      for (const WorkflowNode* nodep : chain) {
-        const WorkflowNode& node = *nodep;
-        const Schema& out_schema = wf_->output_schema(node.id);
-        auto part_input = [&](int i) -> const Slice& {
-          return slice_map.at(node.inputs[static_cast<size_t>(i)])[sp];
-        };
-        obs::ScopedSpan op_span(OpKindName(node.kind));
-        int64_t start_ns = 0;
-        if (profiling) start_ns = obs::ProfileNowNs();
-        Slice out;
-        Slice rejects;
-        Slice rrejects;
-        switch (node.kind) {
-          case OpKind::kFilter:
-            out = ApplyFilterSlice(node, out_schema, part_input(0));
-            break;
-          case OpKind::kProject:
-            out = ApplyProjectSlice(node, out_schema, part_input(0));
-            break;
-          case OpKind::kTransform:
-            out = ApplyTransformSlice(node, out_schema, part_input(0));
-            break;
-          case OpKind::kMaterialize:
-          case OpKind::kSink:
-            out = CopySlice(out_schema, part_input(0));
-            break;
-          case OpKind::kJoin: {
-            const Slice& left = part_input(0);
-            rejects = Slice{Table{left.table.schema()}, {}};
-            const bool copart =
-                cls(node.inputs[1]).mode == Mode::kPartitioned;
-            if (copart) {
-              const Slice& right = part_input(1);
-              rrejects = Slice{Table{right.table.schema()}, {}};
-              out = ApplyJoinSlice(node, out_schema, left, right.table,
-                                   &right.seq, &rejects, &rrejects);
-            } else {
-              // Broadcast build side: the full pre-phase table. Right-side
-              // rejects need every partition's keys; the merge barrier
-              // computes them from the gathered probe input.
-              const Table& right = result.node_outputs.at(node.inputs[1]);
-              out = ApplyJoinSlice(node, out_schema, left, right, nullptr,
-                                   &rejects, nullptr);
-            }
-            break;
-          }
-          case OpKind::kSource:
-          case OpKind::kAggregate:
-            ETLOPT_CHECK_MSG(false, "node kind cannot run partitioned");
-            break;
-        }
-        if (profiling) {
-          outcome.self_ns[node.id] = obs::ProfileNowNs() - start_ns;
-        }
-        if (op_span.active()) {
-          op_span.Arg("node", static_cast<int64_t>(node.id));
-          op_span.Arg("partition", static_cast<int64_t>(p));
-          op_span.Arg("rows_out", out.table.num_rows());
-        }
-        // Partition-scoped crash faults mirror the serial crash point:
-        // after the operator ran, before its slice is published — the
-        // partition's salvage surface is its completed prefix.
-        if (inj != nullptr) {
-          int64_t slice_rows_in = 0;
-          for (NodeId in : node.inputs) {
-            const auto it = slice_map.find(in);
-            if (it != slice_map.end()) {
-              slice_rows_in += it->second[sp].table.num_rows();
-            }
-          }
-          if (inj->OnPartition(part_name, std::max<int64_t>(
-                                              slice_rows_in, 1)) ==
-              fault::Kind::kCrash) {
-            outcome.completed = false;
-            outcome.failed_node = node.id;
-            return Status::OK();
-          }
-        }
-        slice_map.at(node.id)[sp] = std::move(out);
-        if (node.kind == OpKind::kJoin) {
-          reject_map.at(node.id)[sp] = std::move(rejects);
-          if (cls(node.inputs[1]).mode == Mode::kPartitioned) {
-            rreject_map.at(node.id)[sp] = std::move(rrejects);
+      if (!retain) {
+        for (NodeId in : node.inputs) {
+          if (--local_reads[static_cast<size_t>(in)] == 0) {
+            phase.run(in).slices = {};
           }
         }
       }
-      return Status::OK();
-    });
-    ETLOPT_RETURN_IF_ERROR(pf);
+      release_inputs(node);
+    }
   }
 
   // Earliest partition failure (by chain position, then partition index):
@@ -580,12 +924,11 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   NodeId crash_node = kInvalidNode;
   int crash_partition = -1;
   for (int p = 0; p < num_partitions; ++p) {
-    const PartitionOutcome& o = outcomes[static_cast<size_t>(p)];
-    if (o.completed) {
+    if (phase.completed(p)) {
       ++result.partitions_completed;
-    } else if (!partition_crashed || o.failed_node < crash_node) {
+    } else if (!partition_crashed || phase.failed_node(p) < crash_node) {
       partition_crashed = true;
-      crash_node = o.failed_node;
+      crash_node = phase.failed_node(p);
       crash_partition = p;
     }
   }
@@ -595,10 +938,7 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   if (!result.aborted()) {
     for (const WorkflowNode& node : wf_->nodes()) {
       const NodeClass& c = cls(node.id);
-      if (c.mode == Mode::kPre ||
-          (c.mode == Mode::kPartitioned && node.kind == OpKind::kSource)) {
-        continue;
-      }
+      if (c.mode == Mode::kPre || partitioned_source(node)) continue;
       if (partition_crashed && node.id >= crash_node && !result.aborted()) {
         AbortRun(ctx, AbortKind::kCrash,
                  "injected crash fault at partition " +
@@ -608,70 +948,44 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
       }
       if (result.aborted() && !partition_crashed) {
         // An operator-scoped abort (injected crash or guard monitor, both
-        // fired from FinishNodeStep on a gathered output) deliberately
-        // leaves the failed node unpublished, so downstream nodes have no
-        // merge surface: the salvage stops at the completed prefix.
+        // fired from FinishNodeStep) deliberately leaves the failed node
+        // unpublished, so downstream nodes have no merge surface: the
+        // salvage stops at the completed prefix.
         continue;
       }
       if (c.mode == Mode::kPost) {
         if (result.aborted()) continue;
         ETLOPT_RETURN_IF_ERROR(ExecuteNodeStep(ctx, node));
+        if (result.aborted()) continue;
+        rows[static_cast<size_t>(node.id)] =
+            result.node_outputs.at(node.id).num_rows();
+        release_inputs(node);
         continue;
       }
-      // Partitioned node: gather its slices back into the serial row order.
-      const int64_t merge_start = obs::ProfileNowNs();
-      Table gathered =
-          MergeSlicesBySeq(wf_->output_schema(node.id), slice_map.at(node.id));
-      Table rejects;
-      Table rrejects;
-      if (node.kind == OpKind::kJoin) {
-        rejects = MergeSlicesBySeq(wf_->output_schema(node.inputs[0]),
-                                   reject_map.at(node.id));
-        const auto rr = rreject_map.find(node.id);
-        if (rr != rreject_map.end()) {
-          rrejects = MergeSlicesBySeq(wf_->output_schema(node.inputs[1]),
-                                      rr->second);
-        } else {
-          // Broadcast build side: its rejects are global, not
-          // partition-local — the serial scan over the gathered probe side.
-          const Table& left = result.node_outputs.at(node.inputs[0]);
-          const Table& right = result.node_outputs.at(node.inputs[1]);
-          const int lkey = left.schema().IndexOf(node.join.attr);
-          const int rkey = right.schema().IndexOf(node.join.attr);
-          const JoinHashTable left_keys(left.column_data(lkey),
-                                        left.num_rows());
-          const Value* rvals = right.column_data(rkey);
-          SelVector rr;
-          for (int64_t r = 0; r < right.num_rows(); ++r) {
-            if (!left_keys.Contains(rvals[r])) rr.push_back(r);
-          }
-          rrejects = Table::Gather(right, rr);
-        }
-      }
-      result.merge_ns += obs::ProfileNowNs() - merge_start;
+      NodeRun& run = phase.run(node.id);
       if (!result.aborted()) {
         if (node.kind == OpKind::kJoin) {
-          result.join_rejects[node.id] = std::move(rejects);
-          result.join_rejects_right[node.id] = std::move(rrejects);
+          result.join_rejects[node.id] = std::move(run.rejects);
+          result.join_rejects_right[node.id] = std::move(run.rrejects);
         }
-        if (node.kind == OpKind::kMaterialize ||
-            node.kind == OpKind::kSink) {
-          result.targets[node.target_name] = gathered;
+        if (node.kind == OpKind::kMaterialize || node.kind == OpKind::kSink) {
+          result.targets[node.target_name] = *run.gathered;
         }
-        AccountRowsProcessed(node, gathered, &result);
-        int64_t self_ns = 0;
-        for (const PartitionOutcome& o : outcomes) {
-          const auto it = o.self_ns.find(node.id);
-          if (it != o.self_ns.end()) self_ns += it->second;
+        AccountRowsProcessed(node, rows, run.rows, &result);
+        if (FinishNodeStep(ctx, node, input_size(node), run.rows,
+                           run.self_ns) &&
+            run.gathered.has_value()) {
+          result.node_outputs[node.id] = std::move(*run.gathered);
         }
-        FinishNodeStep(ctx, node, std::move(gathered), self_ns);
       } else if (partition_crashed) {
         // Salvage: publish what the completed partitions produced — the
         // partition-granular analog of the serial completed-prefix rule.
-        result.node_outputs[node.id] = std::move(gathered);
+        if (run.gathered.has_value()) {
+          result.node_outputs[node.id] = std::move(*run.gathered);
+        }
         if (node.kind == OpKind::kJoin) {
-          result.join_rejects[node.id] = std::move(rejects);
-          result.join_rejects_right[node.id] = std::move(rrejects);
+          result.join_rejects[node.id] = std::move(run.rejects);
+          result.join_rejects_right[node.id] = std::move(run.rrejects);
         }
         ++result.nodes_partial;
       }
@@ -692,10 +1006,14 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   ETLOPT_GAUGE_SET("etlopt.parallel.skew", result.partition_skew);
 
   // Hand the slices to the caller (the per-partition tap surface).
-  for (auto& [id, slices] : slice_map) {
-    std::vector<Table>& tables = pres.slices[id];
-    tables.reserve(slices.size());
-    for (Slice& s : slices) tables.push_back(std::move(s.table));
+  if (retain) {
+    for (const WorkflowNode& node : wf_->nodes()) {
+      std::vector<Slice>& slices = phase.run(node.id).slices;
+      if (slices.empty()) continue;
+      std::vector<Table>& tables = pres.slices[node.id];
+      tables.reserve(slices.size());
+      for (Slice& s : slices) tables.push_back(std::move(s.table));
+    }
   }
   return pres;
 }

@@ -28,6 +28,9 @@ struct ParallelOptions {
 // included) — the surface the instrumentation layer taps partition-locally
 // and merges, instead of re-scanning the gathered tables single-threaded.
 // A partition that crashed contributes no slice from its failure node on.
+// Slices are handed back only under ExecutorOptions::retain_node_outputs;
+// otherwise each node's slices are dropped once its last partition-local
+// consumer ran, and `slices` is empty.
 struct ParallelResult {
   ExecutionResult exec;
   std::unordered_map<NodeId, std::vector<Table>> slices;
@@ -49,14 +52,29 @@ struct ParallelResult {
 // serially, exactly like every node does on the serial path.
 //
 // Determinism and equivalence: partition placement is a pure hash of the
-// key value, and every partition-local row carries its provenance (original
-// source row indices in join-nesting order). The merge barrier reassembles
-// slices in provenance order, which *is* the serial executor's emission
-// order — so node outputs, targets, reject tables, and therefore every
-// observed statistic are bit-identical to a serial run, for any worker or
-// partition count. (One caveat: a co-partitioned join always uses the hash
-// kernel, so joins explicitly planned as sort-merge gather instead of
-// partitioning, keeping even their row order exact.)
+// key value, and every partition-local row carries one int64 rank: its
+// position in the serial output (a source row's rank is its row index).
+// Filters, projects, transforms and sinks keep their parent's ranks. A
+// partitioned join counts the matches of each probe row, prefix-sums the
+// counts over the probe rank space, and ranks each match offset[probe
+// rank] + j, j its index among its key's build rows — the serial emission
+// order (probe order x build-insertion order), exact because a
+// co-partitioned build holds all of a key's rows in one partition and a
+// broadcast build holds all rows. The merge barrier scatters every slice
+// row to the position of its rank, without comparisons, so node outputs,
+// targets, reject tables, and therefore every observed statistic are
+// bit-identical to a serial run, for any worker or partition count. (One
+// caveat: a co-partitioned join always uses the hash kernel, so joins
+// explicitly planned as sort-merge gather instead of partitioning, keeping
+// even their row order exact.)
+//
+// Execution: the partitioned chain runs node by node, one ParallelFor over
+// the partitions per node (plus the join's prefix-sum barrier). A node is
+// gathered into serial order only when something reads it that way: a
+// target, a post-phase consumer, a node without consumers, or a caller
+// that sets ExecutorOptions::retain_node_outputs (every node is then in
+// node_outputs, as on the serial path). Without retention, an aborted
+// run's node_outputs holds only what was gathered; salvage callers retain.
 //
 // Failure semantics mirror the serial executor, partition-granular: a
 // partition-scoped crash ("partition:1:crash") drops that partition from

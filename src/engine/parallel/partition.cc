@@ -23,12 +23,43 @@ int HashPartitionIndex(Value v, int num_partitions) {
 
 namespace {
 
-TablePartitions MakeEmpty(const Table& table, int num_partitions) {
+// Splits `table` column by column: one pass assigns every row its
+// partition id and counts the rows per partition, a second lays out each
+// partition's row indices (exactly sized, ascending), and every column is
+// then gathered once per partition — one task per partition on `pool`,
+// when given.
+template <typename PartitionOf>
+TablePartitions SplitColumnar(const Table& table, int num_partitions,
+                              ThreadPool* pool, PartitionOf partition_of) {
+  const int64_t n = table.num_rows();
+  std::vector<int32_t> pid(static_cast<size_t>(n));
+  std::vector<int64_t> counts(static_cast<size_t>(num_partitions), 0);
+  for (int64_t r = 0; r < n; ++r) {
+    const int p = partition_of(r);
+    pid[static_cast<size_t>(r)] = p;
+    ++counts[static_cast<size_t>(p)];
+  }
   TablePartitions out;
-  out.parts.reserve(static_cast<size_t>(num_partitions));
   out.row_index.resize(static_cast<size_t>(num_partitions));
   for (int p = 0; p < num_partitions; ++p) {
-    out.parts.emplace_back(table.schema());
+    out.row_index[static_cast<size_t>(p)].reserve(
+        static_cast<size_t>(counts[static_cast<size_t>(p)]));
+  }
+  for (int64_t r = 0; r < n; ++r) {
+    out.row_index[static_cast<size_t>(pid[static_cast<size_t>(r)])]
+        .push_back(r);
+  }
+  out.parts.resize(static_cast<size_t>(num_partitions));
+  auto gather = [&](int p) {
+    const size_t sp = static_cast<size_t>(p);
+    out.parts[sp] = Table::Gather(table, out.row_index[sp]);
+    return Status::OK();
+  };
+  if (pool == nullptr) {
+    for (int p = 0; p < num_partitions; ++p) gather(p);
+  } else {
+    const Status status = pool->ParallelFor(num_partitions, gather);
+    ETLOPT_CHECK_MSG(status.ok(), "partition gather failed");
   }
   return out;
 }
@@ -36,18 +67,15 @@ TablePartitions MakeEmpty(const Table& table, int num_partitions) {
 }  // namespace
 
 TablePartitions HashPartition(const Table& table, AttrId attr,
-                              int num_partitions) {
+                              int num_partitions, ThreadPool* pool) {
   ETLOPT_CHECK(num_partitions > 0);
   const int col = table.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(col >= 0, "partition attribute missing from schema");
-  TablePartitions out = MakeEmpty(table, num_partitions);
   const Value* keys = table.column_data(col);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    const int p = HashPartitionIndex(keys[r], num_partitions);
-    out.parts[static_cast<size_t>(p)].AppendRowFrom(table, r);
-    out.row_index[static_cast<size_t>(p)].push_back(r);
-  }
-  return out;
+  const uint64_t fanout = static_cast<uint64_t>(num_partitions);
+  return SplitColumnar(table, num_partitions, pool, [&](int64_t r) {
+    return static_cast<int>(PartitionHashValue(keys[r]) % fanout);
+  });
 }
 
 TablePartitions RangePartition(const Table& table, AttrId attr,
@@ -56,21 +84,14 @@ TablePartitions RangePartition(const Table& table, AttrId attr,
   const int col = table.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(col >= 0, "partition attribute missing from schema");
   const int num_partitions = static_cast<int>(upper_bounds.size()) + 1;
-  TablePartitions out = MakeEmpty(table, num_partitions);
   const Value* keys = table.column_data(col);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
+  return SplitColumnar(table, num_partitions, nullptr, [&](int64_t r) {
     const Value v = keys[r];
-    int p = num_partitions - 1;
     for (size_t b = 0; b < upper_bounds.size(); ++b) {
-      if (v <= upper_bounds[b]) {
-        p = static_cast<int>(b);
-        break;
-      }
+      if (v <= upper_bounds[b]) return static_cast<int>(b);
     }
-    out.parts[static_cast<size_t>(p)].AppendRowFrom(table, r);
-    out.row_index[static_cast<size_t>(p)].push_back(r);
-  }
-  return out;
+    return num_partitions - 1;
+  });
 }
 
 double PartitionSkew(const TablePartitions& partitions) {

@@ -6,6 +6,7 @@
 
 #include "engine/table.h"
 #include "etl/types.h"
+#include "util/thread_pool.h"
 
 namespace etlopt {
 namespace parallel {
@@ -20,9 +21,9 @@ uint64_t PartitionHashValue(Value v);
 int HashPartitionIndex(Value v, int num_partitions);
 
 // A table split into disjoint slices. `row_index[p][i]` is the position the
-// i-th row of slice p held in the original table — the provenance seed the
-// parallel executor threads through operator chains so the merge barrier can
-// reconstruct the exact serial row order.
+// i-th row of slice p held in the original table, so each slice's indices
+// ascend. The parallel executor takes them as the rows' serial ranks: a
+// source row's rank is its row index.
 struct TablePartitions {
   std::vector<Table> parts;
   std::vector<std::vector<int64_t>> row_index;
@@ -36,9 +37,10 @@ struct TablePartitions {
 };
 
 // Hash-partitions `table` on `attr` (which must be in the schema) into
-// `num_partitions` slices. Rows keep their relative order inside each slice.
+// `num_partitions` slices, column by column; `pool`, when given, gathers the
+// slices in parallel. Rows keep their relative order inside each slice.
 TablePartitions HashPartition(const Table& table, AttrId attr,
-                              int num_partitions);
+                              int num_partitions, ThreadPool* pool = nullptr);
 
 // Range-partitions `table` on `attr`: slice p receives rows with
 // value <= upper_bounds[p] (and the last slice everything above the final

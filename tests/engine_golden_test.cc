@@ -107,8 +107,8 @@ constexpr CycleDigests kWorkloads[30] = {
 
 // Star, snowflake and chain shapes, reject links, aggregate UDFs,
 // materialized intermediates and the widest joins (wf21: 8-way, wf30:
-// 6-way): the slice kernels, the provenance merge and the per-partition tap
-// feeds all run on these.
+// 6-way): the slice kernels, the join ranking, the rank-scatter merge and
+// the per-partition tap feeds all run on these.
 constexpr int kPartitionedAnchors[] = {3, 10, 11, 16, 17, 21, 23, 28, 30};
 
 constexpr uint64_t kSeed = 7;

@@ -196,6 +196,7 @@ TEST(ParallelExecutorTest, PaperExampleBitIdenticalAcrossWorkerCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ParallelOptions opts;
     opts.num_threads = threads;
+    opts.executor = testing_util::RetainOutputs();
     const ParallelResult par =
         ParallelExecutor(&ex.workflow, opts).Execute(ex.sources).value();
     EXPECT_TRUE(par.used_parallel_path);
@@ -235,6 +236,7 @@ TEST(ParallelExecutorTest, FilterTransformChainBitIdentical) {
           .value();
   ParallelOptions opts;
   opts.num_threads = 4;
+  opts.executor = testing_util::RetainOutputs();
   const ParallelResult par =
       ParallelExecutor(&wf, opts).Execute(sources).value();
   EXPECT_TRUE(par.used_parallel_path);
@@ -269,6 +271,7 @@ TEST(ParallelExecutorTest, AggregateGathersAndStaysBitIdentical) {
           .value();
   ParallelOptions opts;
   opts.num_threads = 4;
+  opts.executor = testing_util::RetainOutputs();
   const ParallelResult par =
       ParallelExecutor(&wf, opts).Execute(sources).value();
   EXPECT_TRUE(par.used_parallel_path);
@@ -309,6 +312,7 @@ TEST(ParallelExecutorTest, RepeatedRunsWithPinnedPartitionsAreIdentical) {
   auto ex = testing_util::MakePaperExample();
   ParallelOptions opts;
   opts.num_threads = 4;
+  opts.executor = testing_util::RetainOutputs();
   opts.num_partitions = 8;
   ThreadPool pool(4);
   const ParallelExecutor exec(&ex.workflow, opts);
@@ -326,6 +330,163 @@ TEST(ParallelExecutorTest, RepeatedRunsWithPinnedPartitionsAreIdentical) {
           .Execute(ex.sources)
           .value();
   ExpectExecutionsIdentical(serial, first.exec);
+}
+
+// ---- randomized serial ≡ partitioned ------------------------------------
+
+// A random operator chain over a fact source F(k, a, b): filters, in-place
+// and derived transforms, joins on k against sources carrying k (they
+// co-partition when k is the partition attribute) and joins on b against
+// sources without k (broadcast build sides), sometimes a projection, an
+// intermediate materialization or a closing aggregate. Keys are
+// duplicate-heavy; a one-value key domain puts every row in one partition,
+// and empty sources and highly selective filters leave partitions empty.
+struct RandomCase {
+  Workflow workflow;
+  SourceMap sources;
+  AttrId k = kInvalidAttr;
+};
+
+Table RandomTable(Rng* rng, const std::vector<AttrId>& attrs,
+                  const std::vector<int64_t>& domains, int64_t rows) {
+  Table t{Schema(attrs)};
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (int64_t d : domains) row.push_back(rng->NextInRange(1, d));
+    t.AddRow(row);
+  }
+  return t;
+}
+
+RandomCase MakeRandomCase(uint64_t seed, bool allow_key_rewrite) {
+  Rng rng(seed);
+  auto pick = [&](std::vector<int64_t> choices) {
+    return choices[rng.NextBounded(choices.size())];
+  };
+  const int64_t key_domain = pick({1, 2, 5, 30});
+  const int64_t b_domain = pick({1, 4, 25});
+  const int64_t fact_rows = pick({0, 1, 60, 400});
+  auto dim_rows = [&] { return pick({0, 3, 20, 80}); };
+
+  WorkflowBuilder b("random" + std::to_string(seed));
+  const AttrId k = b.DeclareAttr("k", key_domain + 2);
+  const AttrId a = b.DeclareAttr("a", 20);
+  const AttrId bk = b.DeclareAttr("b", b_domain + 2);
+  RandomCase rc;
+  rc.k = k;
+  NodeId cur = b.Source("F", {k, a, bk});
+  rc.sources["F"] = RandomTable(&rng, {k, a, bk},
+                                {key_domain, 20, b_domain}, fact_rows);
+  std::vector<AttrId> extra;  // derived or joined attributes in `cur`
+  const int steps = static_cast<int>(rng.NextInRange(2, 7));
+  for (int step = 0; step < steps; ++step) {
+    const std::string tag = std::to_string(step);
+    switch (rng.NextBounded(allow_key_rewrite ? 7 : 6)) {
+      case 0: {
+        const CompareOp op = rng.NextBounded(2) == 0 ? CompareOp::kLt
+                                                     : CompareOp::kGe;
+        cur = b.Filter(cur, {a, op, rng.NextInRange(1, 21)});
+        break;
+      }
+      case 1:
+        cur = b.Transform(cur, a, [](Value x) { return (x * 7 + 3) % 20 + 1; });
+        break;
+      case 2: {
+        const AttrId d = b.DeclareAttr("d" + tag, 40);
+        cur = b.DeriveAttr(cur, a, d, [](Value x) { return x % 3 + 1; });
+        extra.push_back(d);
+        break;
+      }
+      case 3: {
+        const AttrId c = b.DeclareAttr("c" + tag, 9);
+        const std::string name = "C" + tag;
+        const NodeId dim = b.Source(name, {k, c});
+        rc.sources[name] = RandomTable(&rng, {k, c}, {key_domain + 2, 9},
+                                       dim_rows());
+        cur = b.Join(cur, dim, k, {/*reject_link=*/true});
+        extra.push_back(c);
+        break;
+      }
+      case 4: {
+        const AttrId e = b.DeclareAttr("e" + tag, 9);
+        const std::string name = "B" + tag;
+        NodeId dim = b.Source(name, {bk, e});
+        if (rng.NextBounded(2) == 0) {
+          dim = b.Filter(dim, {e, CompareOp::kLt, 7});
+        }
+        rc.sources[name] = RandomTable(&rng, {bk, e}, {b_domain + 2, 9},
+                                       dim_rows());
+        cur = b.Join(cur, dim, bk);
+        extra.push_back(e);
+        break;
+      }
+      case 5:
+        if (rng.NextBounded(2) == 0 && !extra.empty()) {
+          // Drop the newest extra attribute.
+          std::vector<AttrId> keep{k, a, bk};
+          keep.insert(keep.end(), extra.begin(), extra.end() - 1);
+          extra.pop_back();
+          cur = b.Project(cur, keep);
+        } else {
+          cur = b.Materialize(cur, "mat" + tag);
+        }
+        break;
+      case 6:
+        // Rewrites the key in place: later joins on k lose co-placement.
+        cur = b.Transform(cur, k, [](Value x) { return x % 2 + 1; });
+        break;
+    }
+  }
+  if (rng.NextBounded(4) == 0) cur = b.Aggregate(cur, {k});
+  b.Sink(cur, "out");
+  rc.workflow = std::move(b).Build().value();
+  return rc;
+}
+
+TEST(ParallelRandomTest, RandomChainsMatchSerial) {
+  int partitioned_runs = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const RandomCase rc = MakeRandomCase(seed, /*allow_key_rewrite=*/true);
+    for (bool retain : {false, true}) {
+      ExecutorOptions exec_options;
+      exec_options.retain_node_outputs = retain;
+      const ExecutionResult serial =
+          Executor(&rc.workflow, exec_options).Execute(rc.sources).value();
+      for (int partitions : {1, 2, 3, 7, 16}) {
+        for (int threads : {2, 4}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) +
+                       " retain=" + std::to_string(retain) +
+                       " partitions=" + std::to_string(partitions) +
+                       " threads=" + std::to_string(threads));
+          ParallelOptions opts;
+          opts.num_threads = threads;
+          opts.num_partitions = partitions;
+          opts.executor = exec_options;
+          const ParallelResult par =
+              ParallelExecutor(&rc.workflow, opts).Execute(rc.sources).value();
+          partitioned_runs += par.used_parallel_path ? 1 : 0;
+          ExpectExecutionsIdentical(serial, par.exec);
+          EXPECT_EQ(par.slices.empty(), !retain || !par.used_parallel_path);
+        }
+      }
+    }
+  }
+  EXPECT_GT(partitioned_runs, 0);
+}
+
+// The rows of `serial` whose partition attribute `k` hashes to a partition
+// other than `crashed`, in serial order: what the completed partitions
+// salvage of a node the crashed partition did not finish.
+Table WithoutPartition(const Table& serial, AttrId k, int crashed,
+                       int partitions) {
+  const int col = serial.schema().IndexOf(k);
+  SelVector keep;
+  for (int64_t r = 0; r < serial.num_rows(); ++r) {
+    if (HashPartitionIndex(serial.at(r, col), partitions) != crashed) {
+      keep.push_back(r);
+    }
+  }
+  return Table::Gather(serial, keep);
 }
 
 // ---- observed statistics through the pipeline --------------------------
@@ -504,6 +665,55 @@ TEST_F(ParallelFaultTest, SerialRunIgnoresPartitionScopedFaults) {
   const CycleOutcome cycle =
       pipeline.RunCycle(ex.workflow, ex.sources).value();
   EXPECT_FALSE(cycle.aborted());
+}
+
+TEST_F(ParallelFaultTest, RandomPartitionCrashSalvagesRankOrderSubset) {
+  Rng pick(99);
+  int crashed_runs = 0;
+  for (uint64_t seed = 101; seed <= 112; ++seed) {
+    const RandomCase rc = MakeRandomCase(seed, /*allow_key_rewrite=*/false);
+    const ExecutionResult serial =
+        Executor(&rc.workflow, testing_util::RetainOutputs())
+            .Execute(rc.sources)
+            .value();
+    const int partitions = static_cast<int>(pick.NextInRange(2, 7));
+    const int crashed = static_cast<int>(pick.NextBounded(partitions));
+    const int64_t after_rows = pick.NextInRange(1, 200);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " partition " +
+                 std::to_string(crashed) + "/" + std::to_string(partitions) +
+                 " after " + std::to_string(after_rows) + " rows");
+    ASSERT_TRUE(FaultInjector::InstallGlobal(
+                    "seed=3;partition:" + std::to_string(crashed) +
+                    ":crash_after_rows=" + std::to_string(after_rows))
+                    .ok());
+    ParallelOptions opts;
+    opts.num_threads = 3;
+    opts.num_partitions = partitions;
+    opts.executor = testing_util::RetainOutputs();
+    const ParallelResult par =
+        ParallelExecutor(&rc.workflow, opts).Execute(rc.sources).value();
+    ASSERT_TRUE(FaultInjector::InstallGlobal("").ok());
+    if (!par.exec.aborted()) {
+      ExpectExecutionsIdentical(serial, par.exec);
+      continue;
+    }
+    ++crashed_runs;
+    ASSERT_EQ(par.partition_attr, rc.k);
+    EXPECT_EQ(par.exec.partitions_completed, partitions - 1);
+    for (const auto& [id, table] : par.exec.node_outputs) {
+      // Sources and broadcast chains ran whole before the partition phase;
+      // partitioned nodes from the abort point on hold the survivors.
+      const bool partial = id >= par.exec.abort_node &&
+                           rc.workflow.node(id).kind != OpKind::kSource &&
+                           par.slices.count(id) != 0;
+      const Table& whole = serial.node_outputs.at(id);
+      ExpectTablesIdentical(
+          partial ? WithoutPartition(whole, rc.k, crashed, partitions)
+                  : whole,
+          table, "salvaged node " + std::to_string(id));
+    }
+  }
+  EXPECT_GT(crashed_runs, 0);
 }
 
 // ---- ledger codec ------------------------------------------------------
