@@ -27,7 +27,8 @@ struct BudgetedLifecycleResult {
   // Statistics observed during the first (instrumented) run, per block.
   std::vector<StatStore> block_stats;
   // When ledger history was supplied: how this run's observations compare,
-  // including which statistic taps to re-enable on the next run. Drifted
+  // including which statistic taps to re-enable on the next run (the
+  // report Pipeline::Optimize returns as OptimizeOutcome::drift). Drifted
   // keys feed PipelineOptions::force_observe of the following cycle.
   obs::DriftReport drift;
   // Plan-regression guard outcome: the adoption verdict for the
@@ -44,8 +45,11 @@ struct BudgetedLifecycleResult {
   // When the first (instrumented) run aborted: block_stats and block_cards
   // hold only what the completed prefix salvaged, the re-ordered runs are
   // skipped (they would hit the same fault), and `optimized` carries the
-  // designed plan unchanged. The caller appends a partial=true ledger
-  // record; the next lifecycle consumes it as low-confidence feedback.
+  // designed plan unchanged. When a re-ordered run aborted instead, the
+  // abort kind and reason are that run's, completion stays 1.0, and
+  // block_cards hold what the counts gathered so far reach. Either way the
+  // caller appends a partial=true ledger record, which the next lifecycle
+  // or RunCycle consumes as low-confidence feedback.
   AbortKind abort_kind = AbortKind::kNone;
   std::string abort_reason;
   double completion = 1.0;  // nodes completed / nodes total of the first run
@@ -56,11 +60,13 @@ struct BudgetedLifecycleResult {
   bool aborted() const { return abort_kind != AbortKind::kNone; }
 };
 
-// Runs the budgeted lifecycle to completion. Each block gets the full
+// Runs the budgeted lifecycle to completion on a Pipeline built from
+// `options`: Analyze, a budgeted re-selection per block, RunAndObserve,
+// the re-ordered runs, then Optimize. Each block gets the full
 // `memory_budget` for its collectors (blocks run at different pipeline
 // stages, so collector memory is not held concurrently). `history`, when
-// given, holds prior ledger records of the same workflow (oldest first) for
-// drift detection against this run's observations.
+// given, holds prior ledger records of the same workflow (oldest first) and
+// is consumed as by Pipeline::RunCycle.
 Result<BudgetedLifecycleResult> RunBudgetedLifecycle(
     const Workflow& workflow, const SourceMap& sources, double memory_budget,
     const PipelineOptions& options = {},

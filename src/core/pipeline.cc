@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 
@@ -18,14 +19,17 @@
 namespace etlopt {
 namespace {
 
-// Sorted (name, value) view of a string->int64 map, for deterministic
-// record and checkpoint serialization.
-std::vector<std::pair<std::string, int64_t>> SortedCounts(
-    const std::unordered_map<std::string, int64_t>& counts) {
-  std::vector<std::pair<std::string, int64_t>> sorted(counts.begin(),
-                                                      counts.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
+// Plan signatures history records' monitors condemned — proposals the
+// adoption gate must reject.
+std::vector<std::string> UnsafeSignatures(
+    const std::vector<obs::RunRecord>& history) {
+  std::vector<std::string> signatures;
+  for (const obs::RunRecord& record : history) {
+    if (record.guard.plan_unsafe && !record.guard.unsafe_signature.empty()) {
+      signatures.push_back(record.guard.unsafe_signature);
+    }
+  }
+  return signatures;
 }
 
 // The history record whose estimates arm the runtime monitors: the most
@@ -39,12 +43,7 @@ const obs::RunRecord* LastCleanRecord(
   // subsequent strict run against the same wrong numbers. Skip it and fall
   // back to an older clean record (or none — a monitor-free run that
   // re-observes the flagged SEs directly and rebuilds trust).
-  std::vector<std::string> condemned;
-  for (const obs::RunRecord& record : *history) {
-    if (record.guard.plan_unsafe && !record.guard.unsafe_signature.empty()) {
-      condemned.push_back(record.guard.unsafe_signature);
-    }
-  }
+  const std::vector<std::string> condemned = UnsafeSignatures(*history);
   for (auto it = history->rbegin(); it != history->rend(); ++it) {
     if (it->partial) continue;
     if (std::find(condemned.begin(), condemned.end(), it->plan_signature) !=
@@ -80,20 +79,47 @@ std::unordered_map<NodeId, PlanMonitor> BuildPlanMonitors(
   return monitors;
 }
 
-// Plan signatures history records' monitors condemned — proposals the
-// adoption gate must reject.
-std::vector<std::string> UnsafeSignatures(
-    const std::vector<obs::RunRecord>& history) {
-  std::vector<std::string> signatures;
-  for (const obs::RunRecord& record : history) {
-    if (record.guard.plan_unsafe && !record.guard.unsafe_signature.empty()) {
-      signatures.push_back(record.guard.unsafe_signature);
-    }
+// Low-confidence SE-size feedback when the last history record is partial.
+// The salvaged cardinalities reflect a completed prefix of the workflow, so
+// each is scaled up by the run's completion watermark before seeding the
+// selection cost model — a crude full-run extrapolation, but strictly
+// better than the cold-start guess the cost model would otherwise fall
+// back to. Empty when there is no partial last record.
+std::vector<CardMap> PartialRunFeedback(
+    const std::vector<obs::RunRecord>* history, size_t num_blocks) {
+  if (history == nullptr || history->empty() || !history->back().partial) {
+    return {};
   }
-  return signatures;
+  const obs::RunRecord& last = history->back();
+  std::vector<CardMap> feedback(num_blocks);
+  const double completion = std::clamp(last.completion, 0.05, 1.0);
+  int64_t seeded = 0;
+  for (const obs::RunRecord::SeCard& card : last.cards) {
+    const double rows = card.actual >= 0 ? card.actual : card.estimated;
+    if (rows < 0 || card.block < 0 ||
+        card.block >= static_cast<int>(num_blocks)) {
+      continue;
+    }
+    feedback[static_cast<size_t>(card.block)][card.se] =
+        static_cast<int64_t>(std::llround(rows / completion));
+    ++seeded;
+  }
+  ETLOPT_COUNTER_ADD("etlopt.core.partial_feedback_keys", seeded);
+  ETLOPT_LOG(Info) << "seeding selection cost model with " << seeded
+                   << " SE size(s) salvaged from partial run '" << last.run_id
+                   << "' (completion " << last.completion << ")";
+  return feedback;
 }
 
 }  // namespace
+
+std::vector<std::pair<std::string, int64_t>> SortedCounts(
+    const std::unordered_map<std::string, int64_t>& counts) {
+  std::vector<std::pair<std::string, int64_t>> sorted(counts.begin(),
+                                                      counts.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
 
 Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
   if (options_.tap_memory_budget_bytes <= 0) {
@@ -132,7 +158,7 @@ Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
 
 Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
     const Workflow& workflow, const std::vector<CardMap>* size_feedback,
-    const std::vector<StatKey>* extra_force_observe) const {
+    const std::vector<obs::RunRecord>* history) const {
   obs::ScopedSpan span("pipeline.analyze");
   span.Arg("workflow", workflow.name());
   auto analysis = std::make_unique<Analysis>();
@@ -140,7 +166,19 @@ Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
 
   const std::vector<Block> blocks = PartitionBlocks(*analysis->workflow);
   span.Arg("blocks", static_cast<int64_t>(blocks.size()));
-  int block_index = 0;
+  // Ledger history as selection inputs: the SEs whose estimates the last
+  // run's monitors caught out are re-observed directly, and a partial last
+  // record's salvage seeds the cost model so selection is not cold-started.
+  std::vector<StatKey> force_observe = options_.force_observe;
+  if (history != nullptr && !history->empty()) {
+    for (const obs::GuardRecord::Monitor& m :
+         history->back().guard.violations) {
+      force_observe.push_back(StatKey::Card(m.se));
+    }
+  }
+  const std::vector<CardMap> partial_feedback =
+      PartialRunFeedback(history, blocks.size());
+  size_t block_index = 0;
   for (const Block& block : blocks) {
     auto ba = std::make_unique<BlockAnalysis>();
     ba->block = block;
@@ -180,21 +218,16 @@ Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
       cost_options.cpu_ns_per_row = options_.calibration.NsPerRow("tap");
     }
     CostModel cost_model(&analysis->workflow->catalog(), cost_options);
-    if (size_feedback != nullptr &&
-        block_index < static_cast<int>(size_feedback->size())) {
-      for (const auto& [se, rows] :
-           (*size_feedback)[static_cast<size_t>(block_index)]) {
+    for (const std::vector<CardMap>* feedback :
+         {&partial_feedback, size_feedback}) {
+      if (feedback == nullptr || block_index >= feedback->size()) continue;
+      for (const auto& [se, rows] : (*feedback)[block_index]) {
         cost_model.SetSeSize(se, rows);
       }
     }
     SelectionOptions sel_options;
     sel_options.free_source_stats = options_.free_source_stats;
-    sel_options.force_observe = options_.force_observe;
-    if (extra_force_observe != nullptr) {
-      sel_options.force_observe.insert(sel_options.force_observe.end(),
-                                       extra_force_observe->begin(),
-                                       extra_force_observe->end());
-    }
+    sel_options.force_observe = force_observe;
     ba->problem = BuildSelectionProblem(ba->ctx, ba->plan_space, ba->catalog,
                                         cost_model, sel_options);
     ba->problem.catalog = &ba->catalog;  // ensure self-reference is stable
@@ -359,15 +392,37 @@ Result<OptimizeOutcome> Pipeline::Optimize(
   OptimizeOutcome outcome;
   std::vector<OptimizedPlan> plans(analysis.blocks.size());
   std::vector<PlanRewriter::BlockPlan> rewrites;
+  const bool aborted = run.aborted();
+  const bool have_history = history != nullptr && !history->empty();
 
-  // Guard evidence, part 1: drift-flagged statistics. Comparing this run's
-  // observations against ledger history flags the keys whose values moved
-  // beyond tolerance; estimates derived from a flagged key are distrusted.
+  // Runtime monitor violations land in the guard section; the plan whose
+  // estimates they condemn is the last clean record's proposal.
+  outcome.guard.mode = obs::GuardModeName(options_.guard.mode);
+  for (const MonitorViolation& v : run.exec.monitor_violations) {
+    obs::GuardRecord::Monitor m;
+    m.block = v.block;
+    m.se = v.se;
+    m.node = static_cast<int64_t>(v.node);
+    m.expected = v.expected;
+    m.actual = v.actual;
+    m.qerror = v.qerror;
+    outcome.guard.violations.push_back(m);
+  }
+  if (!outcome.guard.violations.empty()) {
+    outcome.guard.plan_unsafe = true;
+    if (const obs::RunRecord* last_clean = LastCleanRecord(history)) {
+      outcome.guard.unsafe_signature = last_clean->plan_signature;
+    }
+  }
+
+  // Drift: this run's observations and on-path actuals against the ledger
+  // history. Guard evidence, part 1: estimates derived from a drift-flagged
+  // key are distrusted.
   const bool guard_on = options_.guard.mode != obs::GuardMode::kOff;
   std::vector<std::vector<StatKey>> distrusted(analysis.blocks.size());
-  if (guard_on && history != nullptr && !history->empty()) {
+  if (have_history) {
     obs::RunRecord current;
-    current.partial = run.exec.aborted();
+    current.partial = aborted;
     current.block_stats = run.block_stats;
     for (size_t b = 0; b < analysis.blocks.size(); ++b) {
       for (const auto& [se, node] : analysis.blocks[b]->ctx.on_path()) {
@@ -380,10 +435,13 @@ Result<OptimizeOutcome> Pipeline::Optimize(
         current.cards.push_back(card);
       }
     }
-    const obs::DriftReport drift =
-        obs::DriftDetector().Compare(*history, current);
+    outcome.drift = obs::DriftDetector().Compare(*history, current);
+    ETLOPT_COUNTER_ADD("etlopt.obs.drift.checked_keys",
+                       static_cast<int64_t>(outcome.drift.findings.size()));
+    ETLOPT_COUNTER_ADD("etlopt.obs.drift.flagged_keys",
+                       static_cast<int64_t>(outcome.drift.reinstrument.size()));
     for (size_t b = 0; b < analysis.blocks.size(); ++b) {
-      distrusted[b] = drift.ReinstrumentKeys(static_cast<int>(b));
+      distrusted[b] = outcome.drift.ReinstrumentKeys(static_cast<int>(b));
     }
   }
   std::vector<obs::SeEvidence> evidence;
@@ -391,21 +449,26 @@ Result<OptimizeOutcome> Pipeline::Optimize(
   for (size_t i = 0; i < analysis.blocks.size(); ++i) {
     const BlockAnalysis& ba = *analysis.blocks[i];
     Estimator estimator(&ba.ctx, &ba.catalog);
+    Status derived;
     {
       obs::ScopedSpan est_span("pipeline.estimation");
       est_span.Arg("block", static_cast<int64_t>(ba.block.id));
-      ETLOPT_RETURN_IF_ERROR(estimator.DeriveAll(run.block_stats[i]));
+      derived = estimator.DeriveAll(run.block_stats[i]);
     }
     // A degraded run (disabled taps, or an abort's salvaged prefix) leaves
     // holes in the observed statistics: estimate what the derivation
     // closure still reaches, and fall back to the designed join order for
     // any block whose SE coverage came out incomplete. Clean runs keep the
     // strict all-or-error contract.
-    const bool degraded =
-        run.exec.aborted() || run.tap_report.disabled_taps > 0;
+    const bool degraded = aborted || run.tap_report.disabled_taps > 0;
     bool complete = true;
     CardMap cards;
-    if (degraded) {
+    if (!derived.ok()) {
+      // A salvaged prefix may not derive at all; its on-path actuals below
+      // are still worth recording.
+      if (!aborted) return derived;
+      complete = false;
+    } else if (degraded) {
       for (RelMask se : ba.plan_space.subexpressions()) {
         const Result<int64_t> card = estimator.Cardinality(se);
         if (card.ok()) {
@@ -417,6 +480,19 @@ Result<OptimizeOutcome> Pipeline::Optimize(
     } else {
       ETLOPT_ASSIGN_OR_RETURN(
           cards, estimator.AllCardinalities(ba.plan_space.subexpressions()));
+    }
+    if (aborted) {
+      // The completed prefix's outputs add on-path actuals for free. These
+      // cards become the partial record's payload, which seeds the next
+      // run's cost model.
+      for (const auto& [se, node] : ba.ctx.on_path()) {
+        const auto out_it = run.exec.node_outputs.find(node);
+        if (out_it != run.exec.node_outputs.end()) {
+          cards[se] = out_it->second.num_rows();
+        }
+      }
+      outcome.block_cards.push_back(std::move(cards));
+      continue;
     }
     if (guard_on) {
       // Guard evidence, part 2: per-SE confidence from provenance — exact
@@ -462,6 +538,17 @@ Result<OptimizeOutcome> Pipeline::Optimize(
     }
     outcome.block_cards.push_back(std::move(cards));
   }
+  if (aborted) {
+    // The salvaged statistics are a prefix, not a complete selection — no
+    // basis for a trustworthy re-optimization. Keep the designed plan; the
+    // caller records a partial=true ledger line.
+    outcome.optimized = *analysis.workflow;
+    ETLOPT_LOG(Warning) << "run aborted ("
+                        << AbortKindName(run.exec.abort_kind)
+                        << "): " << run.exec.abort_reason
+                        << "; keeping the designed plan";
+    return outcome;
+  }
   {
     obs::ScopedSpan rewrite_span("pipeline.rewrite");
     rewrite_span.Arg("rewritten_blocks", static_cast<int64_t>(rewrites.size()));
@@ -470,7 +557,6 @@ Result<OptimizeOutcome> Pipeline::Optimize(
   }
 
   // ---- Adoption gate: may the proposal replace the designed plan? ----
-  outcome.guard.mode = obs::GuardModeName(options_.guard.mode);
   if (guard_on) {
     obs::GuardInputs inputs;
     const std::string designed_sig =
@@ -482,7 +568,7 @@ Result<OptimizeOutcome> Pipeline::Optimize(
     inputs.evidence = std::move(evidence);
     inputs.calibration_coverage =
         obs::CalibrationCoverage(options_.calibration, run.exec.profile);
-    if (history != nullptr && !history->empty()) {
+    if (have_history) {
       inputs.partial_history = history->back().partial;
       inputs.unsafe_signatures = UnsafeSignatures(*history);
     }
@@ -517,86 +603,15 @@ Result<CycleOutcome> Pipeline::RunCycle(
   ETLOPT_COUNTER_ADD("etlopt.core.cycles", 1);
   CycleOutcome cycle;
   Timer timer;
-  // A prior run's monitor violations seed force_observe: the SEs whose
-  // estimates were caught out get re-observed directly this cycle.
-  std::vector<StatKey> guard_force_observe;
-  if (history != nullptr && !history->empty()) {
-    for (const obs::GuardRecord::Monitor& m : history->back().guard.violations) {
-      guard_force_observe.push_back(StatKey::Card(m.se));
-    }
-  }
-  ETLOPT_ASSIGN_OR_RETURN(
-      cycle.analysis,
-      Analyze(workflow, nullptr,
-              guard_force_observe.empty() ? nullptr : &guard_force_observe));
+  ETLOPT_ASSIGN_OR_RETURN(cycle.analysis, Analyze(workflow, nullptr, history));
   cycle.analyze_ms = timer.ElapsedMillis();
   timer.Restart();
   ETLOPT_ASSIGN_OR_RETURN(cycle.run,
                           RunAndObserve(*cycle.analysis, sources, history));
   cycle.execute_ms = timer.ElapsedMillis();
   timer.Restart();
-  // Runtime monitor violations land in the cycle's guard section; the plan
-  // whose estimates they condemn is the last clean record's proposal.
-  cycle.opt.guard.mode = obs::GuardModeName(options_.guard.mode);
-  if (!cycle.run.exec.monitor_violations.empty()) {
-    for (const MonitorViolation& v : cycle.run.exec.monitor_violations) {
-      obs::GuardRecord::Monitor m;
-      m.block = v.block;
-      m.se = v.se;
-      m.node = static_cast<int64_t>(v.node);
-      m.expected = v.expected;
-      m.actual = v.actual;
-      m.qerror = v.qerror;
-      cycle.opt.guard.violations.push_back(m);
-    }
-    cycle.opt.guard.plan_unsafe = true;
-    if (const obs::RunRecord* last_clean = LastCleanRecord(history)) {
-      cycle.opt.guard.unsafe_signature = last_clean->plan_signature;
-    }
-  }
-  if (cycle.run.aborted()) {
-    // The salvaged statistics are a prefix, not a complete selection — no
-    // basis for a trustworthy re-optimization. Keep the designed plan and
-    // let the caller record a partial=true ledger line; the next run's
-    // lifecycle consumes the salvage as low-confidence feedback.
-    cycle.opt.optimized = *cycle.analysis->workflow;
-    // Still derive every SE cardinality the salvage reaches — these become
-    // the partial record's `cards`, the payload the next run's cost model
-    // is seeded from. Completed-prefix outputs add on-path actuals for free.
-    for (size_t b = 0; b < cycle.analysis->blocks.size(); ++b) {
-      const auto& block = cycle.analysis->blocks[b];
-      CardMap cards;
-      Estimator estimator(&block->ctx, &block->catalog);
-      if (b < cycle.run.block_stats.size() &&
-          estimator.DeriveAll(cycle.run.block_stats[b]).ok()) {
-        for (RelMask se : block->plan_space.subexpressions()) {
-          const Result<int64_t> card = estimator.Cardinality(se);
-          if (card.ok()) cards[se] = *card;
-        }
-      }
-      for (const auto& [se, node] : block->ctx.on_path()) {
-        const auto out_it = cycle.run.exec.node_outputs.find(node);
-        if (out_it != cycle.run.exec.node_outputs.end()) {
-          cards[se] = out_it->second.num_rows();
-        }
-      }
-      cycle.opt.block_cards.push_back(std::move(cards));
-    }
-    cycle.optimize_ms = timer.ElapsedMillis();
-    ETLOPT_LOG(Warning) << "cycle aborted ("
-                        << AbortKindName(cycle.run.exec.abort_kind)
-                        << "): " << cycle.run.exec.abort_reason
-                        << "; keeping the designed plan";
-    return cycle;
-  }
-  // Optimize overwrites cycle.opt with the gate's verdict; re-attach the
-  // runtime monitor outcome recorded above.
-  obs::GuardRecord monitor_outcome = std::move(cycle.opt.guard);
   ETLOPT_ASSIGN_OR_RETURN(cycle.opt,
                           Optimize(*cycle.analysis, cycle.run, history));
-  cycle.opt.guard.violations = std::move(monitor_outcome.violations);
-  cycle.opt.guard.plan_unsafe = monitor_outcome.plan_unsafe;
-  cycle.opt.guard.unsafe_signature = std::move(monitor_outcome.unsafe_signature);
   cycle.optimize_ms = timer.ElapsedMillis();
   return cycle;
 }

@@ -8,6 +8,7 @@
 #include "engine/instrumentation.h"
 #include "estimator/estimator.h"
 #include "obs/calibrate.h"
+#include "obs/drift.h"
 #include "obs/guard.h"
 #include "obs/ledger.h"
 #include "opt/greedy_selector.h"
@@ -109,7 +110,8 @@ struct RunOutcome {
   bool aborted() const { return exec.aborted(); }
 };
 
-// Step 7: cost-based re-optimization from the learned statistics.
+// Step 7: cost-based re-optimization from the learned statistics. After an
+// aborted run it carries the designed plan and the salvage cards instead.
 struct OptimizeOutcome {
   Workflow optimized;
   std::vector<CardMap> block_cards;  // estimated SE cardinalities per block
@@ -123,12 +125,16 @@ struct OptimizeOutcome {
     ProvenanceMap provenance;
   };
   std::vector<BlockEstimates> block_estimates;
-  // Adoption verdict of the plan-regression guard (plus, after RunCycle,
-  // any runtime monitor violations the execution raised). When the strict
-  // gate rejected the proposal, `optimized` carries the designed workflow,
-  // optimized_cost equals initial_cost, and guard.fell_back is true with
-  // the rejected plan's signature and the failed criteria recorded.
+  // Adoption verdict of the plan-regression guard, plus any runtime monitor
+  // violations the execution raised. When the strict gate rejected the
+  // proposal, `optimized` carries the designed workflow, optimized_cost
+  // equals initial_cost, and guard.fell_back is true with the rejected
+  // plan's signature and the failed criteria recorded.
   obs::GuardRecord guard;
+  // When ledger history was supplied: this run's observed statistics and
+  // on-path actuals compared against it. Drifted keys feed
+  // PipelineOptions::force_observe of the following cycle.
+  obs::DriftReport drift;
 };
 
 struct CycleOutcome {
@@ -154,14 +160,16 @@ class Pipeline {
   explicit Pipeline(PipelineOptions options = {});
 
   // Steps 1-4. `size_feedback` optionally provides SE sizes from a previous
-  // run for the CPU cost metric (Section 5.4's circularity fix).
-  // `extra_force_observe` appends to options().force_observe for this
-  // analysis only (guard-seeded re-instrumentation of SEs whose estimates
-  // a prior run's monitors caught out).
+  // run for the CPU cost metric (Section 5.4's circularity fix). `history`
+  // (prior ledger records of this workflow, oldest first) adds two
+  // selection inputs: the SEs the last record's monitors caught out are
+  // force-observed, and a partial last record seeds the cost model with its
+  // salvaged SE sizes scaled by 1/completion (`size_feedback` wins where
+  // both give a size).
   Result<std::unique_ptr<Analysis>> Analyze(
       const Workflow& workflow,
       const std::vector<CardMap>* size_feedback = nullptr,
-      const std::vector<StatKey>* extra_force_observe = nullptr) const;
+      const std::vector<obs::RunRecord>* history = nullptr) const;
 
   // Steps 5-6: execute the designed plan and observe the selected
   // statistics. `history` (prior ledger records of this workflow, oldest
@@ -173,14 +181,18 @@ class Pipeline {
       const std::vector<obs::RunRecord>* history = nullptr) const;
 
   // Step 7: derive all SE cardinalities and rewrite the join orders.
-  // `history` feeds the guard's adoption gate (drift-flagged statistics
-  // distrust their dependent estimates; plans a prior run's monitors marked
-  // unsafe are rejected outright).
+  // `history` yields the drift report and feeds the guard's adoption gate
+  // (drift-flagged statistics distrust their dependent estimates; plans a
+  // prior run's monitors marked unsafe are rejected outright). An aborted
+  // run keeps the designed plan: its salvaged statistics are a prefix, so
+  // the outcome only carries every SE cardinality they reach, plus the
+  // on-path actuals of the completed prefix, for the partial ledger record.
   Result<OptimizeOutcome> Optimize(
       const Analysis& analysis, const RunOutcome& run,
       const std::vector<obs::RunRecord>* history = nullptr) const;
 
-  // Convenience: one full cycle.
+  // One full cycle: Analyze, RunAndObserve and Optimize, all given the
+  // same `history`.
   Result<CycleOutcome> RunCycle(
       const Workflow& workflow, const SourceMap& sources,
       const std::vector<obs::RunRecord>* history = nullptr) const;
@@ -193,6 +205,11 @@ class Pipeline {
   // once when num_threads > 1 and reused by every RunAndObserve.
   std::unique_ptr<ThreadPool> pool_;
 };
+
+// Sorted (name, value) view of a string->int64 map, for deterministic
+// records, checkpoints and results.
+std::vector<std::pair<std::string, int64_t>> SortedCounts(
+    const std::unordered_map<std::string, int64_t>& counts);
 
 // Condenses a completed cycle into a ledger record: workflow fingerprint,
 // chosen plan signature, per-SE estimated (and, when `truth` per-block

@@ -127,6 +127,29 @@ TEST_F(RobustnessTest, PartialRecordCarriesSalvagedCardsThatSeedNextRun) {
   EXPECT_GT(CounterValue("etlopt.core.partial_feedback_keys"), fed_before);
 }
 
+// RunCycle consumes the same salvage: a partial last history record seeds
+// the cycle's selection cost model, as it does the budgeted lifecycle's.
+TEST_F(RobustnessTest, RunCycleSeedsFromPartialHistory) {
+  auto ex = testing_util::MakePaperExample();
+  ASSERT_TRUE(FaultInjector::InstallGlobal("op:join4:crash").ok());
+  Pipeline pipeline;
+  const CycleOutcome crashed =
+      pipeline.RunCycle(ex.workflow, ex.sources).value();
+  ASSERT_TRUE(crashed.aborted());
+  const std::vector<obs::RunRecord> history{
+      MakeRunRecord(crashed, "run-1")};
+  ASSERT_FALSE(history[0].cards.empty());
+
+  ASSERT_TRUE(FaultInjector::InstallGlobal("").ok());
+  const int64_t fed_before = CounterValue("etlopt.core.partial_feedback_keys");
+  const Result<CycleOutcome> next =
+      pipeline.RunCycle(ex.workflow, ex.sources, &history);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_FALSE(next->aborted());
+  EXPECT_EQ(CounterValue("etlopt.core.partial_feedback_keys") - fed_before,
+            static_cast<int64_t>(history[0].cards.size()));
+}
+
 // Satellite: sketch-tap fallback under injected allocation failure. A
 // distinct tap whose exact collector "fails to allocate" retries as a
 // bounded-memory sketch; when the sketch allocation fails too, the tap is
