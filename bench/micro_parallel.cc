@@ -1,16 +1,13 @@
 // Partitioned-executor micro-benchmarks: the worker scaling curve of a
 // 1e6-row filter+join workload at 1/2/4/8 workers, the same workload under
 // worst-case partition skew (every row hashes to one partition, so one
-// worker does all the work while the rest idle at the barrier), and the
-// tap-merge overhead — what reassembling per-partition tap states costs,
-// for exact collectors (key-set union) and sketches (HLL register max /
-// Count-Min addition). Every run reports the fan-out and skew it actually
-// measured as benchmark counters, and the executor's merge-barrier time is
-// surfaced as merge_ms so gather cost is never hidden inside the scaling
-// numbers. The JSON context carries the library's build (etlopt_build_type,
-// etlopt_compiler, etlopt_git_sha) next to google-benchmark's CPU count:
-// scaling past num_cpus is not observable, and a debug library's curve is
-// not evidence.
+// worker does all the work while the rest idle at the barrier). Every run
+// reports the fan-out and skew it actually measured as benchmark counters,
+// and the executor's merge-barrier time is surfaced as merge_ms so gather
+// cost is never hidden inside the scaling numbers. The JSON context carries
+// the library's build (etlopt_build_type, etlopt_compiler, etlopt_git_sha)
+// next to google-benchmark's CPU count: scaling past num_cpus is not
+// observable, and a debug library's curve is not evidence.
 //
 //   ./build/bench/micro_parallel --benchmark_out=BENCH_parallel.json
 //                                --benchmark_out_format=json
@@ -18,15 +15,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/parallel/parallel_executor.h"
 #include "engine/parallel/partition.h"
 #include "etl/workflow_builder.h"
 #include "obs/build_info.h"
-#include "sketch/sketch.h"
-#include "sketch/tap.h"
 #include "util/random.h"
 
 namespace etlopt {
@@ -119,54 +113,6 @@ BENCHMARK(BM_ParallelExecuteSkewWorstCase)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
-
-// ---- tap-merge overhead -------------------------------------------------
-
-// Exact distinct taps: per-partition key sets, merge = set union. Feeding
-// happens outside the timed region; the benchmark measures the merge alone.
-void BM_ExactTapMerge8Way(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  std::vector<std::unordered_set<Value>> parts(8);
-  Rng rng(99);
-  for (int64_t i = 0; i < rows; ++i) {
-    const Value key = rng.NextInRange(1, kKeyDomain);
-    parts[static_cast<size_t>(parallel::HashPartitionIndex(key, 8))].insert(
-        key);
-  }
-  for (auto _ : state) {
-    std::unordered_set<Value> merged = parts[0];
-    for (size_t p = 1; p < parts.size(); ++p) {
-      merged.insert(parts[p].begin(), parts[p].end());
-    }
-    benchmark::DoNotOptimize(merged.size());
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_ExactTapMerge8Way)->Arg(1000000)->Unit(benchmark::kMillisecond);
-
-// Sketch distinct taps: merge = HLL register-wise max, O(registers) per
-// merge regardless of row count — the constant-time path the partitioned
-// tap collection rides.
-void BM_SketchTapMerge8Way(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  const auto config = sketch::TapSketchConfig::ForBudget(int64_t{1} << 20, 1);
-  std::vector<sketch::DistinctTap> parts(8, sketch::DistinctTap(config));
-  Rng rng(99);
-  for (int64_t i = 0; i < rows; ++i) {
-    const std::vector<Value> key{rng.NextInRange(1, kKeyDomain)};
-    parts[static_cast<size_t>(parallel::HashPartitionIndex(key[0], 8))]
-        .AddRow(key);
-  }
-  for (auto _ : state) {
-    sketch::DistinctTap merged = parts[0];
-    for (size_t p = 1; p < parts.size(); ++p) {
-      benchmark::DoNotOptimize(merged.Merge(parts[p]).ok());
-    }
-    benchmark::DoNotOptimize(merged.Estimate());
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_SketchTapMerge8Way)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace etlopt

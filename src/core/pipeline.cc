@@ -283,7 +283,6 @@ Result<RunOutcome> Pipeline::RunAndObserve(
           BuildSideCardHints(*analysis.workflow, exec_options.monitors);
     }
   }
-  std::unordered_map<NodeId, std::vector<Table>> slices;
   if (options_.num_threads > 1) {
     parallel::ParallelOptions popts;
     popts.num_threads = options_.num_threads;
@@ -292,24 +291,17 @@ Result<RunOutcome> Pipeline::RunAndObserve(
     ETLOPT_ASSIGN_OR_RETURN(parallel::ParallelResult pres,
                             pexec.Execute(sources, pool_.get()));
     outcome.exec = std::move(pres.exec);
-    slices = std::move(pres.slices);
   } else {
     Executor executor(analysis.workflow.get(), exec_options);
     ETLOPT_ASSIGN_OR_RETURN(outcome.exec, executor.Execute(sources));
   }
 
   obs::ScopedSpan observe_span("pipeline.observation");
-  ParallelTapContext tap_par;
-  if (!slices.empty()) {
-    tap_par.slices = &slices;
-    tap_par.pool = pool_.get();
-  }
+  // After an abort, the taps salvage (ObserveStatistics skips keys whose
+  // pipeline point fell past it): a dead run still pays back part of its
+  // instrumentation budget.
   TapOptions taps;
   taps.memory_budget_bytes = options_.tap_memory_budget_bytes;
-  // After an abort, observe in salvage mode: collect every statistic whose
-  // pipeline point completed and skip the rest. A dead run still pays back
-  // part of its instrumentation budget.
-  taps.salvage = outcome.exec.aborted();
 
   std::unique_ptr<obs::CheckpointWriter> writer;
   obs::TapCheckpoint checkpoint;
@@ -342,7 +334,7 @@ Result<RunOutcome> Pipeline::RunAndObserve(
     }
     ETLOPT_ASSIGN_OR_RETURN(
         StatStore store, ObserveStatistics(ba->ctx, outcome.exec, keys, taps,
-                                           &outcome.tap_report, tap_par));
+                                           &outcome.tap_report));
     outcome.block_stats.push_back(std::move(store));
   }
   if (writer != nullptr) {

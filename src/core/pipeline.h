@@ -201,8 +201,8 @@ class Pipeline {
 
  private:
   PipelineOptions options_;
-  // Worker pool for partitioned execution and partition-local taps, spun up
-  // once when num_threads > 1 and reused by every RunAndObserve.
+  // Worker pool for partitioned execution, spun up once when
+  // num_threads > 1 and reused by every RunAndObserve.
   std::unique_ptr<ThreadPool> pool_;
 };
 

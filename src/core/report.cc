@@ -176,12 +176,6 @@ std::string FormatObsSummary() {
       out << "  output merge time: " << WithThousands(merge_ns->Get())
           << " ns\n";
     }
-    const obs::Counter* tap_merge_ns =
-        registry.FindCounter("etlopt.parallel.tap_merge_ns");
-    if (tap_merge_ns != nullptr && tap_merge_ns->Get() > 0) {
-      out << "  tap merge time: " << WithThousands(tap_merge_ns->Get())
-          << " ns\n";
-    }
   }
   // Plan-regression guard: prints once the gate has evaluated at least one
   // adoption decision (any mode but off), so pre-guard output is unchanged.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -12,7 +11,6 @@
 #include "util/bitmask.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace etlopt {
 namespace {
@@ -66,41 +64,6 @@ Result<const Table*> PointTable(const BlockContext& ctx,
   return &it->second;
 }
 
-// ---- per-partition tap kernels ------------------------------------------
-// Each runs the tap partition-local (optionally on the pool) and merges the
-// per-partition states; see ParallelTapContext for the equivalence
-// argument. `merge_ns` accumulates only the merge step.
-
-// The partition slices a key can tap, or null when the key's point did not
-// run partitioned (serial run, pre/post node, reject-join key).
-const std::vector<Table>* KeySlices(const BlockContext& ctx,
-                                    const ParallelTapContext& par,
-                                    const StatKey& key) {
-  if (par.slices == nullptr) return nullptr;
-  if (key.kind != StatKind::kCard && key.kind != StatKind::kDistinct &&
-      key.kind != StatKind::kHist) {
-    return nullptr;
-  }
-  const Result<NodeId> node = PointNode(ctx, key);
-  if (!node.ok()) return nullptr;
-  const auto it = par.slices->find(*node);
-  if (it == par.slices->end() || it->second.empty()) return nullptr;
-  return &it->second;
-}
-
-void ForEachPartition(ThreadPool* pool, int n,
-                      const std::function<void(int)>& fn) {
-  if (pool == nullptr) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const Status status = pool->ParallelFor(n, [&fn](int i) {
-    fn(i);
-    return Status::OK();
-  });
-  ETLOPT_CHECK_MSG(status.ok(), "partition tap scan failed");
-}
-
 // The key columns of `attrs` as raw column pointers — the zero-copy feed
 // the columnar tap kernels consume.
 std::vector<const Value*> KeyColumnData(const Table& t, AttrMask attrs) {
@@ -112,104 +75,7 @@ std::vector<const Value*> KeyColumnData(const Table& t, AttrMask attrs) {
   return data;
 }
 
-int64_t MergedSliceRows(const std::vector<Table>& slices) {
-  int64_t rows = 0;
-  for (const Table& t : slices) rows += t.num_rows();
-  return rows;
-}
-
-// Exact distinct: per-partition key sets, merged by union.
-int64_t MergedDistinctCount(const std::vector<Table>& slices, AttrMask attrs,
-                            ThreadPool* pool, int64_t* merge_ns) {
-  using KeySet = std::unordered_set<std::vector<Value>, ValueVecHash>;
-  std::vector<KeySet> sets(slices.size());
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
-    const Table& t = slices[static_cast<size_t>(p)];
-    if (t.num_rows() == 0) return;
-    const std::vector<const Value*> data = KeyColumnData(t, attrs);
-    KeySet& set = sets[static_cast<size_t>(p)];
-    set.reserve(static_cast<size_t>(t.num_rows()));
-    std::vector<Value> probe(data.size());
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      for (size_t c = 0; c < data.size(); ++c) {
-        probe[c] = data[c][r];
-      }
-      set.insert(probe);
-    }
-  });
-  const int64_t merge_start = obs::ProfileNowNs();
-  for (size_t p = 1; p < sets.size(); ++p) {
-    sets[0].insert(sets[p].begin(), sets[p].end());
-  }
-  *merge_ns += obs::ProfileNowNs() - merge_start;
-  return static_cast<int64_t>(sets[0].size());
-}
-
-// Exact histogram: per-partition exact histograms, merged by bucket-wise
-// addition — identical buckets to one histogram over the gathered table.
-Histogram MergedExactHistogram(const std::vector<Table>& slices,
-                               AttrMask attrs, ThreadPool* pool,
-                               int64_t* merge_ns) {
-  std::vector<Histogram> parts(slices.size());
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
-    const Table& t = slices[static_cast<size_t>(p)];
-    // A crashed partition's slice is empty (default table): contribute an
-    // empty histogram rather than probing its absent schema.
-    parts[static_cast<size_t>(p)] =
-        t.num_rows() > 0 ? t.BuildHistogram(attrs) : Histogram(attrs);
-  });
-  const int64_t merge_start = obs::ProfileNowNs();
-  Histogram merged(attrs);
-  for (const Histogram& h : parts) merged.AddAll(h);
-  *merge_ns += obs::ProfileNowNs() - merge_start;
-  return merged;
-}
-
-// Sketch distinct: one HLL per partition, merged register-wise.
-sketch::DistinctTap MergedDistinctTap(const std::vector<Table>& slices,
-                                      AttrMask attrs,
-                                      const sketch::TapSketchConfig& config,
-                                      ThreadPool* pool, int64_t* merge_ns) {
-  std::vector<sketch::DistinctTap> parts(slices.size(),
-                                         sketch::DistinctTap(config));
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
-    const Table& t = slices[static_cast<size_t>(p)];
-    if (t.num_rows() == 0) return;
-    sketch::DistinctTap& tap = parts[static_cast<size_t>(p)];
-    tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
-  });
-  const int64_t merge_start = obs::ProfileNowNs();
-  for (size_t p = 1; p < parts.size(); ++p) {
-    ETLOPT_CHECK_MSG(parts[0].Merge(parts[p]).ok(),
-                     "distinct tap shapes diverged");
-  }
-  *merge_ns += obs::ProfileNowNs() - merge_start;
-  return std::move(parts[0]);
-}
-
-// Sketch histogram: one CM+KMV tap per partition, merged losslessly.
-sketch::HistTap MergedHistTap(const std::vector<Table>& slices, AttrMask attrs,
-                              const sketch::TapSketchConfig& config, int arity,
-                              ThreadPool* pool, int64_t* merge_ns) {
-  std::vector<sketch::HistTap> parts(slices.size(),
-                                     sketch::HistTap(config, arity));
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
-    const Table& t = slices[static_cast<size_t>(p)];
-    if (t.num_rows() == 0) return;
-    sketch::HistTap& tap = parts[static_cast<size_t>(p)];
-    tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
-  });
-  const int64_t merge_start = obs::ProfileNowNs();
-  for (size_t p = 1; p < parts.size(); ++p) {
-    ETLOPT_CHECK_MSG(parts[0].Merge(parts[p]).ok(),
-                     "hist tap shapes diverged");
-  }
-  *merge_ns += obs::ProfileNowNs() - merge_start;
-  return std::move(parts[0]);
-}
-
-// The reject table and R-side table + join attribute of a reject-join key:
-// shared lookup for the materializing and the streaming observers.
+// The reject table and R-side table + join attribute of a reject-join key.
 struct RejectJoinInputs {
   const Table* rejects = nullptr;
   const Table* r_table = nullptr;
@@ -272,19 +138,11 @@ Result<RejectJoinInputs> FindRejectJoinInputs(const BlockContext& ctx,
   return inputs;
 }
 
-// Materializes reject(L wrt k) ⋈ R for a reject-join key (exact taps).
-Result<Table> RejectSideJoin(const BlockContext& ctx,
-                             const ExecutionResult& exec, const StatKey& key) {
-  ETLOPT_ASSIGN_OR_RETURN(const RejectJoinInputs in,
-                          FindRejectJoinInputs(ctx, exec, key));
-  return HashJoin(*in.rejects, *in.r_table, in.attr, nullptr);
-}
-
 // Streams the pairs of reject(L wrt k) ⋈ R without materializing the joined
 // table: builds the R-side hash index (needed by any join evaluation) and
 // hands each matching pair to `emit(left_row, r_row_index)`.
 template <typename Emit>
-Status StreamRejectSideJoin(const RejectJoinInputs& in, Emit&& emit) {
+Status ForEachRejectJoinPair(const RejectJoinInputs& in, Emit&& emit) {
   const int lkey = in.rejects->schema().IndexOf(in.attr);
   const int rkey = in.r_table->schema().IndexOf(in.attr);
   if (lkey < 0 || rkey < 0) {
@@ -379,9 +237,12 @@ Result<TapPlan> PlanTaps(const BlockContext& ctx, const ExecutionResult& exec,
       case StatKind::kRejectJoinHist: {
         ETLOPT_ASSIGN_OR_RETURN(const RejectJoinInputs in,
                                 FindRejectJoinInputs(ctx, exec, key));
-        // The exact tap materializes the side join; its output is bounded
-        // below by the reject rows that match at all, so use the reject
-        // row count as the (optimistic) footprint proxy.
+        // Footprint proxy: the reject row count times the width of a
+        // joined reject ⋈ R row. The exact taps stream the side join
+        // instead of materializing it, so this is not what they hold; it
+        // stays as it is because it decides when a budget sends the
+        // sketchable taps to sketches, which the sketch-tap golden digests
+        // pin.
         const int row_width =
             in.rejects->schema().size() + in.r_table->schema().size();
         exact_bytes = in.rejects->num_rows() *
@@ -410,7 +271,8 @@ Result<TapPlan> PlanTaps(const BlockContext& ctx, const ExecutionResult& exec,
 }
 
 // Whether every table a key's tap reads survived the run — false for keys
-// whose pipeline points fall past an abort. Salvage mode filters on this.
+// whose pipeline points fall past an abort. An aborted run's observation
+// filters on this.
 bool KeyInputsAvailable(const BlockContext& ctx, const ExecutionResult& exec,
                         const StatKey& key) {
   switch (key.kind) {
@@ -464,16 +326,15 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
                                     const ExecutionResult& exec,
                                     const std::vector<StatKey>& keys,
                                     const TapOptions& taps,
-                                    TapReport* report,
-                                    const ParallelTapContext& par) {
+                                    TapReport* report) {
   const int64_t observe_start_ns = obs::ProfileNowNs();
   TapReport local;
   std::vector<StatKey> observable;
   observable.reserve(keys.size());
   for (const StatKey& key : keys) {
-    if (taps.salvage && !KeyInputsAvailable(ctx, exec, key)) {
-      // The run aborted before this key's pipeline point materialized —
-      // skip it and salvage the rest.
+    if (exec.aborted() && !KeyInputsAvailable(ctx, exec, key)) {
+      // Salvage: the run aborted before this key's pipeline point
+      // materialized — skip it and observe the rest.
       ++local.salvage_skipped;
       continue;
     }
@@ -532,15 +393,9 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
     }
     switch (key.kind) {
       case StatKind::kCard: {
-        const std::vector<Table>* slices = KeySlices(ctx, par, key);
-        if (slices != nullptr) {
-          // Per-partition counts merge by addition.
-          store.Set(key, StatValue::Count(MergedSliceRows(*slices)));
-        } else {
-          ETLOPT_ASSIGN_OR_RETURN(const Table* table,
-                                  PointTable(ctx, exec, key));
-          store.Set(key, StatValue::Count(table->num_rows()));
-        }
+        ETLOPT_ASSIGN_OR_RETURN(const Table* table,
+                                PointTable(ctx, exec, key));
+        store.Set(key, StatValue::Count(table->num_rows()));
         ++local.exact_taps;
         local.tap_bytes += 8;
         break;
@@ -548,28 +403,15 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
       case StatKind::kDistinct: {
         ETLOPT_ASSIGN_OR_RETURN(const Table* table,
                                 PointTable(ctx, exec, key));
-        const std::vector<Table>* slices = KeySlices(ctx, par, key);
         if (use_sketch) {
-          sketch::DistinctTap tap =
-              slices != nullptr
-                  ? MergedDistinctTap(*slices, key.attrs, tap_config,
-                                      par.pool, &local.merge_ns)
-                  : sketch::DistinctTap(tap_config);
-          if (slices == nullptr) {
-            tap.AddColumns(KeyColumnData(*table, key.attrs),
-                           table->num_rows());
-          }
+          sketch::DistinctTap tap(tap_config);
+          tap.AddColumns(KeyColumnData(*table, key.attrs), table->num_rows());
           store.Set(key, StatValue::CountApprox(tap.Estimate(),
                                                 tap.RelError()));
           ++local.sketch_taps;
           local.tap_bytes += tap.MemoryBytes();
         } else {
-          const int64_t distinct =
-              slices != nullptr
-                  ? MergedDistinctCount(*slices, key.attrs, par.pool,
-                                        &local.merge_ns)
-                  : table->CountDistinct(key.attrs);
-          store.Set(key, StatValue::Count(distinct));
+          store.Set(key, StatValue::Count(table->CountDistinct(key.attrs)));
           ++local.exact_taps;
           local.tap_bytes += sketch::EstimateExactDistinctBytes(
               table->num_rows(), Arity(key));
@@ -579,28 +421,15 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
       case StatKind::kHist: {
         ETLOPT_ASSIGN_OR_RETURN(const Table* table,
                                 PointTable(ctx, exec, key));
-        const std::vector<Table>* slices = KeySlices(ctx, par, key);
         if (use_sketch) {
-          sketch::HistTap tap =
-              slices != nullptr
-                  ? MergedHistTap(*slices, key.attrs, tap_config, Arity(key),
-                                  par.pool, &local.merge_ns)
-                  : sketch::HistTap(tap_config, Arity(key));
-          if (slices == nullptr) {
-            tap.AddColumns(KeyColumnData(*table, key.attrs),
-                           table->num_rows());
-          }
+          sketch::HistTap tap(tap_config, Arity(key));
+          tap.AddColumns(KeyColumnData(*table, key.attrs), table->num_rows());
           store.Set(key, StatValue::HistApprox(tap.Build(key.attrs),
                                                tap.RelError()));
           ++local.sketch_taps;
           local.tap_bytes += tap.MemoryBytes();
         } else {
-          StatValue value =
-              slices != nullptr
-                  ? StatValue::Hist(MergedExactHistogram(
-                        *slices, key.attrs, par.pool, &local.merge_ns))
-                  : StatValue::Hist(table->BuildHistogram(key.attrs));
-          store.Set(key, std::move(value));
+          store.Set(key, StatValue::Hist(table->BuildHistogram(key.attrs)));
           ++local.exact_taps;
           local.tap_bytes += sketch::EstimateExactHistBytes(table->num_rows(),
                                                             Arity(key));
@@ -608,52 +437,53 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
         break;
       }
       case StatKind::kRejectJoinCard: {
-        if (taps.memory_budget_bytes > 0) {
-          // Streaming count: never materialize the side join.
-          ETLOPT_ASSIGN_OR_RETURN(const RejectJoinInputs in,
-                                  FindRejectJoinInputs(ctx, exec, key));
-          int64_t count = 0;
-          ETLOPT_RETURN_IF_ERROR(StreamRejectSideJoin(
-              in, [&count](int64_t, int64_t) { ++count; }));
-          store.Set(key, StatValue::Count(count));
-          local.tap_bytes += 8;
-        } else {
-          ETLOPT_ASSIGN_OR_RETURN(Table joined,
-                                  RejectSideJoin(ctx, exec, key));
-          store.Set(key, StatValue::Count(joined.num_rows()));
-          local.tap_bytes += 8;
-        }
-        ++local.exact_taps;  // the count itself is exact either way
+        ETLOPT_ASSIGN_OR_RETURN(const RejectJoinInputs in,
+                                FindRejectJoinInputs(ctx, exec, key));
+        int64_t count = 0;
+        ETLOPT_RETURN_IF_ERROR(ForEachRejectJoinPair(
+            in, [&count](int64_t, int64_t) { ++count; }));
+        store.Set(key, StatValue::Count(count));
+        ++local.exact_taps;
+        local.tap_bytes += 8;
         break;
       }
       case StatKind::kRejectJoinHist: {
         ETLOPT_ASSIGN_OR_RETURN(const RejectJoinInputs in,
                                 FindRejectJoinInputs(ctx, exec, key));
+        ETLOPT_ASSIGN_OR_RETURN(const JoinedKeyPlan key_plan,
+                                PlanJoinedKey(in, key.attrs));
+        // Feeds each joined pair's key to `add`, in HashJoin's emission
+        // order: the exact histogram's buckets (and their insertion order)
+        // match one built over the materialized side join.
+        std::vector<Value> probe(key_plan.cols.size());
+        auto for_each_key = [&](auto&& add) {
+          return ForEachRejectJoinPair(in, [&](int64_t l, int64_t r) {
+            for (size_t c = 0; c < key_plan.cols.size(); ++c) {
+              const JoinedKeyPlan::Col& col = key_plan.cols[c];
+              probe[c] = col.from_left ? in.rejects->at(l, col.index)
+                                       : in.r_table->at(r, col.index);
+            }
+            add(probe);
+          });
+        };
         if (use_sketch) {
-          ETLOPT_ASSIGN_OR_RETURN(const JoinedKeyPlan key_plan,
-                                  PlanJoinedKey(in, key.attrs));
           sketch::HistTap tap(tap_config, Arity(key));
-          std::vector<Value> probe(key_plan.cols.size());
-          ETLOPT_RETURN_IF_ERROR(StreamRejectSideJoin(
-              in, [&](int64_t l, int64_t r) {
-                for (size_t c = 0; c < key_plan.cols.size(); ++c) {
-                  const JoinedKeyPlan::Col& col = key_plan.cols[c];
-                  probe[c] = col.from_left ? in.rejects->at(l, col.index)
-                                           : in.r_table->at(r, col.index);
-                }
-                tap.AddRow(probe);
-              }));
+          ETLOPT_RETURN_IF_ERROR(for_each_key(
+              [&tap](const std::vector<Value>& k) { tap.AddRow(k); }));
           store.Set(key, StatValue::HistApprox(tap.Build(key.attrs),
                                                tap.RelError()));
           ++local.sketch_taps;
           local.tap_bytes += tap.MemoryBytes();
         } else {
-          ETLOPT_ASSIGN_OR_RETURN(Table joined,
-                                  RejectSideJoin(ctx, exec, key));
-          store.Set(key, StatValue::Hist(joined.BuildHistogram(key.attrs)));
+          Histogram hist(key.attrs);
+          ETLOPT_RETURN_IF_ERROR(for_each_key(
+              [&hist](const std::vector<Value>& k) { hist.Add(k); }));
+          // One bucket count per joined pair: the total is the side join's
+          // row count.
+          local.tap_bytes +=
+              sketch::EstimateExactHistBytes(hist.TotalCount(), Arity(key));
+          store.Set(key, StatValue::Hist(std::move(hist)));
           ++local.exact_taps;
-          local.tap_bytes += sketch::EstimateExactHistBytes(joined.num_rows(),
-                                                            Arity(key));
         }
         break;
       }
@@ -678,9 +508,6 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
                      local.exact_bytes_estimate);
   if (local.salvage_skipped > 0) {
     ETLOPT_COUNTER_ADD("etlopt.tap.salvage_skipped", local.salvage_skipped);
-  }
-  if (local.merge_ns > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.parallel.tap_merge_ns", local.merge_ns);
   }
   local.observe_ns = obs::ProfileNowNs() - observe_start_ns;
   if (report != nullptr) report->Accumulate(local);

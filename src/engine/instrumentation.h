@@ -11,8 +11,6 @@
 
 namespace etlopt {
 
-class ThreadPool;  // util/thread_pool.h
-
 // Collection policy for the instrumentation taps. The default (no memory
 // budget) materializes exact collectors — O(distinct) memory per
 // distinct/histogram tap. With a positive budget, ObserveStatistics checks
@@ -26,12 +24,7 @@ struct TapOptions {
   // <= 0: always exact (the seed behavior).
   int64_t memory_budget_bytes = 0;
 
-  // ---- robustness wiring (all off by default) ----
-  // Salvage mode, used after an aborted run: keys whose pipeline-point
-  // tables fell past the abort are skipped (and counted in
-  // TapReport::salvage_skipped) instead of failing the whole observation —
-  // the completed prefix still yields its statistics.
-  bool salvage = false;
+  // ---- robustness wiring (off by default) ----
   // Periodic tap checkpointing: after every `checkpoint_every_rows` tapped
   // rows, `on_checkpoint` receives the statistics observed so far, so a
   // caller (core/pipeline) can flush them to a crash-safe sidecar. <= 0 or
@@ -58,7 +51,7 @@ struct TapReport {
   // Taps lost entirely (allocation failed for sketch too, or the tap kind
   // has no sketch form): the run continued un-instrumented for these keys.
   int disabled_taps = 0;
-  // Keys skipped in salvage mode because their inputs fell past an abort.
+  // Keys skipped on an aborted run because their inputs fell past the abort.
   int salvage_skipped = 0;
   // Rows fed through taps (the checkpoint cadence counter).
   int64_t rows_tapped = 0;
@@ -69,9 +62,6 @@ struct TapReport {
   // run profile (RunProfile::tap_ns) and fit as the "tap" pseudo-class by
   // the cost-model calibration.
   int64_t observe_ns = 0;
-  // Wall time merging per-partition tap states back into one statistic
-  // (zero when no key tapped partition slices).
-  int64_t merge_ns = 0;
 
   void Accumulate(const TapReport& other) {
     exact_taps += other.exact_taps;
@@ -84,38 +74,28 @@ struct TapReport {
     rows_tapped += other.rows_tapped;
     checkpoint_flushes += other.checkpoint_flushes;
     observe_ns += other.observe_ns;
-    merge_ns += other.merge_ns;
   }
-};
-
-// Per-partition tap surface of a partitioned run (engine/parallel/): the
-// output slices of every node that ran partitioned, plus an optional pool
-// to scan them on. When a Card/Distinct/Hist key's pipeline point has
-// slices, its tap runs partition-local and the per-partition states merge —
-// exact collectors by addition (counts, histogram buckets) and key-set
-// union (distinct), sketches via their Merge paths — yielding the same
-// statistic a single-stream tap over the gathered table produces.
-// Reject-join keys always read the gathered tables (their reject inputs are
-// merged at the barrier).
-struct ParallelTapContext {
-  const std::unordered_map<NodeId, std::vector<Table>>* slices = nullptr;
-  ThreadPool* pool = nullptr;  // null: slices are scanned on this thread
 };
 
 // Observes the requested (observable) statistics from a run of the initial
 // plan (steps 5-6 of the framework, Fig. 2). Every key must satisfy
-// IsObservable for this block. Counters and histograms read the cached
-// pipeline-point tables; reject-join statistics attach to the designed join
-// of L with k (adding the reject link the paper describes for Fig. 5) and
-// evaluate the small side-join against the on-path R table. Under a sketch
-// `taps` budget the side join is never materialized — the reject rows
-// stream against the R-side hash table.
+// IsObservable for this block. Each tap reads the one serial-order table at
+// its pipeline point, so serial and partitioned runs observe identical
+// statistics. Counters and histograms read the cached node outputs;
+// reject-join statistics attach to the designed join of L with k (adding
+// the reject link the paper describes for Fig. 5) and stream the reject
+// rows against an R-side hash table over the on-path R table, never
+// materializing the side join.
+//
+// On an aborted run (exec.aborted()) the observation salvages: keys whose
+// pipeline-point tables fell past the abort are skipped (and counted in
+// TapReport::salvage_skipped) instead of failing the whole observation —
+// the completed prefix still yields its statistics.
 Result<StatStore> ObserveStatistics(const BlockContext& ctx,
                                     const ExecutionResult& exec,
                                     const std::vector<StatKey>& keys,
                                     const TapOptions& taps = {},
-                                    TapReport* report = nullptr,
-                                    const ParallelTapContext& par = {});
+                                    TapReport* report = nullptr);
 
 // Ground truth for testing and experiments: the exact cardinality of every
 // SE in the plan space, computed by directly evaluating each SE over the

@@ -796,11 +796,12 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
            cls(node.id).mode == Mode::kPartitioned;
   };
 
-  // Output retention. Unless the caller retains every output, a node's
-  // output leaves node_outputs once its last consumer ran (the serial
-  // rule), its slices go once its last partition-local consumer ran, and a
-  // partitioned node is gathered only when something reads it in serial
-  // order: a target, a post-phase consumer, or the caller (no consumer).
+  // Output retention. A node's slices go once its last partition-local
+  // consumer ran (a node without one, once gathered). Unless the caller
+  // retains every output, a node's output leaves node_outputs once its last
+  // consumer ran (the serial rule), and a partitioned node is gathered only
+  // when something reads it in serial order: a target, a post-phase
+  // consumer, or the caller (no consumer).
   const bool retain = options_.executor.retain_node_outputs;
   const size_t num_nodes = wf_->nodes().size();
   std::vector<int> pending_reads(num_nodes, 0);
@@ -907,12 +908,14 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
                                               &*run.gathered));
         }
       }
-      if (!retain) {
-        for (NodeId in : node.inputs) {
-          if (--local_reads[static_cast<size_t>(in)] == 0) {
-            phase.run(in).slices = {};
-          }
+      for (NodeId in : node.inputs) {
+        if (--local_reads[static_cast<size_t>(in)] == 0) {
+          phase.run(in).slices = {};
         }
+      }
+      if (local_reads[static_cast<size_t>(node.id)] == 0 &&
+          run.gathered.has_value()) {
+        run.slices = {};
       }
       release_inputs(node);
     }
@@ -1004,17 +1007,6 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   ETLOPT_GAUGE_SET("etlopt.parallel.workers", result.num_workers);
   ETLOPT_GAUGE_SET("etlopt.parallel.partitions", result.partitions_total);
   ETLOPT_GAUGE_SET("etlopt.parallel.skew", result.partition_skew);
-
-  // Hand the slices to the caller (the per-partition tap surface).
-  if (retain) {
-    for (const WorkflowNode& node : wf_->nodes()) {
-      std::vector<Slice>& slices = phase.run(node.id).slices;
-      if (slices.empty()) continue;
-      std::vector<Table>& tables = pres.slices[node.id];
-      tables.reserve(slices.size());
-      for (Slice& s : slices) tables.push_back(std::move(s.table));
-    }
-  }
   return pres;
 }
 

@@ -1,9 +1,6 @@
 #ifndef ETLOPT_ENGINE_PARALLEL_PARALLEL_EXECUTOR_H_
 #define ETLOPT_ENGINE_PARALLEL_PARALLEL_EXECUTOR_H_
 
-#include <unordered_map>
-#include <vector>
-
 #include "engine/executor.h"
 #include "util/thread_pool.h"
 
@@ -23,17 +20,13 @@ struct ParallelOptions {
   ExecutorOptions executor;
 };
 
-// What a partitioned run produces beyond the serial ExecutionResult: the
-// per-partition output slices of every node that ran partitioned (sources
-// included) — the surface the instrumentation layer taps partition-locally
-// and merges, instead of re-scanning the gathered tables single-threaded.
-// A partition that crashed contributes no slice from its failure node on.
-// Slices are handed back only under ExecutorOptions::retain_node_outputs;
-// otherwise each node's slices are dropped once its last partition-local
-// consumer ran, and `slices` is empty.
+// What a partitioned run produces beyond the serial ExecutionResult. The
+// per-partition output slices stay inside the executor: each node's slices
+// are dropped once its last partition-local consumer ran (a node without
+// one, once gathered), so a caller reads only the gathered, serial-order
+// node_outputs.
 struct ParallelResult {
   ExecutionResult exec;
-  std::unordered_map<NodeId, std::vector<Table>> slices;
   AttrId partition_attr = kInvalidAttr;
   // False when the run delegated to the serial executor (num_threads <= 1,
   // or no partitionable operator chain under any candidate key).

@@ -7,8 +7,10 @@
 //   ledger  — the MakeRunRecord per-SE cards (block, se, estimated).
 // Every workload runs serially; the anchor workloads also run partitioned
 // on 4 threads and must reproduce the *same* digest row, so serial ≡
-// partitioned is asserted directly. A pinned fault spec pins the salvaged
-// prefix of a crashed run the same way.
+// partitioned is asserted directly. The stats digests cover both
+// reject-join taps: wf3 and wf7 observe a rejcard, wf18 an exact rejhist.
+// A pinned fault spec pins the salvaged prefix of a crashed run the same
+// way.
 //
 // The digests were recorded from the columnar engine and the former
 // row-at-a-time engine, which agreed on every row. A change that alters
@@ -107,8 +109,8 @@ constexpr CycleDigests kWorkloads[30] = {
 
 // Star, snowflake and chain shapes, reject links, aggregate UDFs,
 // materialized intermediates and the widest joins (wf21: 8-way, wf30:
-// 6-way): the slice kernels, the join ranking, the rank-scatter merge and
-// the per-partition tap feeds all run on these.
+// 6-way): the slice kernels, the join ranking and the rank-scatter merge
+// all run on these.
 constexpr int kPartitionedAnchors[] = {3, 10, 11, 16, 17, 21, 23, 28, 30};
 
 constexpr uint64_t kSeed = 7;

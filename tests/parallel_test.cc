@@ -1,7 +1,8 @@
 // Tests for the partitioned parallel executor (engine/parallel/): the
 // worker pool's error contract, deterministic hash/range partitioning,
 // bit-identical serial-vs-parallel execution and observed statistics,
-// mergeable per-partition sketch taps, and partition-scoped crash salvage.
+// streaming reject-join taps against a materialized oracle, mergeable
+// sketch states, and partition-scoped crash salvage.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include "engine/parallel/partition.h"
 #include "obs/checkpoint.h"
 #include "obs/ledger.h"
+#include "planspace/block.h"
 #include "sketch/tap.h"
 #include "stats/stat_io.h"
 #include "test_util.h"
@@ -466,7 +468,6 @@ TEST(ParallelRandomTest, RandomChainsMatchSerial) {
               ParallelExecutor(&rc.workflow, opts).Execute(rc.sources).value();
           partitioned_runs += par.used_parallel_path ? 1 : 0;
           ExpectExecutionsIdentical(serial, par.exec);
-          EXPECT_EQ(par.slices.empty(), !retain || !par.used_parallel_path);
         }
       }
     }
@@ -545,6 +546,82 @@ TEST(ParallelPipelineTest, SketchTapsMergeToSingleStreamStatistics) {
   EXPECT_GT(sc.run.tap_report.sketch_taps, 0);
   EXPECT_EQ(sc.run.tap_report.sketch_taps, pc.run.tap_report.sketch_taps);
   EXPECT_EQ(BlockStatsText(sc.run), BlockStatsText(pc.run));
+}
+
+// ---- reject-join taps ---------------------------------------------------
+
+// A histogram's buckets in insertion order.
+std::vector<std::pair<std::vector<Value>, int64_t>> BucketSequence(
+    const Histogram& h) {
+  std::vector<std::pair<std::vector<Value>, int64_t>> seq;
+  for (const Histogram::Bucket b : h.buckets()) {
+    seq.emplace_back(std::vector<Value>(b.key.begin(), b.key.end()), b.count);
+  }
+  return seq;
+}
+
+// Reject-join taps stream the side join in every mode. Their exact values,
+// bucket order and tap bytes equal a materialized HashJoin +
+// BuildHistogram oracle over the same run: serial and partitioned, without
+// a tap budget and under one the taps fit.
+TEST(ParallelTapTest, RejectJoinTapsMatchMaterializedOracle) {
+  auto ex = testing_util::MakePaperExample();
+  const std::vector<Block> blocks = PartitionBlocks(ex.workflow);
+  const BlockContext ctx =
+      BlockContext::Build(&ex.workflow, blocks[0]).value();
+  const AttrMask pid = AttrMask{1} << ex.prod_id;
+  const AttrMask pid_cid = pid | (AttrMask{1} << ex.cust_id);
+  // reject(Orders wrt Product) ⋈ Customer.
+  const StatKey card = StatKey::RejectJoinCard(0b001, 1, 0b100);
+  const std::vector<StatKey> hists = {
+      StatKey::RejectJoinHist(0b001, 1, 0b100, pid),
+      StatKey::RejectJoinHist(0b001, 1, 0b100, pid_cid)};
+  std::vector<StatKey> keys = hists;
+  keys.push_back(card);
+
+  for (int threads : {1, 4}) {
+    ParallelOptions opts;
+    opts.num_threads = threads;
+    opts.executor = testing_util::RetainOutputs();
+    const ParallelResult par =
+        ParallelExecutor(&ex.workflow, opts).Execute(ex.sources).value();
+    EXPECT_EQ(par.used_parallel_path, threads > 1);
+    const ExecutionResult& exec = par.exec;
+    const Table& rejects = exec.join_rejects.at(ctx.on_path().at(0b011));
+    ASSERT_GT(rejects.num_rows(), 0);
+    const Table joined =
+        HashJoin(rejects, exec.node_outputs.at(ctx.on_path().at(0b100)),
+                 ex.cust_id, nullptr);
+    ASSERT_GT(joined.num_rows(), 0);
+    int64_t oracle_bytes = 8;
+    for (const StatKey& key : hists) {
+      oracle_bytes += sketch::EstimateExactHistBytes(joined.num_rows(),
+                                                     PopCount(key.attrs));
+    }
+
+    for (int64_t budget : {int64_t{0}, int64_t{1} << 20}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " budget=" + std::to_string(budget));
+      TapOptions taps;
+      taps.memory_budget_bytes = budget;
+      TapReport report;
+      const StatStore observed =
+          ObserveStatistics(ctx, exec, keys, taps, &report).value();
+      EXPECT_LE(report.exact_bytes_estimate, int64_t{1} << 20);
+      EXPECT_EQ(report.exact_taps, 3);
+      EXPECT_EQ(report.sketch_taps, 0);
+      EXPECT_EQ(report.tap_bytes, oracle_bytes);
+      EXPECT_EQ(observed.GetCount(card).value(), joined.num_rows());
+      for (const StatKey& key : hists) {
+        const StatValue* value = observed.Find(key);
+        ASSERT_NE(value, nullptr) << key.ToString();
+        ASSERT_FALSE(value->is_approx());
+        EXPECT_EQ(BucketSequence(value->hist()),
+                  BucketSequence(joined.BuildHistogram(key.attrs)))
+            << key.ToString();
+      }
+    }
+  }
 }
 
 // ---- mergeable sketch taps, directly -----------------------------------
@@ -700,12 +777,23 @@ TEST_F(ParallelFaultTest, RandomPartitionCrashSalvagesRankOrderSubset) {
     ++crashed_runs;
     ASSERT_EQ(par.partition_attr, rc.k);
     EXPECT_EQ(par.exec.partitions_completed, partitions - 1);
+    // Partitioned nodes are those fed by a source carrying k: the rest are
+    // broadcast chains (k is never rewritten here, and the serial post
+    // phase does not run after an abort).
+    std::vector<char> from_k(rc.workflow.nodes().size(), 0);
+    for (const WorkflowNode& node : rc.workflow.nodes()) {
+      char& flag = from_k[static_cast<size_t>(node.id)];
+      if (node.kind == OpKind::kSource) {
+        flag = rc.workflow.output_schema(node.id).Contains(rc.k) ? 1 : 0;
+      }
+      for (NodeId in : node.inputs) flag |= from_k[static_cast<size_t>(in)];
+    }
     for (const auto& [id, table] : par.exec.node_outputs) {
       // Sources and broadcast chains ran whole before the partition phase;
       // partitioned nodes from the abort point on hold the survivors.
       const bool partial = id >= par.exec.abort_node &&
                            rc.workflow.node(id).kind != OpKind::kSource &&
-                           par.slices.count(id) != 0;
+                           from_k[static_cast<size_t>(id)] != 0;
       const Table& whole = serial.node_outputs.at(id);
       ExpectTablesIdentical(
           partial ? WithoutPartition(whole, rc.k, crashed, partitions)
