@@ -11,8 +11,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "approx/dhistogram.h"
 #include "engine/executor.h"
-#include "stats/approx_histogram.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -64,24 +64,22 @@ int main() {
               static_cast<long long>(uni.truth));
   std::printf("%8s %12s | %14s %10s | %14s %10s\n", "width", "memory",
               "est(zipf)", "err(zipf)", "est(unif)", "err(unif)");
+  const AttrMask key = AttrMask{1} << a;
   for (int64_t width : {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}) {
-    const ApproxHistogram z1 =
-        ApproxHistogram::FromTable(zipf.t1, a, kDomain, width);
-    const ApproxHistogram z2 =
-        ApproxHistogram::FromTable(zipf.t2, a, kDomain, width);
-    const ApproxHistogram u1 =
-        ApproxHistogram::FromTable(uni.t1, a, kDomain, width);
-    const ApproxHistogram u2 =
-        ApproxHistogram::FromTable(uni.t2, a, kDomain, width);
-    const double ez = ApproxHistogram::EstimateJoinCardinality(z1, z2);
-    const double eu = ApproxHistogram::EstimateJoinCardinality(u1, u2);
+    const ApproxConfig config(&catalog, width);
+    const double ez = DHistogram::JoinCardinality(
+        DHistogram::FromTable(zipf.t1, key, config),
+        DHistogram::FromTable(zipf.t2, key, config));
+    const double eu = DHistogram::JoinCardinality(
+        DHistogram::FromTable(uni.t1, key, config),
+        DHistogram::FromTable(uni.t2, key, config));
     const double rz = std::fabs(ez - static_cast<double>(zipf.truth)) /
                       static_cast<double>(zipf.truth);
     const double ru = std::fabs(eu - static_cast<double>(uni.truth)) /
                       static_cast<double>(uni.truth);
     std::printf("%8lld %12s | %14.0f %9.2f%% | %14.0f %9.2f%%\n",
                 static_cast<long long>(width),
-                WithThousands(z1.MemoryUnits() + z2.MemoryUnits()).c_str(),
+                WithThousands(2 * config.MemoryUnits(key)).c_str(),
                 ez, rz * 100.0, eu, ru * 100.0);
   }
   std::printf("\nshape: exact at width 1; error grows with width on skewed "

@@ -12,8 +12,8 @@
 
 #include <cstdio>
 
+#include "approx/dhistogram.h"
 #include "engine/executor.h"
-#include "stats/approx_histogram.h"
 #include "util/random.h"
 
 using namespace etlopt;
@@ -67,23 +67,21 @@ int main() {
               kInstances);
   std::printf("%8s %10s | %12s %14s\n", "width", "memory", "right plan",
               "mean regret");
+  const AttrMask m0 = AttrMask{1} << k0;
+  const AttrMask m1 = AttrMask{1} << k1;
   for (int64_t width : {1, 4, 16, 64, 256, 1024}) {
     int right = 0;
     double regret_sum = 0.0;
-    int64_t memory = 0;
+    const ApproxConfig config(&catalog, width);
+    const int64_t memory =
+        2 * (config.MemoryUnits(m0) + config.MemoryUnits(m1));
     for (const Instance& inst : instances) {
-      const ApproxHistogram hf0 =
-          ApproxHistogram::FromTable(inst.fact, k0, kDomain, width);
-      const ApproxHistogram hf1 =
-          ApproxHistogram::FromTable(inst.fact, k1, kDomain, width);
-      const ApproxHistogram hd0 =
-          ApproxHistogram::FromTable(inst.d0, k0, kDomain, width);
-      const ApproxHistogram hd1 =
-          ApproxHistogram::FromTable(inst.d1, k1, kDomain, width);
-      memory = hf0.MemoryUnits() + hf1.MemoryUnits() + hd0.MemoryUnits() +
-               hd1.MemoryUnits();
-      const double est0 = ApproxHistogram::EstimateJoinCardinality(hf0, hd0);
-      const double est1 = ApproxHistogram::EstimateJoinCardinality(hf1, hd1);
+      const double est0 = DHistogram::JoinCardinality(
+          DHistogram::FromTable(inst.fact, m0, config),
+          DHistogram::FromTable(inst.d0, m0, config));
+      const double est1 = DHistogram::JoinCardinality(
+          DHistogram::FromTable(inst.fact, m1, config),
+          DHistogram::FromTable(inst.d1, m1, config));
       const bool approx_first_d0 = est0 <= est1;
       const bool exact_first_d0 = inst.fd0 <= inst.fd1;
       if (approx_first_d0 == exact_first_d0) {

@@ -5,7 +5,12 @@
 // memory footprint and the estimate's q-error as benchmark counters — the
 // committed BENCH_sketch.json is the acceptance evidence that at 1e6 rows
 // under a 1 MiB budget the distinct estimate stays within 5% of exact while
-// tap memory drops by >= 10x.
+// tap memory drops by >= 10x. The JSON context carries the library's build
+// (etlopt_build_type, etlopt_compiler, etlopt_git_sha): a debug library's
+// timings are not evidence.
+//
+//   ./build/bench/micro_sketch --benchmark_out=BENCH_sketch.json
+//                              --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +18,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/build_info.h"
 #include "sketch/sketch.h"
 #include "sketch/tap.h"
 
@@ -118,30 +124,17 @@ BENCHMARK(BM_SketchHistogram)
     ->Arg(10000000)
     ->Unit(benchmark::kMillisecond);
 
-// Mergeability at scale: sketching 8 partitions independently and merging
-// must match the single-stream sketch — the building block for future
-// partitioned (parallel) tap collection.
-void BM_SketchMerge8Way(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  const auto config = sketch::TapSketchConfig::ForBudget(kTapBudgetBytes, 1);
-  for (auto _ : state) {
-    std::vector<sketch::Hll> parts(8, sketch::Hll(config.hll_precision));
-    for (int64_t i = 0; i < rows; ++i) {
-      parts[static_cast<size_t>(i & 7)].AddHash(sketch::HashValue(i));
-    }
-    sketch::Hll merged = parts[0];
-    for (size_t p = 1; p < parts.size(); ++p) {
-      benchmark::DoNotOptimize(merged.Merge(parts[p]).ok());
-    }
-    benchmark::DoNotOptimize(merged.Estimate());
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_SketchMerge8Way)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace etlopt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const etlopt::obs::BuildInfo& build = etlopt::obs::CurrentBuildInfo();
+  benchmark::AddCustomContext("etlopt_build_type", build.build_type);
+  benchmark::AddCustomContext("etlopt_compiler", build.compiler);
+  benchmark::AddCustomContext("etlopt_git_sha", build.git_sha);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,7 +1,6 @@
 #include "approx/approx_estimator.h"
 
 #include <cmath>
-#include <deque>
 
 #include "opt/closure.h"
 #include "planspace/observability.h"
@@ -67,38 +66,11 @@ Status ApproxEstimator::ObserveAndDerive(const ExecutionResult& exec,
     if (values_.count(catalog_->stat(s))) observed[static_cast<size_t>(s)] = 1;
   }
   std::vector<int> derivation;
-  const std::vector<char> computable =
-      ComputeClosure(*catalog_, observed, &derivation);
-
-  std::deque<int> pending;
-  for (int s = 0; s < n; ++s) {
-    if (computable[static_cast<size_t>(s)] &&
-        !observed[static_cast<size_t>(s)]) {
-      pending.push_back(s);
-    }
-  }
-  size_t stall = 0;
-  while (!pending.empty()) {
-    if (stall > pending.size()) {
-      return Status::Internal("cyclic derivation during approx estimation");
-    }
-    const int s = pending.front();
-    pending.pop_front();
+  std::vector<int> order;
+  ComputeClosure(*catalog_, observed, &derivation, &order);
+  for (int s : order) {
     const CssEntry& entry =
         catalog_->entry(derivation[static_cast<size_t>(s)]);
-    bool ready = true;
-    for (const StatKey& in : entry.inputs) {
-      if (!values_.count(in)) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) {
-      pending.push_back(s);
-      ++stall;
-      continue;
-    }
-    stall = 0;
     ETLOPT_ASSIGN_OR_RETURN(ApproxValue value, Evaluate(entry));
     values_[entry.target] = std::move(value);
   }

@@ -364,6 +364,21 @@ Result<RunOutcome> Pipeline::RunAndObserve(
                      static_cast<int64_t>(outcome.tap_report.salvage_skipped));
   }
   ETLOPT_COUNTER_ADD("etlopt.core.stats_observed", observed);
+  const TapReport& taps_run = outcome.tap_report;
+  ETLOPT_COUNTER_ADD("etlopt.tap.exact", taps_run.exact_taps);
+  ETLOPT_COUNTER_ADD("etlopt.tap.sketch", taps_run.sketch_taps);
+  ETLOPT_COUNTER_ADD("etlopt.tap.bytes", taps_run.tap_bytes);
+  ETLOPT_COUNTER_ADD("etlopt.tap.exact_bytes_estimate",
+                     taps_run.exact_bytes_estimate);
+  if (taps_run.downgraded_taps > 0) {
+    ETLOPT_COUNTER_ADD("etlopt.tap.downgraded", taps_run.downgraded_taps);
+  }
+  if (taps_run.disabled_taps > 0) {
+    ETLOPT_COUNTER_ADD("etlopt.tap.disabled", taps_run.disabled_taps);
+  }
+  if (taps_run.salvage_skipped > 0) {
+    ETLOPT_COUNTER_ADD("etlopt.tap.salvage_skipped", taps_run.salvage_skipped);
+  }
   if (!outcome.exec.profile.empty()) {
     // Attribute the measured instrumentation time to the profile, then
     // annotate every operator with the calibrated prediction that was live

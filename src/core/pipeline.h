@@ -59,8 +59,8 @@ struct PipelineOptions {
   // Worker threads for the partitioned executor (engine/parallel/). 1 runs
   // the serial executor unchanged — the default path, bit-identical to the
   // seed. > 1 partitions eligible operator chains across a worker pool the
-  // Pipeline owns (reused across runs) and taps statistics partition-
-  // locally; observed statistics are identical to a serial run's. <= 0
+  // Pipeline owns (reused across runs); the taps read the gathered tables,
+  // so observed statistics are identical to a serial run's. <= 0
   // consults ETLOPT_THREADS (default 1).
   int num_threads = 0;
   // Cost-model calibration fit from profiled ledger runs (obs/calibrate.h).
@@ -175,7 +175,8 @@ class Pipeline {
   // statistics. `history` (prior ledger records of this workflow, oldest
   // first) arms the guard's runtime estimate monitors: the last clean
   // record's per-SE estimates become per-node expected cardinalities the
-  // executor checks at its tap points.
+  // executor checks at its tap points. The run's etlopt.tap.* counters are
+  // emitted here, once, from the accumulated RunOutcome::tap_report.
   Result<RunOutcome> RunAndObserve(
       const Analysis& analysis, const SourceMap& sources,
       const std::vector<obs::RunRecord>* history = nullptr) const;

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <unordered_map>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "planspace/observability.h"
 #include "sketch/tap.h"
@@ -376,14 +375,12 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
               sketch::TapSketchConfig::ForBudget(kDowngradeTapBytes,
                                                  Arity(key));
           ++local.downgraded_taps;
-          ETLOPT_COUNTER_ADD("etlopt.tap.downgraded", 1);
           ETLOPT_LOG(Info) << "tap " << key.ToString()
                            << ": exact collector allocation failed ("
                            << fault::KindName(fk)
                            << "), downgraded to sketch";
         } else {
           ++local.disabled_taps;
-          ETLOPT_COUNTER_ADD("etlopt.tap.disabled", 1);
           ETLOPT_LOG(Warning) << "tap " << key.ToString() << " disabled ("
                               << fault::KindName(fk)
                               << "); run continues un-instrumented";
@@ -501,14 +498,6 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
     }
   }
 
-  ETLOPT_COUNTER_ADD("etlopt.tap.exact", local.exact_taps);
-  ETLOPT_COUNTER_ADD("etlopt.tap.sketch", local.sketch_taps);
-  ETLOPT_COUNTER_ADD("etlopt.tap.bytes", local.tap_bytes);
-  ETLOPT_COUNTER_ADD("etlopt.tap.exact_bytes_estimate",
-                     local.exact_bytes_estimate);
-  if (local.salvage_skipped > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.tap.salvage_skipped", local.salvage_skipped);
-  }
   local.observe_ns = obs::ProfileNowNs() - observe_start_ns;
   if (report != nullptr) report->Accumulate(local);
   return store;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "obs/metrics.h"
 #include "opt/closure.h"
@@ -52,9 +51,8 @@ Status Estimator::DeriveAll(const StatStore& observed) {
     }
   }
 
-  // Closure with derivation choices gives an acyclic evaluation order:
-  // each stat's chosen CSS only references stats that became computable
-  // earlier.
+  // The closure's firing order is an evaluation order: each stat's chosen
+  // CSS only references stats observed or fired before it.
   const int n = catalog_->num_stats();
   std::vector<char> obs_flags(static_cast<size_t>(n), 0);
   for (int s = 0; s < n; ++s) {
@@ -63,41 +61,11 @@ Status Estimator::DeriveAll(const StatStore& observed) {
     }
   }
   std::vector<int> derivation;
-  const std::vector<char> computable =
-      ComputeClosure(*catalog_, obs_flags, &derivation);
+  std::vector<int> order;
+  ComputeClosure(*catalog_, obs_flags, &derivation, &order);
 
-  // Evaluate in dependency order via a worklist: a stat is ready when all
-  // inputs of its chosen CSS have values.
-  std::deque<int> pending;
-  for (int s = 0; s < n; ++s) {
-    if (computable[static_cast<size_t>(s)] &&
-        !obs_flags[static_cast<size_t>(s)]) {
-      pending.push_back(s);
-    }
-  }
-  size_t stall = 0;
-  while (!pending.empty()) {
-    if (stall > pending.size()) {
-      return Status::Internal("cyclic derivation during estimation");
-    }
-    const int s = pending.front();
-    pending.pop_front();
-    const int css = derivation[static_cast<size_t>(s)];
-    ETLOPT_CHECK(css >= 0);
-    const CssEntry& entry = catalog_->entry(css);
-    bool ready = true;
-    for (const StatKey& in : entry.inputs) {
-      if (!derived_.Contains(in)) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) {
-      pending.push_back(s);
-      ++stall;
-      continue;
-    }
-    stall = 0;
+  for (int s : order) {
+    const CssEntry& entry = catalog_->entry(derivation[static_cast<size_t>(s)]);
     ETLOPT_ASSIGN_OR_RETURN(StatValue value, Evaluate(entry));
     // Sanitize: with corrupted or salvaged inputs a derivation can produce
     // a negative count (e.g. J4 with a negative reject cardinality). Clamp

@@ -8,7 +8,8 @@ namespace etlopt {
 
 std::vector<char> ComputeClosure(const CssCatalog& catalog,
                                  const std::vector<char>& observed,
-                                 std::vector<int>* derivation) {
+                                 std::vector<int>* derivation,
+                                 std::vector<int>* order) {
   const int n = catalog.num_stats();
   ETLOPT_CHECK(static_cast<int>(observed.size()) == n);
   std::vector<char> computable = observed;
@@ -56,6 +57,11 @@ std::vector<char> ComputeClosure(const CssCatalog& catalog,
         }
       }
     }
+  }
+  if (order != nullptr) {
+    order->clear();
+    order->reserve(ready.size());
+    for (const auto& fired : ready) order->push_back(fired.first);
   }
   return computable;
 }

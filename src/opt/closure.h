@@ -11,11 +11,14 @@ namespace etlopt {
 // when it is observed or some CSS of it has all members computable. Returns
 // one flag per stat index. When `derivation` is non-null it receives, per
 // stat, the index of the CSS that first fired for it (-1 when the stat is
-// directly observed or not computable) — the estimator evaluates along this
-// acyclic derivation.
+// directly observed or not computable). When `order` is non-null it
+// receives the derived stats in firing order: every input of a stat's
+// chosen CSS is observed or precedes it, so the estimators evaluate
+// catalog.entry(derivation[s]) along `order` in one pass.
 std::vector<char> ComputeClosure(const CssCatalog& catalog,
                                  const std::vector<char>& observed,
-                                 std::vector<int>* derivation = nullptr);
+                                 std::vector<int>* derivation = nullptr,
+                                 std::vector<int>* order = nullptr);
 
 // The same closure, grown one observation at a time: Add() propagates only
 // through the CSSs that read a newly computable statistic, so a sequence of

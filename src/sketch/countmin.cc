@@ -16,14 +16,6 @@ CountMin::CountMin(int width, int depth) : width_(width), depth_(depth) {
                    0);
 }
 
-CountMin CountMin::ForError(double epsilon, double delta) {
-  const int width = std::max(
-      1, static_cast<int>(std::ceil(std::exp(1.0) / epsilon)));
-  const int depth = std::max(
-      1, static_cast<int>(std::ceil(std::log(1.0 / delta))));
-  return CountMin(width, std::min(depth, 16));
-}
-
 size_t CountMin::Index(int row, uint64_t hash) const {
   // Double hashing: row hashes h1 + i*h2 are pairwise independent enough
   // for the CM bound; h2 is forced odd so every row permutes the space.
@@ -53,54 +45,9 @@ double CountMin::EpsilonFraction() const {
   return std::exp(1.0) / static_cast<double>(width_);
 }
 
-Status CountMin::Merge(const CountMin& other) {
-  if (other.width_ != width_ || other.depth_ != depth_) {
-    return Status::InvalidArgument("Count-Min shape mismatch in merge");
-  }
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
-  }
-  total_ += other.total_;
-  return Status::OK();
-}
-
 int64_t CountMin::MemoryBytes() const {
   return static_cast<int64_t>(counters_.size() * sizeof(int64_t)) +
          static_cast<int64_t>(sizeof(CountMin));
-}
-
-Json CountMin::ToJson() const {
-  Json j = Json::Object();
-  j.Set("type", Json::Str("countmin"));
-  j.Set("w", Json::Int(width_));
-  j.Set("d", Json::Int(depth_));
-  j.Set("total", Json::Int(total_));
-  Json cells = Json::Array();
-  for (int64_t c : counters_) cells.push_back(Json::Int(c));
-  j.Set("cells", std::move(cells));
-  return j;
-}
-
-Result<CountMin> CountMin::FromJson(const Json& j) {
-  if (!j.is_object() || j.GetString("type") != "countmin") {
-    return Status::InvalidArgument("not a Count-Min sketch document");
-  }
-  const int w = static_cast<int>(j.GetInt("w"));
-  const int d = static_cast<int>(j.GetInt("d"));
-  if (w < 1 || d < 1 || d > 16) {
-    return Status::InvalidArgument("Count-Min shape out of range");
-  }
-  CountMin cm(w, d);
-  cm.total_ = j.GetInt("total");
-  const Json* cells = j.Find("cells");
-  if (cells == nullptr || !cells->is_array() ||
-      cells->array().size() != cm.counters_.size()) {
-    return Status::InvalidArgument("Count-Min counter array malformed");
-  }
-  for (size_t i = 0; i < cm.counters_.size(); ++i) {
-    cm.counters_[i] = cells->array()[i].int_value();
-  }
-  return cm;
 }
 
 }  // namespace sketch

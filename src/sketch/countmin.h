@@ -1,11 +1,9 @@
 #ifndef ETLOPT_SKETCH_COUNTMIN_H_
 #define ETLOPT_SKETCH_COUNTMIN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "util/json.h"
-#include "util/status.h"
 
 namespace etlopt {
 namespace sketch {
@@ -15,15 +13,9 @@ namespace sketch {
 // hashing derives the row hashes from one 64-bit hash). Estimates are the
 // row-wise minimum and NEVER underestimate — collisions only add mass — with
 // overestimate <= (e / width) * TotalCount() at probability >= 1 - e^-depth.
-// Two sketches of equal shape merge by counter-wise addition, which equals
-// the sketch of the concatenated streams.
 class CountMin {
  public:
   CountMin(int width = 1024, int depth = 4);
-
-  // Sizes the sketch for a target one-sided relative error `epsilon` (of the
-  // total stream count) at failure probability `delta`.
-  static CountMin ForError(double epsilon, double delta);
 
   void AddHash(uint64_t hash, int64_t count = 1);
 
@@ -35,15 +27,9 @@ class CountMin {
   // Fraction of TotalCount an estimate may overshoot by: e / width.
   double EpsilonFraction() const;
 
-  // Counter-wise addition. Requires identical width and depth.
-  Status Merge(const CountMin& other);
-
   int width() const { return width_; }
   int depth() const { return depth_; }
   int64_t MemoryBytes() const;
-
-  Json ToJson() const;
-  static Result<CountMin> FromJson(const Json& j);
 
  private:
   size_t Index(int row, uint64_t hash) const;

@@ -72,56 +72,9 @@ double Hll::StandardError() const {
   return 1.04 / std::sqrt(static_cast<double>(num_registers()));
 }
 
-Status Hll::Merge(const Hll& other) {
-  if (other.precision_ != precision_) {
-    return Status::InvalidArgument("HLL precision mismatch in merge");
-  }
-  for (size_t i = 0; i < registers_.size(); ++i) {
-    if (other.registers_[i] > registers_[i]) {
-      registers_[i] = other.registers_[i];
-    }
-  }
-  return Status::OK();
-}
-
 int64_t Hll::MemoryBytes() const {
   return static_cast<int64_t>(registers_.size()) +
          static_cast<int64_t>(sizeof(Hll));
-}
-
-Json Hll::ToJson() const {
-  Json j = Json::Object();
-  j.Set("type", Json::Str("hll"));
-  j.Set("p", Json::Int(precision_));
-  // Run-length friendly: registers as a plain int array (mostly small).
-  Json regs = Json::Array();
-  for (uint8_t r : registers_) regs.push_back(Json::Int(r));
-  j.Set("regs", std::move(regs));
-  return j;
-}
-
-Result<Hll> Hll::FromJson(const Json& j) {
-  if (!j.is_object() || j.GetString("type") != "hll") {
-    return Status::InvalidArgument("not an HLL sketch document");
-  }
-  const int p = static_cast<int>(j.GetInt("p"));
-  if (p < kMinPrecision || p > kMaxPrecision) {
-    return Status::InvalidArgument("HLL precision out of range");
-  }
-  Hll hll(p);
-  const Json* regs = j.Find("regs");
-  if (regs == nullptr || !regs->is_array() ||
-      regs->array().size() != hll.registers_.size()) {
-    return Status::InvalidArgument("HLL register array malformed");
-  }
-  for (size_t i = 0; i < hll.registers_.size(); ++i) {
-    const int64_t v = regs->array()[i].int_value();
-    if (v < 0 || v > 64) {
-      return Status::InvalidArgument("HLL register value out of range");
-    }
-    hll.registers_[i] = static_cast<uint8_t>(v);
-  }
-  return hll;
 }
 
 }  // namespace sketch

@@ -4,9 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/json.h"
-#include "util/status.h"
-
 namespace etlopt {
 namespace sketch {
 
@@ -14,9 +11,7 @@ namespace sketch {
 // small-range linear-counting correction. Constant memory: m = 2^precision
 // one-byte registers, independent of stream length. Standard relative error
 // is 1.04 / sqrt(m) (so precision 12 -> 4 KiB -> ~1.6%); Add is one hash +
-// one register max, and two sketches of the same precision merge by
-// register-wise max, which makes the merged state identical to the sketch
-// of the concatenated streams.
+// one register max.
 class Hll {
  public:
   static constexpr int kMinPrecision = 4;
@@ -31,17 +26,11 @@ class Hll {
   // 1-sigma relative standard error of Estimate: 1.04 / sqrt(m).
   double StandardError() const;
 
-  // Register-wise max. Requires equal precision.
-  Status Merge(const Hll& other);
-
   int precision() const { return precision_; }
   int num_registers() const { return static_cast<int>(registers_.size()); }
   int64_t MemoryBytes() const;
 
   const std::vector<uint8_t>& registers() const { return registers_; }
-
-  Json ToJson() const;
-  static Result<Hll> FromJson(const Json& j);
 
  private:
   int precision_;

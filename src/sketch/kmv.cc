@@ -44,8 +44,8 @@ int64_t Kmv::Estimate() const {
   if (!saturated_ || m < 2) {
     return static_cast<int64_t>(m);  // exact: nothing was ever dropped
   }
-  // (m-1) / h_(m) with the largest retained hash scaled to (0,1). m == k in
-  // the streaming case; smaller m can appear after deserialization.
+  // (m-1) / h_(m) with the largest retained hash scaled to (0,1); a
+  // saturated sketch holds m == k entries.
   const uint64_t mth = entries_.rbegin()->first;
   const double h = (static_cast<double>(mth) + 1.0) / std::ldexp(1.0, 64);
   if (h <= 0.0) return static_cast<int64_t>(m);
@@ -57,38 +57,6 @@ double Kmv::StandardError() const {
   return 1.0 / std::sqrt(static_cast<double>(k_ - 2));
 }
 
-Status Kmv::Merge(const Kmv& other) {
-  if (other.k_ != k_) {
-    return Status::InvalidArgument("KMV k mismatch in merge");
-  }
-  saturated_ = saturated_ || other.saturated_;
-  for (const auto& [hash, key] : other.entries_) {
-    AddHashWithKey(hash, key);
-  }
-  // Union may saturate even when neither input had: truncation inside
-  // AddHashWithKey already flagged it in that case.
-  return Status::OK();
-}
-
-Result<double> Kmv::EstimateIntersection(const Kmv& a, const Kmv& b) {
-  if (a.k_ != b.k_) {
-    return Status::InvalidArgument("KMV k mismatch in intersection");
-  }
-  Kmv u = a;
-  ETLOPT_RETURN_IF_ERROR(u.Merge(b));
-  if (u.entries_.empty()) return 0.0;
-  int shared = 0;
-  for (const auto& [hash, key] : u.entries_) {
-    (void)key;
-    if (a.entries_.count(hash) != 0 && b.entries_.count(hash) != 0) {
-      ++shared;
-    }
-  }
-  const double jaccard =
-      static_cast<double>(shared) / static_cast<double>(u.entries_.size());
-  return jaccard * static_cast<double>(u.Estimate());
-}
-
 int64_t Kmv::MemoryBytes() const {
   int64_t bytes = static_cast<int64_t>(sizeof(Kmv));
   for (const auto& [hash, key] : entries_) {
@@ -97,60 +65,6 @@ int64_t Kmv::MemoryBytes() const {
     bytes += 48 + static_cast<int64_t>(key.size() * sizeof(Value));
   }
   return bytes;
-}
-
-Json Kmv::ToJson() const {
-  Json j = Json::Object();
-  j.Set("type", Json::Str("kmv"));
-  j.Set("k", Json::Int(k_));
-  j.Set("saturated", Json::Bool(saturated_));
-  Json items = Json::Array();
-  for (const auto& [hash, key] : entries_) {
-    Json e = Json::Object();
-    // Hashes exceed int64 range half the time; split into two 32-bit halves
-    // to survive the integer JSON representation exactly.
-    e.Set("hi", Json::Int(static_cast<int64_t>(hash >> 32)));
-    e.Set("lo", Json::Int(static_cast<int64_t>(hash & 0xffffffffULL)));
-    Json vals = Json::Array();
-    for (Value v : key) vals.push_back(Json::Int(v));
-    e.Set("key", std::move(vals));
-    items.push_back(std::move(e));
-  }
-  j.Set("entries", std::move(items));
-  return j;
-}
-
-Result<Kmv> Kmv::FromJson(const Json& j) {
-  if (!j.is_object() || j.GetString("type") != "kmv") {
-    return Status::InvalidArgument("not a KMV sketch document");
-  }
-  const int k = static_cast<int>(j.GetInt("k"));
-  if (k < 4) return Status::InvalidArgument("KMV k out of range");
-  Kmv kmv(k);
-  const Json* sat = j.Find("saturated");
-  kmv.saturated_ = sat != nullptr && sat->is_bool() && sat->bool_value();
-  const Json* items = j.Find("entries");
-  if (items == nullptr || !items->is_array()) {
-    return Status::InvalidArgument("KMV entries malformed");
-  }
-  for (const Json& e : items->array()) {
-    if (!e.is_object()) {
-      return Status::InvalidArgument("KMV entry malformed");
-    }
-    const uint64_t hash =
-        (static_cast<uint64_t>(e.GetInt("hi")) << 32) |
-        (static_cast<uint64_t>(e.GetInt("lo")) & 0xffffffffULL);
-    std::vector<Value> key;
-    if (const Json* vals = e.Find("key");
-        vals != nullptr && vals->is_array()) {
-      for (const Json& v : vals->array()) key.push_back(v.int_value());
-    }
-    kmv.entries_.emplace(hash, std::move(key));
-  }
-  if (static_cast<int>(kmv.entries_.size()) > k) {
-    return Status::InvalidArgument("KMV holds more than k entries");
-  }
-  return kmv;
 }
 
 }  // namespace sketch

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "util/common.h"
-#include "util/json.h"
-#include "util/status.h"
 
 namespace etlopt {
 namespace sketch {
@@ -17,10 +15,7 @@ namespace sketch {
 // under k the distinct count is exact, once saturated the estimator is
 // (k-1) / h_(k) with h scaled to (0,1). The retained hashes are a uniform
 // sample of the distinct keys, so each entry optionally carries its bucket
-// key as payload — that sample seeds approximate histograms, and
-// intersecting two sketches' bottom-k unions estimates join-key overlap.
-// Merge is "union then re-truncate to bottom-k": identical to the sketch of
-// the concatenated streams.
+// key as payload — that sample seeds approximate histograms.
 class Kmv {
  public:
   explicit Kmv(int k = 1024);
@@ -50,17 +45,7 @@ class Kmv {
     return entries_;
   }
 
-  Status Merge(const Kmv& other);
-
-  // Estimated |A ∩ B| via the bottom-k of the union (requires equal k):
-  // Jaccard from the shared fraction of the union's bottom-k, scaled by the
-  // union estimate.
-  static Result<double> EstimateIntersection(const Kmv& a, const Kmv& b);
-
   int64_t MemoryBytes() const;
-
-  Json ToJson() const;
-  static Result<Kmv> FromJson(const Json& j);
 
  private:
   int k_;

@@ -12,8 +12,8 @@ namespace sketch {
 // 64-bit finalizer (splitmix64): turns the weakly-mixed FNV accumulation of
 // a composite key into bits uniform enough for register selection and
 // leading-zero ranks. All sketches hash through this, so two sketches built
-// over the same stream agree bit-for-bit — the property the merge == union
-// tests pin down.
+// over the same stream agree bit-for-bit — the property the row-vs-column
+// feed tests pin down.
 inline uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -119,13 +119,6 @@ void HistTap::AddColumns(const std::vector<const Value*>& cols,
   }
 }
 
-Status HistTap::Merge(const HistTap& other) {
-  ETLOPT_RETURN_IF_ERROR(cm_.Merge(other.cm_));
-  ETLOPT_RETURN_IF_ERROR(kmv_.Merge(other.kmv_));
-  rows_ += other.rows_;
-  return Status::OK();
-}
-
 Histogram HistTap::Build(AttrMask attrs) const {
   Histogram hist(attrs);
   int64_t sampled_mass = 0;

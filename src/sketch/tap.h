@@ -50,13 +50,6 @@ class DistinctTap {
   // row — same hash chain, no per-row key materialization.
   void AddColumns(const std::vector<const Value*>& cols, int64_t rows);
 
-  // Folds a tap over another part of the stream into this one (register-
-  // wise max). Merging the taps of a split stream yields bit-identical
-  // state to one tap fed the whole stream: rows hash the same everywhere
-  // and HLL registers keep maxima, so the union is order- and
-  // placement-insensitive. Shapes must match (same TapSketchConfig).
-  Status Merge(const DistinctTap& other) { return hll_.Merge(other.hll_); }
-
   int64_t Estimate() const { return hll_.Estimate(); }
   double RelError() const { return hll_.StandardError(); }
   int64_t MemoryBytes() const { return hll_.MemoryBytes(); }
@@ -82,13 +75,6 @@ class HistTap {
   // is materialized only for rows its admission test would retain (the
   // rejected-row saturation bookkeeping still runs).
   void AddColumns(const std::vector<const Value*>& cols, int64_t rows);
-
-  // Folds a tap over another part of the stream into this one: Count-Min
-  // counters add, the KMV sample unions then re-truncates to bottom-k, and
-  // rows_seen sums — each a lossless union, so merged state equals the
-  // single-stream tap's state exactly. Shapes must match (same
-  // TapSketchConfig and arity).
-  Status Merge(const HistTap& other);
 
   Histogram Build(AttrMask attrs) const;
   int64_t rows_seen() const { return rows_; }

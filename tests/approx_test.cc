@@ -1,66 +1,78 @@
 // Tests for the Section 8 extension: bucketized (approximate) histograms
-// and their error behaviour.
+// and their error behaviour, on single-attribute DHistograms.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "approx/dhistogram.h"
 #include "engine/executor.h"
-#include "stats/approx_histogram.h"
 #include "test_util.h"
 
 namespace etlopt {
 namespace {
 
+double JoinEstimate(const Table& t1, const Table& t2, AttrId a,
+                    const ApproxConfig& config) {
+  const AttrMask key = AttrMask{1} << a;
+  return DHistogram::JoinCardinality(DHistogram::FromTable(t1, key, config),
+                                     DHistogram::FromTable(t2, key, config));
+}
+
 TEST(ApproxHistogramTest, WidthOneIsExact) {
   AttrCatalog catalog;
   const AttrId a = catalog.Register("a", 50);
+  const ApproxConfig config(&catalog, 1);
   Rng rng(3);
   const Table t1 = testing_util::RandomTable(catalog, {a}, 300, rng);
   const Table t2 = testing_util::RandomTable(catalog, {a}, 120, rng);
-  const ApproxHistogram h1 = ApproxHistogram::FromTable(t1, a, 50, 1);
-  const ApproxHistogram h2 = ApproxHistogram::FromTable(t2, a, 50, 1);
   const Table joined = HashJoin(t1, t2, a, nullptr);
-  EXPECT_DOUBLE_EQ(ApproxHistogram::EstimateJoinCardinality(h1, h2),
+  EXPECT_DOUBLE_EQ(JoinEstimate(t1, t2, a, config),
                    static_cast<double>(joined.num_rows()));
   const Predicate pred{a, CompareOp::kLe, 20};
   int64_t exact = 0;
   for (int64_t r = 0; r < t1.num_rows(); ++r) {
     if (pred.Matches(t1.at(r, 0))) ++exact;
   }
-  EXPECT_DOUBLE_EQ(h1.EstimateSelectCount(pred), static_cast<double>(exact));
+  const DHistogram h1 = DHistogram::FromTable(t1, AttrMask{1} << a, config);
+  EXPECT_DOUBLE_EQ(h1.CountMatching(pred), static_cast<double>(exact));
 }
 
 TEST(ApproxHistogramTest, MemoryShrinksWithWidth) {
-  ApproxHistogram w1(0, 1000, 1);
-  ApproxHistogram w10(0, 1000, 10);
-  ApproxHistogram w64(0, 1000, 64);
-  EXPECT_EQ(w1.MemoryUnits(), 1000);
-  EXPECT_EQ(w10.MemoryUnits(), 100);
-  EXPECT_EQ(w64.MemoryUnits(), 16);  // ceil(1000/64)
+  AttrCatalog catalog;
+  const AttrMask a = AttrMask{1} << catalog.Register("a", 1000);
+  EXPECT_EQ(ApproxConfig(&catalog, 1).MemoryUnits(a), 1000);
+  EXPECT_EQ(ApproxConfig(&catalog, 10).MemoryUnits(a), 100);
+  EXPECT_EQ(ApproxConfig(&catalog, 64).MemoryUnits(a), 16);  // ceil(1000/64)
 }
 
 TEST(ApproxHistogramTest, BucketBoundaries) {
-  ApproxHistogram h(0, 10, 4);  // buckets [1..4] [5..8] [9..10]
-  ASSERT_EQ(h.num_buckets(), 3);
-  h.Add(1);
-  h.Add(4);
-  h.Add(5);
-  h.Add(10);
-  EXPECT_EQ(h.BucketCount(0), 2);
-  EXPECT_EQ(h.BucketCount(1), 1);
-  EXPECT_EQ(h.BucketCount(2), 1);
-  EXPECT_EQ(h.TotalCount(), 4);
+  AttrCatalog catalog;
+  const AttrMask a = AttrMask{1} << catalog.Register("a", 10);
+  const ApproxConfig config(&catalog, 4);  // buckets [1..4] [5..8] [9..10]
+  ASSERT_EQ(config.MemoryUnits(a), 3);
+  DHistogram h(a, config);
+  h.AddValue({1});
+  h.AddValue({4});
+  h.AddValue({5});
+  h.AddValue({10});
+  EXPECT_EQ(h.Get({0}), 2.0);
+  EXPECT_EQ(h.Get({1}), 1.0);
+  EXPECT_EQ(h.Get({2}), 1.0);
+  EXPECT_EQ(h.TotalCount(), 4.0);
 }
 
 TEST(ApproxHistogramTest, SelectEstimateProRataOnBoundaryBucket) {
-  ApproxHistogram h(0, 100, 10);
-  for (Value v = 1; v <= 100; ++v) h.Add(v);  // uniform: 10 per bucket
+  AttrCatalog catalog;
+  const AttrId a = catalog.Register("a", 100);
+  const ApproxConfig config(&catalog, 10);
+  DHistogram h(AttrMask{1} << a, config);
+  for (Value v = 1; v <= 100; ++v) h.AddValue({v});  // uniform: 10 per bucket
   // a <= 25: 2 full buckets (20) + half of bucket [21..30] (5).
-  EXPECT_DOUBLE_EQ(h.EstimateSelectCount({0, CompareOp::kLe, 25}), 25.0);
-  EXPECT_DOUBLE_EQ(h.EstimateSelectCount({0, CompareOp::kGt, 90}), 10.0);
-  EXPECT_DOUBLE_EQ(h.EstimateSelectCount({0, CompareOp::kEq, 37}), 1.0);
-  EXPECT_DOUBLE_EQ(h.EstimateSelectCount({0, CompareOp::kNe, 37}), 99.0);
+  EXPECT_DOUBLE_EQ(h.CountMatching({a, CompareOp::kLe, 25}), 25.0);
+  EXPECT_DOUBLE_EQ(h.CountMatching({a, CompareOp::kGt, 90}), 10.0);
+  EXPECT_DOUBLE_EQ(h.CountMatching({a, CompareOp::kEq, 37}), 1.0);
+  EXPECT_DOUBLE_EQ(h.CountMatching({a, CompareOp::kNe, 37}), 99.0);
 }
 
 TEST(ApproxHistogramTest, UniformDataJoinEstimateStaysAccurate) {
@@ -72,9 +84,7 @@ TEST(ApproxHistogramTest, UniformDataJoinEstimateStaysAccurate) {
   const Table t1 = testing_util::RandomTable(catalog, {a}, 4000, rng);
   const Table t2 = testing_util::RandomTable(catalog, {a}, 2000, rng);
   const Table joined = HashJoin(t1, t2, a, nullptr);
-  const ApproxHistogram h1 = ApproxHistogram::FromTable(t1, a, 200, 10);
-  const ApproxHistogram h2 = ApproxHistogram::FromTable(t2, a, 200, 10);
-  const double est = ApproxHistogram::EstimateJoinCardinality(h1, h2);
+  const double est = JoinEstimate(t1, t2, a, ApproxConfig(&catalog, 10));
   const double truth = static_cast<double>(joined.num_rows());
   EXPECT_NEAR(est / truth, 1.0, 0.1);
 }
@@ -93,21 +103,12 @@ TEST(ApproxHistogramTest, SkewedDataErrorGrowsWithWidth) {
   const Table joined = HashJoin(t1, t2, a, nullptr);
   const double truth = static_cast<double>(joined.num_rows());
 
-  double err1 = 0.0, err64 = 0.0;
-  {
-    const ApproxHistogram h1 = ApproxHistogram::FromTable(t1, a, 512, 1);
-    const ApproxHistogram h2 = ApproxHistogram::FromTable(t2, a, 512, 1);
-    err1 = std::fabs(ApproxHistogram::EstimateJoinCardinality(h1, h2) -
-                     truth) /
-           truth;
-  }
-  {
-    const ApproxHistogram h1 = ApproxHistogram::FromTable(t1, a, 512, 64);
-    const ApproxHistogram h2 = ApproxHistogram::FromTable(t2, a, 512, 64);
-    err64 = std::fabs(ApproxHistogram::EstimateJoinCardinality(h1, h2) -
-                      truth) /
-            truth;
-  }
+  const double err1 =
+      std::fabs(JoinEstimate(t1, t2, a, ApproxConfig(&catalog, 1)) - truth) /
+      truth;
+  const double err64 =
+      std::fabs(JoinEstimate(t1, t2, a, ApproxConfig(&catalog, 64)) - truth) /
+      truth;
   EXPECT_DOUBLE_EQ(err1, 0.0);
   EXPECT_GT(err64, 0.05);  // visible error on skewed data
 }

@@ -528,9 +528,10 @@ TEST(ParallelPipelineTest, ObservedStatisticsBitIdenticalToSerial) {
 }
 
 TEST(ParallelPipelineTest, SketchTapsMergeToSingleStreamStatistics) {
-  // A tiny tap budget forces distinct/hist taps onto sketches; the
-  // partition-merged sketch state must equal the single-stream state, so
-  // serial and parallel runs serialize the same approximate values.
+  // A tiny tap budget forces distinct/hist taps onto sketches. Taps read
+  // the gathered tables, so a partitioned run feeds each sketch the same
+  // rows in the same order as a serial run, and both serialize the same
+  // approximate statistics.
   auto ex = testing_util::MakePaperExample(/*seed=*/7, /*orders=*/2000);
   PipelineOptions base;
   base.tap_memory_budget_bytes = 4096;
@@ -622,43 +623,6 @@ TEST(ParallelTapTest, RejectJoinTapsMatchMaterializedOracle) {
       }
     }
   }
-}
-
-// ---- mergeable sketch taps, directly -----------------------------------
-
-TEST(SketchMergeTest, DistinctTapPartitionMergeEqualsSingleStream) {
-  const sketch::TapSketchConfig config;
-  sketch::DistinctTap whole(config);
-  std::vector<sketch::DistinctTap> parts(4, sketch::DistinctTap(config));
-  Rng rng(123);
-  for (int i = 0; i < 20000; ++i) {
-    const std::vector<Value> key{rng.NextInRange(1, 5000)};
-    whole.AddRow(key);
-    parts[static_cast<size_t>(HashPartitionIndex(key[0], 4))].AddRow(key);
-  }
-  sketch::DistinctTap merged = parts[0];
-  for (int p = 1; p < 4; ++p) ASSERT_TRUE(merged.Merge(parts[p]).ok());
-  // HLL registers keep maxima, so the union is placement-insensitive:
-  // merged state estimates identically to the single-stream tap.
-  EXPECT_EQ(merged.Estimate(), whole.Estimate());
-  EXPECT_EQ(merged.MemoryBytes(), whole.MemoryBytes());
-}
-
-TEST(SketchMergeTest, HistTapPartitionMergeEqualsSingleStream) {
-  const sketch::TapSketchConfig config;
-  sketch::HistTap whole(config, /*arity=*/1);
-  std::vector<sketch::HistTap> parts(4, sketch::HistTap(config, 1));
-  Rng rng(321);
-  for (int i = 0; i < 20000; ++i) {
-    const std::vector<Value> key{rng.NextInRange(1, 800)};
-    whole.AddRow(key);
-    parts[static_cast<size_t>(HashPartitionIndex(key[0], 4))].AddRow(key);
-  }
-  sketch::HistTap merged = parts[0];
-  for (int p = 1; p < 4; ++p) ASSERT_TRUE(merged.Merge(parts[p]).ok());
-  EXPECT_EQ(merged.rows_seen(), whole.rows_seen());
-  const AttrMask attrs = AttrMask{1} << 0;
-  EXPECT_TRUE(merged.Build(attrs) == whole.Build(attrs));
 }
 
 // ---- partition-scoped faults -------------------------------------------

@@ -1,14 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 #include <unordered_map>
 
 #include "core/pipeline.h"
 #include "obs/drift.h"
+#include "obs/metrics.h"
 #include "sketch/countmin.h"
 #include "sketch/hll.h"
 #include "sketch/kmv.h"
-#include "sketch/reservoir.h"
 #include "sketch/sketch.h"
 #include "sketch/tap.h"
 #include "stats/stat_io.h"
@@ -21,7 +23,6 @@ using sketch::CountMin;
 using sketch::HashValue;
 using sketch::Hll;
 using sketch::Kmv;
-using sketch::Reservoir;
 
 // ---------------------------------------------------------------------------
 // HyperLogLog
@@ -53,38 +54,6 @@ TEST(HllTest, DuplicatesDoNotInflate) {
   EXPECT_EQ(once.Estimate(), tenfold.Estimate());
 }
 
-TEST(HllTest, MergeEqualsUnion) {
-  Hll a(12), b(12), both(12);
-  for (int64_t i = 0; i < 3000; ++i) {
-    a.AddHash(HashValue(i));
-    both.AddHash(HashValue(i));
-  }
-  for (int64_t i = 2000; i < 6000; ++i) {  // overlapping range
-    b.AddHash(HashValue(i));
-    both.AddHash(HashValue(i));
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  // Register-wise max makes the merged state identical to one sketch having
-  // seen the concatenated streams — not just close, bit-identical.
-  EXPECT_EQ(a.registers(), both.registers());
-  EXPECT_EQ(a.Estimate(), both.Estimate());
-}
-
-TEST(HllTest, MergeRejectsPrecisionMismatch) {
-  Hll a(10), b(12);
-  EXPECT_FALSE(a.Merge(b).ok());
-}
-
-TEST(HllTest, JsonRoundTrip) {
-  Hll hll(8);
-  for (int64_t i = 0; i < 500; ++i) hll.AddHash(HashValue(i * 31));
-  const Result<Hll> back = Hll::FromJson(hll.ToJson());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->precision(), 8);
-  EXPECT_EQ(back->registers(), hll.registers());
-  EXPECT_EQ(back->Estimate(), hll.Estimate());
-}
-
 // ---------------------------------------------------------------------------
 // Count-Min
 
@@ -103,48 +72,6 @@ TEST(CountMinTest, NeverUnderestimatesAndBoundsOvershoot) {
     const int64_t est = cm.Estimate(HashValue(key));
     EXPECT_GE(est, count) << "key " << key;  // one-sided by construction
     EXPECT_LE(static_cast<double>(est - count), max_over) << "key " << key;
-  }
-}
-
-TEST(CountMinTest, MergeEqualsConcatenatedStream) {
-  CountMin a(128, 4), b(128, 4), both(128, 4);
-  for (int64_t i = 0; i < 300; ++i) {
-    a.AddHash(HashValue(i), i + 1);
-    both.AddHash(HashValue(i), i + 1);
-  }
-  for (int64_t i = 150; i < 450; ++i) {
-    b.AddHash(HashValue(i), 2);
-    both.AddHash(HashValue(i), 2);
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_EQ(a.TotalCount(), both.TotalCount());
-  for (int64_t i = 0; i < 450; ++i) {
-    EXPECT_EQ(a.Estimate(HashValue(i)), both.Estimate(HashValue(i)));
-  }
-}
-
-TEST(CountMinTest, MergeRejectsShapeMismatch) {
-  CountMin a(128, 4), b(256, 4), c(128, 5);
-  EXPECT_FALSE(a.Merge(b).ok());
-  EXPECT_FALSE(a.Merge(c).ok());
-}
-
-TEST(CountMinTest, ForErrorSizesWidth) {
-  const CountMin cm = CountMin::ForError(0.01, 0.01);
-  EXPECT_LE(cm.EpsilonFraction(), 0.01);
-  EXPECT_GE(cm.depth(), 5);  // ceil(ln 100)
-}
-
-TEST(CountMinTest, JsonRoundTrip) {
-  CountMin cm(64, 3);
-  for (int64_t i = 0; i < 200; ++i) cm.AddHash(HashValue(i), i % 7 + 1);
-  const Result<CountMin> back = CountMin::FromJson(cm.ToJson());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->width(), 64);
-  EXPECT_EQ(back->depth(), 3);
-  EXPECT_EQ(back->TotalCount(), cm.TotalCount());
-  for (int64_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(back->Estimate(HashValue(i)), cm.Estimate(HashValue(i)));
   }
 }
 
@@ -181,111 +108,6 @@ TEST(KmvTest, RejectedDistinctHashStillSaturates) {
   EXPECT_FALSE(kmv.saturated());
   kmv.AddHash(hashes[16]);  // larger than every retained hash: rejected
   EXPECT_TRUE(kmv.saturated());
-}
-
-TEST(KmvTest, MergeEqualsConcatenatedStream) {
-  Kmv a(128), b(128), both(128);
-  for (int64_t i = 0; i < 2000; ++i) {
-    a.AddHash(HashValue(i));
-    both.AddHash(HashValue(i));
-  }
-  for (int64_t i = 1000; i < 3000; ++i) {
-    b.AddHash(HashValue(i));
-    both.AddHash(HashValue(i));
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_EQ(a.entries(), both.entries());
-  EXPECT_EQ(a.Estimate(), both.Estimate());
-}
-
-TEST(KmvTest, IntersectionEstimate) {
-  // |A| = |B| = 20000 with 10000 shared keys.
-  Kmv a(1024), b(1024);
-  for (int64_t i = 0; i < 20000; ++i) a.AddHash(HashValue(i));
-  for (int64_t i = 10000; i < 30000; ++i) b.AddHash(HashValue(i));
-  const Result<double> inter = Kmv::EstimateIntersection(a, b);
-  ASSERT_TRUE(inter.ok()) << inter.status().ToString();
-  EXPECT_NEAR(*inter, 10000.0, 2500.0);  // Jaccard estimate is noisier
-}
-
-TEST(KmvTest, PayloadKeysSurviveJsonRoundTrip) {
-  Kmv kmv(32);
-  for (int64_t i = 0; i < 20; ++i) {
-    kmv.AddHashWithKey(HashValue(i), {i, i * 2});
-  }
-  const Result<Kmv> back = Kmv::FromJson(kmv.ToJson());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->k(), 32);
-  EXPECT_EQ(back->saturated(), kmv.saturated());
-  EXPECT_EQ(back->entries(), kmv.entries());
-}
-
-// ---------------------------------------------------------------------------
-// Weighted reservoir
-
-TEST(ReservoirTest, CapsAtCapacityAndCountsStream) {
-  Reservoir res(10);
-  for (int64_t i = 0; i < 1000; ++i) res.Add({i});
-  EXPECT_EQ(res.size(), 10u);
-  EXPECT_EQ(res.total_seen(), 1000);
-  EXPECT_DOUBLE_EQ(res.total_weight(), 1000.0);
-}
-
-TEST(ReservoirTest, WeightBiasesInclusion) {
-  // One item carries half the total weight; over independent seeds it must
-  // be retained far more often than any uniform item would be.
-  int kept = 0;
-  const int trials = 50;
-  for (int t = 0; t < trials; ++t) {
-    Reservoir res(8, /*seed=*/0x9000 + static_cast<uint64_t>(t));
-    for (int64_t i = 0; i < 200; ++i) res.Add({i}, 1.0);
-    res.Add({-1}, 200.0);
-    for (const auto& item : res.items()) {
-      if (item.row[0] == -1) {
-        ++kept;
-        break;
-      }
-    }
-  }
-  // Uniform inclusion would keep it ~8/201 of the time (~2 of 50 trials).
-  EXPECT_GT(kept, trials / 2);
-}
-
-TEST(ReservoirTest, MergeKeepsLargestPriorities) {
-  Reservoir a(16, 1), b(16, 2);
-  for (int64_t i = 0; i < 100; ++i) a.Add({i});
-  for (int64_t i = 100; i < 200; ++i) b.Add({i});
-  std::vector<Reservoir::Item> pool = a.Sorted();
-  const std::vector<Reservoir::Item> b_items = b.Sorted();
-  pool.insert(pool.end(), b_items.begin(), b_items.end());
-  std::sort(pool.begin(), pool.end(),
-            [](const Reservoir::Item& x, const Reservoir::Item& y) {
-              return x.priority > y.priority;
-            });
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_EQ(a.size(), 16u);
-  EXPECT_EQ(a.total_seen(), 200);
-  const std::vector<Reservoir::Item> merged = a.Sorted();
-  for (size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_DOUBLE_EQ(merged[i].priority, pool[i].priority);
-    EXPECT_EQ(merged[i].row, pool[i].row);
-  }
-}
-
-TEST(ReservoirTest, JsonRoundTrip) {
-  Reservoir res(8, 42);
-  for (int64_t i = 0; i < 50; ++i) res.Add({i, i % 5}, 1.0 + i % 3);
-  const Result<Reservoir> back = Reservoir::FromJson(res.ToJson());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->capacity(), 8);
-  EXPECT_EQ(back->total_seen(), res.total_seen());
-  const auto ra = res.Sorted();
-  const auto rb = back->Sorted();
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ra[i].priority, rb[i].priority);
-    EXPECT_EQ(ra[i].row, rb[i].row);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -418,6 +240,58 @@ TEST(TapTest, EstimatorPropagatesErrorBounds) {
     }
   }
   EXPECT_GT(derived_approx, 0);
+}
+
+// The etlopt.tap.* counters by name.
+std::map<std::string, int64_t> TapCounters() {
+  std::map<std::string, int64_t> taps;
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().CounterValues()) {
+    if (name.rfind("etlopt.tap.", 0) == 0) taps[name] = value;
+  }
+  return taps;
+}
+
+TEST(TapTest, ReobservingARunLeavesTapCountersUnchanged) {
+  // A budgeted cycle counts its taps once, from the cycle's TapReport; an
+  // exact re-observation of the same run (what `run --approx-taps` does to
+  // check its sketch accuracy) must not count them again.
+  obs::SetObsEnabled(true);
+  auto ex = testing_util::MakePaperExample();
+  PipelineOptions options;
+  options.tap_memory_budget_bytes = 4096;
+  Pipeline pipeline(options);
+  std::map<std::string, int64_t> before = TapCounters();
+
+  const Result<CycleOutcome> cycle = pipeline.RunCycle(ex.workflow, ex.sources);
+  ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
+  const TapReport& report = cycle->run.tap_report;
+  ASSERT_GT(report.exact_taps, 0);
+  ASSERT_GT(report.sketch_taps, 0);
+  const std::map<std::string, int64_t> after_cycle = TapCounters();
+  auto counted = [&](const std::string& name) {
+    return after_cycle.at(name) - before[name];
+  };
+  EXPECT_EQ(counted("etlopt.tap.exact"), report.exact_taps);
+  EXPECT_EQ(counted("etlopt.tap.sketch"), report.sketch_taps);
+  EXPECT_EQ(counted("etlopt.tap.bytes"), report.tap_bytes);
+  EXPECT_EQ(counted("etlopt.tap.exact_bytes_estimate"),
+            report.exact_bytes_estimate);
+
+  int reobserved = 0;
+  for (size_t b = 0; b < cycle->analysis->blocks.size(); ++b) {
+    const auto& ba = cycle->analysis->blocks[b];
+    std::vector<StatKey> keys;
+    for (const auto& [key, value] : cycle->run.block_stats[b].values()) {
+      keys.push_back(key);
+    }
+    TapReport again;
+    ASSERT_TRUE(
+        ObserveStatistics(ba->ctx, cycle->run.exec, keys, {}, &again).ok());
+    reobserved += again.exact_taps;
+  }
+  EXPECT_GT(reobserved, 0);
+  EXPECT_EQ(TapCounters(), after_cycle);
 }
 
 // ---------------------------------------------------------------------------

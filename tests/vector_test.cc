@@ -246,7 +246,7 @@ TEST(KernelEquivalenceTest, TapColumnarFeedBitIdentical) {
   }
   by_col.AddColumns(cols, t.num_rows());
   EXPECT_EQ(by_row.Estimate(), by_col.Estimate());
-  EXPECT_EQ(by_row.hll().ToJson().Dump(), by_col.hll().ToJson().Dump());
+  EXPECT_EQ(by_row.hll().registers(), by_col.hll().registers());
 
   sketch::HistTap hist_row(config, 2);
   sketch::HistTap hist_col(config, 2);
@@ -258,7 +258,7 @@ TEST(KernelEquivalenceTest, TapColumnarFeedBitIdentical) {
   hist_col.AddColumns(cols, t.num_rows());
   EXPECT_EQ(hist_row.rows_seen(), hist_col.rows_seen());
   EXPECT_EQ(hist_row.kmv().saturated(), hist_col.kmv().saturated());
-  EXPECT_EQ(hist_row.kmv().ToJson().Dump(), hist_col.kmv().ToJson().Dump());
+  EXPECT_EQ(hist_row.kmv().entries(), hist_col.kmv().entries());
   const AttrMask attrs = (AttrMask{1} << a) | (AttrMask{1} << b);
   EXPECT_TRUE(hist_row.Build(attrs) == hist_col.Build(attrs));
 }
