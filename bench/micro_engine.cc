@@ -1,5 +1,5 @@
 // Micro-benchmarks for the execution engine: hash join, workflow execution,
-// and instrumented observation.
+// instrumented observation and ground truth.
 
 #include <benchmark/benchmark.h>
 
@@ -72,6 +72,28 @@ void BM_ObserveStatistics(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObserveStatistics)->Unit(benchmark::kMillisecond);
+
+// Ground truth of every block's plan space over one instrumented run.
+// Args: workload index, scale in thousandths.
+void BM_GroundTruthCards(benchmark::State& state) {
+  const WorkloadSpec spec = BuildWorkload(static_cast<int>(state.range(0)));
+  const SourceMap sources =
+      GenerateSources(spec, 3, static_cast<double>(state.range(1)) / 1000.0);
+  Pipeline pipeline;
+  const auto analysis = pipeline.Analyze(spec.workflow).value();
+  const RunOutcome run = pipeline.RunAndObserve(*analysis, sources).value();
+  for (auto _ : state) {
+    for (const auto& ba : analysis->blocks) {
+      benchmark::DoNotOptimize(
+          ComputeGroundTruthCards(ba->ctx, ba->plan_space.subexpressions(),
+                                  run.exec)
+              .value()
+              .size());
+    }
+  }
+}
+BENCHMARK(BM_GroundTruthCards)->Args({12, 20})->Args({21, 50})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace etlopt

@@ -106,7 +106,7 @@ void BM_SketchHistogram(benchmark::State& state) {
   double qerror = 1.0;
   int64_t bytes = 0;
   for (auto _ : state) {
-    sketch::HistTap tap(config, 1);
+    sketch::HistTap tap(config);
     for (int64_t i = 0; i < rows; ++i) tap.AddRow({HistKey(i, rows)});
     const Histogram hist = tap.Build(AttrMask{1});
     qerror = QError(static_cast<double>(hist.TotalCount()),

@@ -9,6 +9,10 @@
 #include <thread>
 #include <unordered_map>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -644,7 +648,19 @@ std::unordered_map<NodeId, int64_t> BuildSideCardHints(
   return hints;
 }
 
+void PinAllocatorThresholds() {
+#if defined(__GLIBC__)
+  static const bool pinned = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+  }();
+  (void)pinned;
+#endif
+}
+
 Result<ExecutionResult> Executor::Execute(const SourceMap& sources) const {
+  PinAllocatorThresholds();
   ExecutionResult result;
   obs::ScopedSpan exec_span("engine.execute");
   exec_span.Arg("workflow", wf_->name());

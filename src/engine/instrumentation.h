@@ -103,14 +103,19 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
                                     TapReport* report = nullptr);
 
 // Ground truth for testing and experiments: the exact cardinality of every
-// SE in the plan space, computed by directly evaluating each SE over the
-// block's chain-top tables.
+// SE in the plan space, counted over the block's chain-top tables without
+// materializing any join. Each SE is rooted at its lowest relation; every
+// other relation sends its parent a per-key count of the rows its side of
+// the SE joins to (messages shared across SEs), so the cost is O(rows of
+// the tops) per message. A missing top is Internal, a disconnected SE
+// InvalidArgument, and a count beyond int64 OutOfRange.
 Result<std::unordered_map<RelMask, int64_t>> ComputeGroundTruthCards(
     const BlockContext& ctx, const std::vector<RelMask>& subexpressions,
     const ExecutionResult& exec);
 
 // Directly materializes one SE (join of the chain tops in `rels` along the
-// designed join edges). Exposed for property tests on histograms.
+// designed join edges): the test oracle for ComputeGroundTruthCards and
+// the reference table of the histogram property tests.
 Result<Table> MaterializeSubexpression(const BlockContext& ctx, RelMask rels,
                                        const ExecutionResult& exec);
 

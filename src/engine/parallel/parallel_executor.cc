@@ -751,6 +751,7 @@ ParallelExecutor::ParallelExecutor(const Workflow* workflow,
 
 Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
                                                  ThreadPool* pool) const {
+  PinAllocatorThresholds();
   ParallelResult pres;
   const int threads = std::max(1, options_.num_threads);
   std::vector<NodeClass> classes;

@@ -67,7 +67,7 @@ class DistinctTap {
 // the identity the estimator's I1 rule depends on).
 class HistTap {
  public:
-  HistTap(const TapSketchConfig& config, int arity);
+  explicit HistTap(const TapSketchConfig& config);
 
   void AddRow(const std::vector<Value>& key);
   // Columnar feed, bit-identical to AddRow per row: Count-Min and the

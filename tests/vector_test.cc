@@ -248,8 +248,8 @@ TEST(KernelEquivalenceTest, TapColumnarFeedBitIdentical) {
   EXPECT_EQ(by_row.Estimate(), by_col.Estimate());
   EXPECT_EQ(by_row.hll().registers(), by_col.hll().registers());
 
-  sketch::HistTap hist_row(config, 2);
-  sketch::HistTap hist_col(config, 2);
+  sketch::HistTap hist_row(config);
+  sketch::HistTap hist_col(config);
   for (int64_t r = 0; r < t.num_rows(); ++r) {
     probe[0] = t.at(r, 0);
     probe[1] = t.at(r, 1);
