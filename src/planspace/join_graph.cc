@@ -46,19 +46,22 @@ bool JoinGraph::IsForest() const {
 bool JoinGraph::IsConnected(RelMask subset) const {
   if (subset == 0) return false;
   if (IsSingleton(subset)) return true;
-  const int start = LowestBit(subset);
-  RelMask visited = RelMask{1} << start;
+  return Component(LowestBit(subset), subset) == subset;
+}
+
+RelMask JoinGraph::Component(int rel, RelMask subset) const {
+  RelMask visited = RelMask{1} << rel;
   RelMask frontier = visited;
   while (frontier != 0) {
     RelMask next = 0;
-    for (int rel : MaskToIndices(frontier)) {
-      next |= Neighbors(rel, subset);
+    for (int r : MaskToIndices(frontier)) {
+      next |= Neighbors(r, subset);
     }
     next &= ~visited;
     visited |= next;
     frontier = next;
   }
-  return visited == subset;
+  return visited;
 }
 
 RelMask JoinGraph::Neighbors(int rel, RelMask subset) const {

@@ -40,6 +40,9 @@ class JoinGraph {
 
   bool IsForest() const;
   bool IsConnected(RelMask subset) const;
+  // The relations reachable from `rel` through relations of `subset`
+  // (`rel` itself included).
+  RelMask Component(int rel, RelMask subset) const;
 
   // The unique edge with one endpoint in `a` and the other in `b`; -1 when
   // there is not exactly one such edge.
