@@ -1,7 +1,7 @@
 // Micro-benchmarks for the run ledger: what an append costs as the ledger
 // grows (the crash-safe rewrite is O(file size)), what a load costs, and
-// the per-run overhead of building a ledger record from a full cycle with
-// the observability kill-switch on vs off. Results are recorded in
+// a full cycle plus ground truth plus MakeRunRecord (the run record every
+// report renders), and MakeRunRecord alone. Results are recorded in
 // BENCH_obs.json at the repo root.
 
 #include <benchmark/benchmark.h>
@@ -13,8 +13,8 @@
 #include "core/pipeline.h"
 #include "engine/instrumentation.h"
 #include "etl/workflow_builder.h"
+#include "obs/build_info.h"
 #include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "stats/stat_store.h"
 #include "util/random.h"
 
@@ -145,11 +145,10 @@ void BM_RecordParse(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordParse);
 
-// Per-run overhead of the full record path (cycle + ground truth +
-// MakeRunRecord) with the obs kill-switch on/off — the delta is what the
-// ledger feature costs a production run.
-void RunCycleAndRecord(benchmark::State& state, bool obs_enabled) {
-  obs::SetObsEnabled(obs_enabled);
+// The full record path: cycle + ground truth + MakeRunRecord. The record is
+// made on every run whatever the obs kill-switch says (it gates only spans
+// and the profiler), so one variant covers it.
+void BM_CycleWithRecord(benchmark::State& state) {
   const StarFixture ex = MakeStar();
   Pipeline pipeline;
   for (auto _ : state) {
@@ -167,21 +166,40 @@ void RunCycleAndRecord(benchmark::State& state, bool obs_enabled) {
     }
     benchmark::DoNotOptimize(MakeRunRecord(*cycle, "run-1", &truths));
   }
-  obs::SetObsEnabled(true);
   state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK(BM_CycleWithRecord)->Unit(benchmark::kMillisecond);
 
-void BM_CycleWithRecordObsOn(benchmark::State& state) {
-  RunCycleAndRecord(state, true);
+// MakeRunRecord alone over one finished cycle: what the run record adds to
+// every run (counters, cards, statistics copy, plan signature, getrusage).
+void BM_MakeRunRecord(benchmark::State& state) {
+  const StarFixture ex = MakeStar();
+  const Result<CycleOutcome> cycle =
+      Pipeline().RunCycle(ex.workflow, ex.sources);
+  if (!cycle.ok()) {
+    state.SkipWithError("cycle failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MakeRunRecord(*cycle, "run-1"));
+  }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CycleWithRecordObsOn)->Unit(benchmark::kMillisecond);
-
-void BM_CycleWithRecordObsOff(benchmark::State& state) {
-  RunCycleAndRecord(state, false);
-}
-BENCHMARK(BM_CycleWithRecordObsOff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MakeRunRecord);
 
 }  // namespace
 }  // namespace etlopt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Stamp the measured library's build into the JSON context, so a
+  // committed BENCH_*.json says what it measured.
+  const etlopt::obs::BuildInfo& build = etlopt::obs::CurrentBuildInfo();
+  benchmark::AddCustomContext("etlopt_build_type", build.build_type);
+  benchmark::AddCustomContext("etlopt_compiler", build.compiler);
+  benchmark::AddCustomContext("etlopt_git_sha", build.git_sha);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

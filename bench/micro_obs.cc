@@ -1,5 +1,5 @@
-// Micro-benchmarks for the observability layer: what a counter bump, a
-// histogram record, and a span open/close cost on the instrumented hot
+// Micro-benchmarks for the observability layer: what a span open/close and
+// the fault, profiler and plan-monitor guards cost on the instrumented hot
 // paths, enabled vs runtime-disabled. The acceptance bar is that the
 // disabled path stays within ~2x of no instrumentation at all (it is one
 // relaxed load + branch per site).
@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "engine/executor.h"
+#include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -19,68 +20,16 @@
 namespace etlopt {
 namespace {
 
-void BM_CounterAddEnabled(benchmark::State& state) {
-  obs::SetObsEnabled(true);
-  for (auto _ : state) {
-    ETLOPT_COUNTER_ADD("bench.obs.counter_enabled", 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterAddEnabled);
-
-void BM_CounterAddDisabled(benchmark::State& state) {
-  obs::SetObsEnabled(false);
-  for (auto _ : state) {
-    ETLOPT_COUNTER_ADD("bench.obs.counter_disabled", 1);
-  }
-  obs::SetObsEnabled(true);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterAddDisabled);
-
-// Baseline: the same loop body with no instrumentation macro at all, for
-// judging the disabled path against true zero cost.
-void BM_CounterBaseline(benchmark::State& state) {
+// Baseline: a loop body with no instrumentation at all, for judging the
+// disabled sites below against true zero cost.
+void BM_Baseline(benchmark::State& state) {
   int64_t local = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(++local);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CounterBaseline);
-
-void BM_BatchedCounter(benchmark::State& state) {
-  obs::SetObsEnabled(true);
-  obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("bench.obs.batched");
-  for (auto _ : state) {
-    obs::BatchedCounter batch(&c);
-    for (int i = 0; i < 1024; ++i) batch.Increment();
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_BatchedCounter);
-
-void BM_HistogramRecordEnabled(benchmark::State& state) {
-  obs::SetObsEnabled(true);
-  int64_t v = 0;
-  for (auto _ : state) {
-    ETLOPT_HIST_RECORD("bench.obs.hist_enabled", ++v & 0xffff);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HistogramRecordEnabled);
-
-void BM_HistogramRecordDisabled(benchmark::State& state) {
-  obs::SetObsEnabled(false);
-  int64_t v = 0;
-  for (auto _ : state) {
-    ETLOPT_HIST_RECORD("bench.obs.hist_disabled", ++v & 0xffff);
-  }
-  obs::SetObsEnabled(true);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HistogramRecordDisabled);
+BENCHMARK(BM_Baseline);
 
 void BM_SpanEnabled(benchmark::State& state) {
   obs::SetObsEnabled(true);
@@ -243,4 +192,16 @@ BENCHMARK(BM_ProfilerTimestampEnabled);
 }  // namespace
 }  // namespace etlopt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Stamp the measured library's build into the JSON context, so a
+  // committed BENCH_*.json says what it measured.
+  const etlopt::obs::BuildInfo& build = etlopt::obs::CurrentBuildInfo();
+  benchmark::AddCustomContext("etlopt_build_type", build.build_type);
+  benchmark::AddCustomContext("etlopt_compiler", build.compiler);
+  benchmark::AddCustomContext("etlopt_git_sha", build.git_sha);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

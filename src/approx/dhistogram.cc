@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/metrics.h"
 
 namespace etlopt {
 
@@ -50,9 +49,6 @@ DHistogram DHistogram::FromTable(const Table& table, AttrMask attrs,
     }
     h.AddValue(raw, 1.0);
   }
-  ETLOPT_COUNTER_ADD("etlopt.approx.dhistogram.builds", 1);
-  ETLOPT_HIST_RECORD("etlopt.approx.dhistogram.bucket_occupancy",
-                     static_cast<int64_t>(h.buckets_.size()));
   return h;
 }
 
@@ -85,7 +81,6 @@ double DHistogram::JoinCardinality(const DHistogram& a, const DHistogram& b) {
                    "JoinCardinality requires aligned single-attribute "
                    "histograms");
   ETLOPT_CHECK(a.widths_ == b.widths_ && a.domains_ == b.domains_);
-  ETLOPT_COUNTER_ADD("etlopt.approx.dhistogram.join_merges", 1);
   double total = 0.0;
   const auto& small = a.buckets_.size() <= b.buckets_.size() ? a : b;
   const auto& large = a.buckets_.size() <= b.buckets_.size() ? b : a;
@@ -112,7 +107,6 @@ DHistogram DHistogram::MultiplyThrough(const DHistogram& a,
   ETLOPT_CHECK(pos >= 0);
   ETLOPT_CHECK(a.widths_[static_cast<size_t>(pos)] == b.widths_[0] &&
                a.domains_[static_cast<size_t>(pos)] == b.domains_[0]);
-  ETLOPT_COUNTER_ADD("etlopt.approx.dhistogram.multiply_merges", 1);
   DHistogram out = a;
   out.buckets_.clear();
   out.total_ = 0.0;
@@ -133,7 +127,6 @@ DHistogram DHistogram::MultiplyThrough(const DHistogram& a,
 DHistogram DHistogram::Marginalize(AttrMask keep) const {
   ETLOPT_CHECK(IsSubset(keep, attr_mask_));
   if (keep == attr_mask_) return *this;
-  ETLOPT_COUNTER_ADD("etlopt.approx.dhistogram.marginalize_merges", 1);
   DHistogram out;
   out.attr_mask_ = keep;
   std::vector<int> positions;

@@ -1,6 +1,5 @@
 #include "core/lifecycle.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace etlopt {
@@ -47,6 +46,7 @@ Result<BudgetedLifecycleResult> RunBudgetedLifecycle(
   // and the first run observes only the affordable statistics.
   ETLOPT_ASSIGN_OR_RETURN(std::unique_ptr<Analysis> analysis,
                           pipeline.Analyze(workflow, nullptr, history));
+  result.partial_feedback_keys = analysis->partial_feedback_keys;
   for (const auto& ba : analysis->blocks) {
     result.selections.push_back(SelectWithBudget(ba->problem, ba->ctx,
                                                  ba->plan_space,
@@ -133,7 +133,6 @@ Result<BudgetedLifecycleResult> RunBudgetedLifecycle(
   result.source_retries = SortedCounts(run.exec.source_retries);
   result.quarantined_rows = run.exec.quarantined_rows();
 
-  ETLOPT_COUNTER_ADD("etlopt.core.lifecycle_executions", result.executions);
   lifecycle_span.Arg("executions", static_cast<int64_t>(result.executions));
   return result;
 }

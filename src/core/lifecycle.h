@@ -26,6 +26,9 @@ struct BudgetedLifecycleResult {
   double optimized_cost = 0.0;
   // Statistics observed during the first (instrumented) run, per block.
   std::vector<StatStore> block_stats;
+  // SE cardinalities the analysis seeded from a partial last history
+  // record (Analysis::partial_feedback_keys); 0 without one.
+  int64_t partial_feedback_keys = 0;
   // When ledger history was supplied: how this run's observations compare,
   // including which statistic taps to re-enable on the next run (the
   // report Pipeline::Optimize returns as OptimizeOutcome::drift). Drifted

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 
 #include "engine/parallel/parallel_executor.h"
@@ -11,7 +12,6 @@
 #include "obs/build_info.h"
 #include "obs/checkpoint.h"
 #include "obs/drift.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -84,16 +84,17 @@ std::unordered_map<NodeId, PlanMonitor> BuildPlanMonitors(
 // each is scaled up by the run's completion watermark before seeding the
 // selection cost model — a crude full-run extrapolation, but strictly
 // better than the cold-start guess the cost model would otherwise fall
-// back to. Empty when there is no partial last record.
+// back to. Empty when there is no partial last record. `seeded` receives
+// the number of SE sizes taken from it.
 std::vector<CardMap> PartialRunFeedback(
-    const std::vector<obs::RunRecord>* history, size_t num_blocks) {
+    const std::vector<obs::RunRecord>* history, size_t num_blocks,
+    int64_t* seeded) {
   if (history == nullptr || history->empty() || !history->back().partial) {
     return {};
   }
   const obs::RunRecord& last = history->back();
   std::vector<CardMap> feedback(num_blocks);
   const double completion = std::clamp(last.completion, 0.05, 1.0);
-  int64_t seeded = 0;
   for (const obs::RunRecord::SeCard& card : last.cards) {
     const double rows = card.actual >= 0 ? card.actual : card.estimated;
     if (rows < 0 || card.block < 0 ||
@@ -102,16 +103,112 @@ std::vector<CardMap> PartialRunFeedback(
     }
     feedback[static_cast<size_t>(card.block)][card.se] =
         static_cast<int64_t>(std::llround(rows / completion));
-    ++seeded;
+    ++*seeded;
   }
-  ETLOPT_COUNTER_ADD("etlopt.core.partial_feedback_keys", seeded);
-  ETLOPT_LOG(Info) << "seeding selection cost model with " << seeded
+  ETLOPT_LOG(Info) << "seeding selection cost model with " << *seeded
                    << " SE size(s) salvaged from partial run '" << last.run_id
                    << "' (completion " << last.completion << ")";
   return feedback;
 }
 
+// A run's counters by metric name. The names are the ledger's `metrics`
+// keys and the --metrics-out series; a per-source count carries its source
+// as a {source="..."} label suffix.
+using Counters = std::map<std::string, int64_t>;
+
+void AddAnalysisCounters(const Analysis& analysis, Counters* counters) {
+  Counters& c = *counters;
+  for (const auto& ba : analysis.blocks) {
+    c["etlopt.core.plan_space.ses"] += ba->plan_space.num_ses();
+    c["etlopt.core.css.generated"] += ba->catalog.num_css();
+    c["etlopt.opt.selections"] += 1;
+    c["etlopt.opt.greedy.iterations"] += ba->selection.greedy_iterations;
+    c["etlopt.lp.solves"] += ba->selection.lp_solves;
+    c["etlopt.lp.simplex.pivots"] += ba->selection.simplex_pivots;
+  }
+  c["etlopt.core.partial_feedback_keys"] += analysis.partial_feedback_keys;
+}
+
+void AddCycleCounters(const CycleOutcome& cycle, Counters* counters) {
+  Counters& c = *counters;
+  AddAnalysisCounters(*cycle.analysis, counters);
+  c["etlopt.core.cycles"] = 1;
+  const ExecutionResult& exec = cycle.run.exec;
+  c["etlopt.engine.executions"] = 1;
+  c["etlopt.engine.ops_executed"] = exec.nodes_completed;
+  c["etlopt.engine.rows_processed"] = exec.rows_processed;
+  c["etlopt.engine.bytes_processed"] = exec.bytes_processed;
+  c["etlopt.engine.aborts"] = exec.aborted() ? 1 : 0;
+  const auto labelled = [](const char* name, const std::string& source) {
+    return std::string(name) + "{source=\"" + source + "\"}";
+  };
+  for (const auto& [source, retries] : exec.source_retries) {
+    c["etlopt.engine.source.retries"] += retries;
+    c[labelled("etlopt.engine.source.retries", source)] = retries;
+  }
+  for (const auto& [source, table] : exec.quarantined) {
+    c["etlopt.engine.source.quarantined"] += table.num_rows();
+    c[labelled("etlopt.engine.source.quarantined", source)] = table.num_rows();
+  }
+  c["etlopt.engine.source.timeouts"] = exec.source_timeouts;
+  c["etlopt.engine.source.io_errors"] = exec.source_io_errors;
+  c["etlopt.guard.monitor_violations"] =
+      static_cast<int64_t>(exec.monitor_violations.size());
+  c["etlopt.parallel.merge_ns"] = exec.merge_ns;
+
+  for (const auto& ba : cycle.analysis->blocks) {
+    c["etlopt.core.stats_observed"] +=
+        static_cast<int64_t>(ba->selection.observed.size());
+  }
+  const TapReport& taps = cycle.run.tap_report;
+  c["etlopt.tap.exact"] = taps.exact_taps;
+  c["etlopt.tap.sketch"] = taps.sketch_taps;
+  c["etlopt.tap.bytes"] = taps.tap_bytes;
+  c["etlopt.tap.exact_bytes_estimate"] = taps.exact_bytes_estimate;
+  c["etlopt.tap.downgraded"] = taps.downgraded_taps;
+  c["etlopt.tap.disabled"] = taps.disabled_taps;
+  c["etlopt.tap.salvage_skipped"] = taps.salvage_skipped;
+  c["etlopt.obs.checkpoint.flushes"] = cycle.run.checkpoint_flushes;
+
+  // An aborted run's cards are salvage, not estimates.
+  if (!cycle.aborted()) {
+    for (const CardMap& cards : cycle.opt.block_cards) {
+      c["etlopt.core.cards_estimated"] += static_cast<int64_t>(cards.size());
+    }
+  }
+  c["etlopt.estimator.clamped"] = cycle.opt.clamped_values;
+  c["etlopt.obs.drift.checked_keys"] =
+      static_cast<int64_t>(cycle.opt.drift.findings.size());
+  c["etlopt.obs.drift.flagged_keys"] =
+      static_cast<int64_t>(cycle.opt.drift.reinstrument.size());
+  // Optimize evaluates the adoption gate on every completed run unless the
+  // guard is off.
+  const obs::GuardRecord& guard = cycle.opt.guard;
+  if (guard.mode != obs::GuardModeName(obs::GuardMode::kOff) &&
+      !cycle.aborted()) {
+    c["etlopt.guard.evaluations"] = 1;
+    c["etlopt.guard.flagged"] = guard.reasons.empty() ? 0 : 1;
+    c["etlopt.guard.fallbacks"] = guard.fell_back ? 1 : 0;
+  }
+}
+
+std::vector<std::pair<std::string, int64_t>> NonZero(
+    const Counters& counters) {
+  std::vector<std::pair<std::string, int64_t>> out;
+  for (const auto& [name, value] : counters) {
+    if (value != 0) out.emplace_back(name, value);
+  }
+  return out;
+}
+
 }  // namespace
+
+std::vector<std::pair<std::string, int64_t>> AnalysisCounters(
+    const Analysis& analysis) {
+  Counters counters;
+  AddAnalysisCounters(analysis, &counters);
+  return NonZero(counters);
+}
 
 std::vector<std::pair<std::string, int64_t>> SortedCounts(
     const std::unordered_map<std::string, int64_t>& counts) {
@@ -176,8 +273,8 @@ Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
       force_observe.push_back(StatKey::Card(m.se));
     }
   }
-  const std::vector<CardMap> partial_feedback =
-      PartialRunFeedback(history, blocks.size());
+  const std::vector<CardMap> partial_feedback = PartialRunFeedback(
+      history, blocks.size(), &analysis->partial_feedback_keys);
   size_t block_index = 0;
   for (const Block& block : blocks) {
     auto ba = std::make_unique<BlockAnalysis>();
@@ -192,8 +289,6 @@ Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
       ps_span.Arg("ses", static_cast<int64_t>(ba->plan_space.num_ses()));
       ps_span.Arg("plans", static_cast<int64_t>(ba->plan_space.num_plans()));
     }
-    ETLOPT_COUNTER_ADD("etlopt.core.plan_space.ses",
-                       ba->plan_space.num_ses());
     {
       obs::ScopedSpan css_span("pipeline.css_generation");
       css_span.Arg("block", static_cast<int64_t>(block.id));
@@ -201,7 +296,6 @@ Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
       css_span.Arg("stats", static_cast<int64_t>(ba->catalog.num_stats()));
       css_span.Arg("css", static_cast<int64_t>(ba->catalog.num_css()));
     }
-    ETLOPT_COUNTER_ADD("etlopt.core.css.generated", ba->catalog.num_css());
 
     CostModelOptions cost_options = options_.cost;
     if (options_.tap_memory_budget_bytes > 0 &&
@@ -247,7 +341,6 @@ Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
       sel_span.Arg("observed", static_cast<int64_t>(ba->selection.observed.size()));
       sel_span.Arg("cost", ba->selection.total_cost);
     }
-    ETLOPT_COUNTER_ADD("etlopt.opt.selections", 1);
     if (!ba->selection.feasible) {
       return Status::Internal("statistics selection infeasible for block " +
                               std::to_string(block.id));
@@ -354,6 +447,7 @@ Result<RunOutcome> Pipeline::RunAndObserve(
       // Clean completion: the ledger record supersedes the sidecar.
       (void)writer->Discard();
     }
+    outcome.checkpoint_flushes = writer->flushes();
   }
   observe_span.Arg("stats_observed", observed);
   observe_span.Arg("sketch_taps",
@@ -363,30 +457,13 @@ Result<RunOutcome> Pipeline::RunAndObserve(
     observe_span.Arg("salvage_skipped",
                      static_cast<int64_t>(outcome.tap_report.salvage_skipped));
   }
-  ETLOPT_COUNTER_ADD("etlopt.core.stats_observed", observed);
-  const TapReport& taps_run = outcome.tap_report;
-  ETLOPT_COUNTER_ADD("etlopt.tap.exact", taps_run.exact_taps);
-  ETLOPT_COUNTER_ADD("etlopt.tap.sketch", taps_run.sketch_taps);
-  ETLOPT_COUNTER_ADD("etlopt.tap.bytes", taps_run.tap_bytes);
-  ETLOPT_COUNTER_ADD("etlopt.tap.exact_bytes_estimate",
-                     taps_run.exact_bytes_estimate);
-  if (taps_run.downgraded_taps > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.tap.downgraded", taps_run.downgraded_taps);
-  }
-  if (taps_run.disabled_taps > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.tap.disabled", taps_run.disabled_taps);
-  }
-  if (taps_run.salvage_skipped > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.tap.salvage_skipped", taps_run.salvage_skipped);
-  }
   if (!outcome.exec.profile.empty()) {
     // Attribute the measured instrumentation time to the profile, then
     // annotate every operator with the calibrated prediction that was live
     // for this run (pessimistic defaults on an uncalibrated run — that gap
-    // is exactly what the accuracy tracker's cost q-error measures).
+    // is exactly what the record's cost q-error measures).
     outcome.exec.profile.tap_ns = outcome.tap_report.observe_ns;
     obs::AnnotatePredictions(options_.calibration, &outcome.exec.profile);
-    obs::RecordCostAccuracy(outcome.exec.profile);
     obs::EmitProfileCounters(outcome.exec.profile);
   }
   return outcome;
@@ -443,10 +520,6 @@ Result<OptimizeOutcome> Pipeline::Optimize(
       }
     }
     outcome.drift = obs::DriftDetector().Compare(*history, current);
-    ETLOPT_COUNTER_ADD("etlopt.obs.drift.checked_keys",
-                       static_cast<int64_t>(outcome.drift.findings.size()));
-    ETLOPT_COUNTER_ADD("etlopt.obs.drift.flagged_keys",
-                       static_cast<int64_t>(outcome.drift.reinstrument.size()));
     for (size_t b = 0; b < analysis.blocks.size(); ++b) {
       distrusted[b] = outcome.drift.ReinstrumentKeys(static_cast<int>(b));
     }
@@ -462,6 +535,7 @@ Result<OptimizeOutcome> Pipeline::Optimize(
       est_span.Arg("block", static_cast<int64_t>(ba.block.id));
       derived = estimator.DeriveAll(run.block_stats[i]);
     }
+    outcome.clamped_values += estimator.clamped_values();
     // A degraded run (disabled taps, or an abort's salvaged prefix) leaves
     // holes in the observed statistics: estimate what the derivation
     // closure still reaches, and fall back to the designed join order for
@@ -522,8 +596,6 @@ Result<OptimizeOutcome> Pipeline::Optimize(
     // The estimator is done: its derived store and provenance move over.
     outcome.block_estimates.push_back(OptimizeOutcome::BlockEstimates{
         estimator.TakeDerived(), estimator.TakeProvenance()});
-    ETLOPT_COUNTER_ADD("etlopt.core.cards_estimated",
-                       static_cast<int64_t>(cards.size()));
     if (complete) {
       obs::ScopedSpan join_span("pipeline.join_optimization");
       join_span.Arg("block", static_cast<int64_t>(ba.block.id));
@@ -597,8 +669,6 @@ Result<OptimizeOutcome> Pipeline::Optimize(
           << "); keeping the designed plan";
     }
   }
-  ETLOPT_GAUGE_SET("etlopt.core.initial_cost", outcome.initial_cost);
-  ETLOPT_GAUGE_SET("etlopt.core.optimized_cost", outcome.optimized_cost);
   return outcome;
 }
 
@@ -607,7 +677,6 @@ Result<CycleOutcome> Pipeline::RunCycle(
     const std::vector<obs::RunRecord>* history) const {
   obs::ScopedSpan span("pipeline.cycle");
   span.Arg("workflow", workflow.name());
-  ETLOPT_COUNTER_ADD("etlopt.core.cycles", 1);
   CycleOutcome cycle;
   Timer timer;
   ETLOPT_ASSIGN_OR_RETURN(cycle.analysis, Analyze(workflow, nullptr, history));
@@ -675,7 +744,9 @@ obs::RunRecord MakeRunRecord(const CycleOutcome& cycle, std::string run_id,
     }
   }
   record.block_stats = cycle.run.block_stats;
-  record.metrics = obs::MetricsRegistry::Global().CounterValues();
+  Counters counters;
+  AddCycleCounters(cycle, &counters);
+  record.metrics = NonZero(counters);
 
   const ExecutionResult& exec = cycle.run.exec;
   record.partial = exec.aborted();
@@ -688,6 +759,9 @@ obs::RunRecord MakeRunRecord(const CycleOutcome& cycle, std::string run_id,
   record.source_retries = SortedCounts(exec.source_retries);
   record.quarantined_rows = exec.quarantined_rows();
   record.num_threads = std::max(1, exec.num_workers);
+  record.partitions = exec.partitions_total;
+  record.partition_skew = exec.partition_skew;
+  record.peak_rss_bytes = obs::PeakRssBytes();
   record.profile = exec.profile;
   record.build = obs::CurrentBuildInfo();
   record.guard = cycle.opt.guard;

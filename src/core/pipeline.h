@@ -66,8 +66,8 @@ struct PipelineOptions {
   // Cost-model calibration fit from profiled ledger runs (obs/calibrate.h).
   // When non-empty, Analyze scales the selection cost model's CPU charge to
   // calibrated tap nanoseconds, and RunAndObserve annotates the run profile
-  // with per-operator predicted times (tracked as "cost" / "plan_cost"
-  // q-error by the accuracy tracker). The Pipeline constructor consults
+  // with per-operator predicted times (the "cost" / "plan_cost" rows of the
+  // --obs-summary q-error table). The Pipeline constructor consults
   // ETLOPT_CALIBRATION (a file path) when this is empty.
   obs::CostCalibration calibration;
   // Plan-regression guard (obs/guard.h): adoption gate thresholds and
@@ -94,6 +94,9 @@ struct BlockAnalysis {
 struct Analysis {
   std::unique_ptr<Workflow> workflow;
   std::vector<std::unique_ptr<BlockAnalysis>> blocks;
+  // SE sizes salvaged from a partial last history record that seeded the
+  // selection cost model (0 when the last record was clean or absent).
+  int64_t partial_feedback_keys = 0;
 };
 
 // One instrumented run (steps 5-6). When the execution aborted mid-flight
@@ -106,6 +109,9 @@ struct RunOutcome {
   // Tap collection accounting across all blocks: how many taps ran exact
   // vs. sketch, and the bytes each mode held.
   TapReport tap_report;
+  // Tap checkpoint sidecar writes that succeeded (the final partial
+  // snapshot of an aborted run included).
+  int64_t checkpoint_flushes = 0;
 
   bool aborted() const { return exec.aborted(); }
 };
@@ -135,6 +141,8 @@ struct OptimizeOutcome {
   // on-path actuals compared against it. Drifted keys feed
   // PipelineOptions::force_observe of the following cycle.
   obs::DriftReport drift;
+  // Derived values the estimators' sanitization pass clamped, all blocks.
+  int64_t clamped_values = 0;
 };
 
 struct CycleOutcome {
@@ -175,8 +183,7 @@ class Pipeline {
   // statistics. `history` (prior ledger records of this workflow, oldest
   // first) arms the guard's runtime estimate monitors: the last clean
   // record's per-SE estimates become per-node expected cardinalities the
-  // executor checks at its tap points. The run's etlopt.tap.* counters are
-  // emitted here, once, from the accumulated RunOutcome::tap_report.
+  // executor checks at its tap points.
   Result<RunOutcome> RunAndObserve(
       const Analysis& analysis, const SourceMap& sources,
       const std::vector<obs::RunRecord>* history = nullptr) const;
@@ -212,11 +219,20 @@ class Pipeline {
 std::vector<std::pair<std::string, int64_t>> SortedCounts(
     const std::unordered_map<std::string, int64_t>& counts);
 
+// The analysis's own counters (plan space, CSS, selection effort, partial
+// feedback), sorted by name, zero counts omitted: what `analyze` reports,
+// and the analysis share of MakeRunRecord's metrics.
+std::vector<std::pair<std::string, int64_t>> AnalysisCounters(
+    const Analysis& analysis);
+
 // Condenses a completed cycle into a ledger record: workflow fingerprint,
 // chosen plan signature, per-SE estimated (and, when `truth` per-block
 // ground-truth cardinalities are given, actual) rows, the observed
-// statistics, phase timings, and a metrics counter snapshot. `run_id`
-// typically comes from RunLedger::NextRunId.
+// statistics, phase timings, the process's peak RSS so far, and this
+// cycle's counters (RunRecord::metrics). The record is the one source of a
+// run's numbers: --obs-summary, --metrics-out, the ledger line and the
+// advisor's report all render it. `run_id` typically comes from
+// RunLedger::NextRunId.
 obs::RunRecord MakeRunRecord(const CycleOutcome& cycle, std::string run_id,
                              const std::vector<CardMap>* truth = nullptr);
 

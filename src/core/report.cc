@@ -1,11 +1,16 @@
 #include "core/report.h"
 
+#include <cstdio>
+#include <map>
 #include <sstream>
+#include <utility>
 
 #include "obs/accuracy.h"
 #include "obs/build_info.h"
-#include "obs/metrics.h"
+#include "obs/calibrate.h"
+#include "obs/run_report.h"
 #include "opt/exec_cover.h"
+#include "util/bitmask.h"
 #include "util/string_util.h"
 
 namespace etlopt {
@@ -81,15 +86,89 @@ std::string FormatAnalysisReport(const Analysis& analysis,
   return out.str();
 }
 
-std::string FormatObsSummary() {
+namespace {
+
+// One summary line: its label and the record counter it shows.
+struct CounterLine {
+  const char* label;
+  const char* counter;
+};
+
+std::string Fixed(double value, int precision) {
+  std::ostringstream v;
+  v.precision(precision);
+  v << std::fixed << value;
+  return v.str();
+}
+
+// Fixed-width q-error quantile table, one row per (op, depth) plus "all".
+std::string FormatQErrorTable(const std::vector<QErrorSample>& samples) {
+  std::ostringstream out;
+  out << "estimator q-error by operator type and join depth:\n";
+  if (samples.empty()) {
+    out << "  (no ground-truth samples recorded)\n";
+    return out.str();
+  }
+  std::map<std::pair<std::string, int>, std::vector<double>> groups;
+  std::vector<double> all;
+  for (const QErrorSample& sample : samples) {
+    groups[{sample.op, sample.depth}].push_back(sample.qerror);
+    all.push_back(sample.qerror);
+  }
+  char line[160];
+  std::snprintf(line, sizeof(line), "  %-8s %5s %7s %8s %8s %8s %8s %8s %8s\n",
+                "op", "depth", "count", "mean", "p50", "p90", "p95", "p99",
+                "max");
+  out << line;
+  const auto row = [&](const char* op, const std::string& depth,
+                       std::vector<double> values) {
+    const obs::QErrorSummary s = obs::SummarizeQErrors(std::move(values));
+    std::snprintf(line, sizeof(line),
+                  "  %-8s %5s %7lld %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n",
+                  op, depth.c_str(), static_cast<long long>(s.count), s.mean,
+                  s.p50, s.p90, s.p95, s.p99, s.max);
+    out << line;
+  };
+  for (auto& [key, values] : groups) {
+    row(key.first.c_str(), std::to_string(key.second), std::move(values));
+  }
+  row("all", "-", std::move(all));
+  return out.str();
+}
+
+}  // namespace
+
+std::vector<QErrorSample> RecordQErrorSamples(const obs::RunRecord& record) {
+  std::vector<QErrorSample> samples;
+  for (const auto& [se, q] : obs::CardQErrors(record)) {
+    const int rels = PopCount(se);
+    samples.push_back(
+        {rels > 1 ? "join" : "chain", rels > 1 ? rels - 1 : 0, q});
+  }
+  for (const obs::OpProfile& op : record.profile.ops) {
+    if (op.pred_ns < 0.0) continue;
+    samples.push_back(
+        {"cost", 0, obs::QError(op.pred_ns, static_cast<double>(op.self_ns))});
+  }
+  if (const double plan_q = obs::PlanCostQError(record.profile); plan_q > 0.0) {
+    samples.push_back({"plan_cost", 0, plan_q});
+  }
+  return samples;
+}
+
+std::string FormatObsSummary(const obs::RunRecord& record,
+                             const std::vector<QErrorSample>& extra) {
   std::ostringstream out;
   out << "=== observability summary ===\n";
   out << "build: " << obs::CurrentBuildInfo().Summary() << "\n";
-  const auto& registry = obs::MetricsRegistry::Global();
-  const struct {
-    const char* label;
-    const char* counter;
-  } headline[] = {
+  // "  <label>: <value>" when the counter is set.
+  const auto print = [&](const CounterLine& line) {
+    const int64_t value = record.Metric(line.counter);
+    if (value != 0) {
+      out << "  " << line.label << ": " << WithThousands(value) << "\n";
+    }
+  };
+  const CounterLine headline[] = {
       {"engine executions", "etlopt.engine.executions"},
       {"operators executed", "etlopt.engine.ops_executed"},
       {"rows processed", "etlopt.engine.rows_processed"},
@@ -104,20 +183,27 @@ std::string FormatObsSummary() {
       {"LP solves", "etlopt.lp.solves"},
       {"simplex pivots", "etlopt.lp.simplex.pivots"},
   };
-  for (const auto& [label, counter] : headline) {
-    const obs::Counter* c = registry.FindCounter(counter);
-    if (c != nullptr && c->Get() != 0) {
-      out << "  " << label << ": " << WithThousands(c->Get()) << "\n";
-    }
+  for (const CounterLine& line : headline) print(line);
+  // Where the run's time and memory went: the cycle's phases (the analyze
+  // command has only the first) and the process's peak RSS.
+  std::string phases;
+  for (const auto& [name, ms] : {std::pair{"analyze", record.analyze_ms},
+                                 std::pair{"execute", record.execute_ms},
+                                 std::pair{"optimize", record.optimize_ms}}) {
+    if (ms <= 0.0) continue;
+    phases += (phases.empty() ? "" : ", ") + std::string(name) + " " +
+              Fixed(ms, 1) + " ms";
   }
-  // Robustness counters: retries/quarantine from the resilient sources,
-  // degraded taps, checkpoint flushes, and salvage bookkeeping. All zero on
-  // a clean run with no fault spec, so the section only prints when
-  // something fired.
-  const struct {
-    const char* label;
-    const char* counter;
-  } robustness[] = {
+  if (!phases.empty()) out << "  phases: " << phases << "\n";
+  if (record.peak_rss_bytes > 0) {
+    out << "  peak RSS: "
+        << Fixed(static_cast<double>(record.peak_rss_bytes) / (1 << 20), 1)
+        << " MB (process high-water mark)\n";
+  }
+  // Robustness: retries/quarantine from the resilient sources, degraded
+  // taps, checkpoint flushes, and salvage bookkeeping. All zero on a clean
+  // run with no fault spec, so the section only prints when something fired.
+  const CounterLine robustness[] = {
       {"runs aborted", "etlopt.engine.aborts"},
       {"source open retries", "etlopt.engine.source.retries"},
       {"source timeouts", "etlopt.engine.source.timeouts"},
@@ -131,99 +217,64 @@ std::string FormatObsSummary() {
       {"partial-run feedback keys", "etlopt.core.partial_feedback_keys"},
   };
   bool robustness_header = false;
-  for (const auto& [label, counter] : robustness) {
-    const obs::Counter* c = registry.FindCounter(counter);
-    if (c == nullptr || c->Get() == 0) continue;
+  for (const CounterLine& line : robustness) {
+    if (record.Metric(line.counter) == 0) continue;
     if (!robustness_header) {
       out << "  -- robustness --\n";
       robustness_header = true;
     }
-    out << "  " << label << ": " << WithThousands(c->Get()) << "\n";
-    // Per-source breakdown: the executor also bumps a labeled twin
-    // ("<counter>{source=\"name\"}") for retries and quarantined rows.
-    const std::string labeled_prefix = std::string(counter) + "{";
-    for (const auto& [name, value] : registry.CounterValues()) {
-      if (value != 0 && name.rfind(labeled_prefix, 0) == 0) {
-        out << "    " << name.substr(labeled_prefix.size() - 1) << ": "
+    print(line);
+    // Per-source breakdown: retries and quarantined rows also carry a
+    // labelled twin per source ("<counter>{source=\"name\"}").
+    const std::string labelled_prefix = std::string(line.counter) + "{";
+    for (const auto& [name, value] : record.metrics) {
+      if (value != 0 && name.rfind(labelled_prefix, 0) == 0) {
+        out << "    " << name.substr(labelled_prefix.size() - 1) << ": "
             << WithThousands(value) << "\n";
       }
     }
   }
-  // Parallel execution: the partitioned executor publishes worker/partition
-  // gauges and merge-time counters. All zero on serial runs, so the section
-  // only prints after a --threads=N run took the parallel path.
-  const obs::Gauge* par_workers =
-      registry.FindGauge("etlopt.parallel.workers");
-  if (par_workers != nullptr && par_workers->Get() > 0) {
+  // Parallel execution: only a run that took the partitioned path has
+  // partitions.
+  if (record.partitions > 0) {
     out << "  -- parallelism --\n";
-    out << "  workers: " << static_cast<int64_t>(par_workers->Get()) << "\n";
-    const obs::Gauge* partitions =
-        registry.FindGauge("etlopt.parallel.partitions");
-    if (partitions != nullptr && partitions->Get() > 0) {
-      out << "  partitions: " << static_cast<int64_t>(partitions->Get())
-          << "\n";
+    out << "  workers: " << record.num_threads << "\n";
+    out << "  partitions: " << record.partitions << "\n";
+    if (record.partition_skew > 0.0) {
+      out << "  partition skew (max/mean rows): "
+          << Fixed(record.partition_skew, 2) << "\n";
     }
-    const obs::Gauge* skew = registry.FindGauge("etlopt.parallel.skew");
-    if (skew != nullptr && skew->Get() > 0) {
-      std::ostringstream v;
-      v.precision(2);
-      v << std::fixed << skew->Get();
-      out << "  partition skew (max/mean rows): " << v.str() << "\n";
-    }
-    const obs::Counter* merge_ns =
-        registry.FindCounter("etlopt.parallel.merge_ns");
-    if (merge_ns != nullptr && merge_ns->Get() > 0) {
-      out << "  output merge time: " << WithThousands(merge_ns->Get())
-          << " ns\n";
+    if (const int64_t merge_ns = record.Metric("etlopt.parallel.merge_ns");
+        merge_ns > 0) {
+      out << "  output merge time: " << WithThousands(merge_ns) << " ns\n";
     }
   }
-  // Plan-regression guard: prints once the gate has evaluated at least one
-  // adoption decision (any mode but off), so pre-guard output is unchanged.
-  const obs::Counter* guard_evals =
-      registry.FindCounter("etlopt.guard.evaluations");
-  if (guard_evals != nullptr && guard_evals->Get() > 0) {
+  // Plan-regression guard: prints once the gate has evaluated the adoption
+  // decision (any mode but off, on a completed run).
+  if (record.Metric("etlopt.guard.evaluations") > 0) {
     out << "  -- guard --\n";
-    out << "  adoption evaluations: " << WithThousands(guard_evals->Get())
+    print({"adoption evaluations", "etlopt.guard.evaluations"});
+    print({"verdicts flagged", "etlopt.guard.flagged"});
+    print({"fallbacks to designed plan", "etlopt.guard.fallbacks"});
+    print({"estimate-monitor violations", "etlopt.guard.monitor_violations"});
+    print({"estimator values clamped", "etlopt.estimator.clamped"});
+    out << "  last evidence score: " << Fixed(record.guard.evidence, 2)
         << "\n";
-    const struct {
-      const char* label;
-      const char* counter;
-    } guard_counters[] = {
-        {"verdicts flagged", "etlopt.guard.flagged"},
-        {"fallbacks to designed plan", "etlopt.guard.fallbacks"},
-        {"estimate-monitor violations", "etlopt.guard.monitor_violations"},
-        {"estimator values clamped", "etlopt.estimator.clamped"},
-    };
-    for (const auto& [label, counter] : guard_counters) {
-      const obs::Counter* c = registry.FindCounter(counter);
-      if (c != nullptr && c->Get() != 0) {
-        out << "  " << label << ": " << WithThousands(c->Get()) << "\n";
-      }
-    }
-    const obs::Gauge* evidence = registry.FindGauge("etlopt.guard.evidence");
-    if (evidence != nullptr) {
-      std::ostringstream v;
-      v.precision(2);
-      v << std::fixed << evidence->Get();
-      out << "  last evidence score: " << v.str() << "\n";
-    }
   }
   // Instrumentation overhead normalized by data volume: how many collector
   // bytes each megabyte flowing through the engine cost.
-  const obs::Counter* tap_bytes = registry.FindCounter("etlopt.tap.bytes");
-  const obs::Counter* engine_bytes =
-      registry.FindCounter("etlopt.engine.bytes_processed");
-  if (tap_bytes != nullptr && engine_bytes != nullptr &&
-      tap_bytes->Get() > 0 && engine_bytes->Get() > 0) {
-    const double per_mb = static_cast<double>(tap_bytes->Get()) /
-                          (static_cast<double>(engine_bytes->Get()) /
-                           (1024.0 * 1024.0));
-    std::ostringstream v;
-    v.precision(1);
-    v << std::fixed << per_mb;
-    out << "  tap overhead: " << v.str() << " bytes per MB processed\n";
+  const int64_t tap_bytes = record.Metric("etlopt.tap.bytes");
+  const int64_t engine_bytes = record.Metric("etlopt.engine.bytes_processed");
+  if (tap_bytes > 0 && engine_bytes > 0) {
+    const double engine_mb =
+        static_cast<double>(engine_bytes) / (1024.0 * 1024.0);
+    const double per_mb = static_cast<double>(tap_bytes) / engine_mb;
+    out << "  tap overhead: " << Fixed(per_mb, 1)
+        << " bytes per MB processed\n";
   }
-  out << obs::AccuracyTracker::Global().FormatTable();
+  std::vector<QErrorSample> samples = RecordQErrorSamples(record);
+  samples.insert(samples.end(), extra.begin(), extra.end());
+  out << FormatQErrorTable(samples);
   return out.str();
 }
 

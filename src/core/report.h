@@ -2,6 +2,7 @@
 #define ETLOPT_CORE_REPORT_H_
 
 #include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 
@@ -24,11 +25,28 @@ std::string FormatBlockReport(const BlockAnalysis& block,
 std::string FormatAnalysisReport(const Analysis& analysis,
                                  const ReportOptions& options = {});
 
-// Observability summary: headline engine/selector counters plus the
-// estimator q-error quantile table accumulated by obs::AccuracyTracker
-// (populated whenever ground-truth cardinalities were available). Rendered
-// by the advisor's --obs-summary flag.
-std::string FormatObsSummary();
+// One sample of the --obs-summary q-error table, keyed by operator type
+// ("join", "chain", "cost", "plan_cost", "sketch") and join depth.
+struct QErrorSample {
+  std::string op;
+  int depth = 0;
+  double qerror = 1.0;
+};
+
+// The q-error samples a record carries: every SE card with ground truth
+// ("join" by join depth, "chain" for single inputs), and every operator of
+// an annotated profile ("cost", predicted vs measured self time) plus the
+// plan total ("plan_cost").
+std::vector<QErrorSample> RecordQErrorSamples(const obs::RunRecord& record);
+
+// Observability summary of one run, rendered from its record alone:
+// headline counts, phase times, peak RSS, the robustness / parallelism /
+// guard sections when they fired, and the estimator q-error quantile table
+// over RecordQErrorSamples plus `extra` samples the caller measured outside
+// the record (the advisor's sketch re-observation). Rendered by the
+// advisor's --obs-summary flag.
+std::string FormatObsSummary(const obs::RunRecord& record,
+                             const std::vector<QErrorSample>& extra = {});
 
 }  // namespace etlopt
 

@@ -13,7 +13,6 @@
 #include <malloc.h>
 #endif
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -24,7 +23,7 @@ namespace etlopt {
 namespace {
 
 // Nanoseconds elapsed on `timer`, floored at 0 (defensive against clock
-// quirks; LogHistogram buckets are non-negative).
+// quirks).
 int64_t ElapsedNs(const Timer& timer) {
   const double ns = timer.ElapsedMicros() * 1e3;
   return ns <= 0.0 ? 0 : static_cast<int64_t>(ns);
@@ -136,9 +135,6 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
   Schema out_schema = JoinOutputSchema(left, right, attr, &right_cols);
 
   obs::ScopedSpan span("engine.hash_join");
-  if (build_rows_hint > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.engine.join.build_hint_used", 1);
-  }
   // JoinHashTable hashes the build keys in one pass; the probe loop only
   // touches the key columns and emits selection vectors, and the output
   // columns materialize via gathers. Emission order is probe order x
@@ -186,8 +182,6 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
     *rejects = Table::Gather(left, reject_sel);
   }
   const int64_t probe_ns = ElapsedNs(phase);
-  ETLOPT_HIST_RECORD("etlopt.engine.join.hash_build_ns", build_ns);
-  ETLOPT_HIST_RECORD("etlopt.engine.join.hash_probe_ns", probe_ns);
   if (span.active()) {
     span.Arg("build_rows", right.num_rows());
     span.Arg("probe_rows", left.num_rows());
@@ -209,7 +203,6 @@ Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
   const size_t out_width = static_cast<size_t>(out.schema().size());
 
   obs::ScopedSpan span("engine.sort_merge_join");
-  Timer phase;
   // Sort row indices of both sides by the key.
   std::vector<int64_t> lidx(static_cast<size_t>(left.num_rows()));
   std::vector<int64_t> ridx(static_cast<size_t>(right.num_rows()));
@@ -221,9 +214,7 @@ Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
   std::sort(ridx.begin(), ridx.end(), [&](int64_t a, int64_t b) {
     return right.at(a, rkey) < right.at(b, rkey);
   });
-  ETLOPT_HIST_RECORD("etlopt.engine.join.sort_ns", ElapsedNs(phase));
 
-  phase.Restart();
   size_t li = 0;
   size_t ri = 0;
   while (li < lidx.size()) {
@@ -253,7 +244,6 @@ Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
     }
     ri = rend;
   }
-  ETLOPT_HIST_RECORD("etlopt.engine.join.merge_ns", ElapsedNs(phase));
   if (span.active()) {
     span.Arg("left_rows", left.num_rows());
     span.Arg("right_rows", right.num_rows());
@@ -268,7 +258,6 @@ void AbortRun(const NodeStepContext& ctx, AbortKind kind, std::string reason,
   result.abort_kind = kind;
   result.abort_reason = std::move(reason);
   result.abort_node = node.id;
-  ETLOPT_COUNTER_ADD("etlopt.engine.aborts", 1);
   ETLOPT_LOG(Warning) << "run aborted (" << AbortKindName(kind) << ") at "
                       << OpFaultName(node) << ": " << result.abort_reason;
 }
@@ -309,10 +298,8 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
       for (;; ++attempt) {
         const fault::Kind fk = inj->OnSourceOpen(name);
         if (fk == fault::Kind::kNone) break;
-        ETLOPT_COUNTER_ADD(fk == fault::Kind::kTimeout
-                               ? "etlopt.engine.source.timeouts"
-                               : "etlopt.engine.source.io_errors",
-                           1);
+        ++(fk == fault::Kind::kTimeout ? result.source_timeouts
+                                       : result.source_io_errors);
         if (attempt >= ctx.options->retry.max_attempts) {
           AbortRun(ctx, AbortKind::kSourceFailed,
                    "source '" + name + "' failed " + std::to_string(attempt) +
@@ -321,13 +308,6 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
           break;
         }
         ++result.source_retries[name];
-        ETLOPT_COUNTER_ADD("etlopt.engine.source.retries", 1);
-        if (obs::ObsEnabled()) {
-          obs::MetricsRegistry::Global()
-              .GetCounter(obs::MetricName("etlopt.engine.source.retries",
-                                          {{"source", name}}))
-              .Increment();
-        }
         const double slept =
             BackoffAndSleep(ctx.options->retry, attempt, *ctx.backoff_rng);
         ETLOPT_LOG(Info) << "source '" << name << "' " << fault::KindName(fk)
@@ -352,13 +332,6 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
       const int64_t bad = quarantine.num_rows();
       result.source_rows_read[name] = scanned;
       if (bad > 0) {
-        ETLOPT_COUNTER_ADD("etlopt.engine.source.quarantined", bad);
-        if (obs::ObsEnabled()) {
-          obs::MetricsRegistry::Global()
-              .GetCounter(obs::MetricName("etlopt.engine.source.quarantined",
-                                          {{"source", name}}))
-              .Add(bad);
-        }
         const double error_rate =
             scanned > 0 ? static_cast<double>(bad) / scanned : 0.0;
         result.quarantined[name] = std::move(quarantine);
@@ -545,7 +518,6 @@ bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
         violation.actual = static_cast<double>(rows_out);
         violation.qerror = qerror;
         result.monitor_violations.push_back(violation);
-        ETLOPT_COUNTER_ADD("etlopt.guard.monitor_violations", 1);
         ETLOPT_LOG(Warning)
             << "plan monitor at " << OpFaultName(node) << ": expected "
             << violation.expected << " rows, observed " << violation.actual
@@ -581,25 +553,6 @@ bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
     op.bytes = op_bytes;
     result.profile.ops.push_back(std::move(op));
   }
-  if (obs::ObsEnabled()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry
-        .GetCounter(obs::MetricName(
-            "etlopt.engine.rows_out",
-            {{"wf", ctx.wf->name()},
-             {"node", std::to_string(node.id)},
-             {"op", OpKindName(node.kind)}}))
-        .Add(rows_out);
-    ETLOPT_COUNTER_ADD("etlopt.engine.ops_executed", 1);
-    ETLOPT_COUNTER_ADD("etlopt.engine.rows_in", rows_in);
-    ETLOPT_COUNTER_ADD("etlopt.engine.rows_out", rows_out);
-    if (node.kind == OpKind::kJoin) {
-      ETLOPT_COUNTER_ADD("etlopt.engine.join.rejects_left",
-                         result.join_rejects.at(node.id).num_rows());
-      ETLOPT_COUNTER_ADD("etlopt.engine.join.rejects_right",
-                         result.join_rejects_right.at(node.id).num_rows());
-    }
-  }
   ++result.nodes_completed;
   return true;
 }
@@ -616,8 +569,8 @@ Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node) {
   int64_t op_start_ns = 0;
   if (ctx.profiling) op_start_ns = obs::ProfileNowNs();
   ETLOPT_RETURN_IF_ERROR(ComputeNodeOutput(ctx, node, &out));
-  // Self time stops here: fault bookkeeping, byte accounting, and metric
-  // emission in FinishNodeStep are harness cost, not operator cost.
+  // Self time stops here: fault bookkeeping, byte accounting, and the
+  // profile entry in FinishNodeStep are harness cost, not operator cost.
   int64_t self_ns = 0;
   if (ctx.profiling) self_ns = obs::ProfileNowNs() - op_start_ns;
   if (ctx.result->aborted()) return Status::OK();  // stopped inside the read
@@ -708,9 +661,6 @@ Result<ExecutionResult> Executor::Execute(const SourceMap& sources) const {
     exec_span.Arg("nodes_completed",
                   static_cast<int64_t>(result.nodes_completed));
   }
-  ETLOPT_COUNTER_ADD("etlopt.engine.executions", 1);
-  ETLOPT_COUNTER_ADD("etlopt.engine.rows_processed", result.rows_processed);
-  ETLOPT_COUNTER_ADD("etlopt.engine.bytes_processed", result.bytes_processed);
   return result;
 }
 

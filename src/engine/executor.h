@@ -147,6 +147,10 @@ struct ExecutionResult {
   std::unordered_map<std::string, Table> quarantined;
   // Transient-failure retries absorbed per source.
   std::unordered_map<std::string, int64_t> source_retries;
+  // Failed source opens across all sources, by kind; the failures that
+  // were retried also count in source_retries.
+  int64_t source_timeouts = 0;
+  int64_t source_io_errors = 0;
   // Rows scanned per source (quarantined rows included) — the per-source
   // progress watermarks a partial ledger record carries.
   std::unordered_map<std::string, int64_t> source_rows_read;
@@ -256,7 +260,7 @@ struct NodeStepContext {
   ExecutionResult* result = nullptr;
 };
 
-// Records an early stop on ctx.result (abort kind/reason/node + telemetry).
+// Records an early stop on ctx.result (abort kind/reason/node) and logs it.
 void AbortRun(const NodeStepContext& ctx, AbortKind kind, std::string reason,
               const WorkflowNode& node);
 
@@ -275,7 +279,7 @@ struct NodeInputSize {
 };
 
 // The post-operator half: crash-fault consult, plan monitor, byte
-// accounting, profile op and per-op metrics. `in` and `rows_out` size the
+// accounting and profile op. `in` and `rows_out` size the
 // operator (a partitioned node sums its partitions); `self_ns` is its
 // measured self time (summed across workers when the node ran
 // partitioned). Returns whether the output may be published: false when the

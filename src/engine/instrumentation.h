@@ -92,10 +92,10 @@ struct TapReport {
 // TapReport::salvage_skipped) instead of failing the whole observation —
 // the completed prefix still yields its statistics.
 //
-// The call touches no global tap counter: what the taps cost goes to
-// `report` only, and Pipeline::RunAndObserve emits the run's etlopt.tap.*
-// counters from its accumulated report. A second observation of the same
-// run (an exact re-check of sketch-backed keys) therefore counts nothing.
+// What the taps cost goes to `report` only; the cycle's record renders its
+// etlopt.tap.* counts from RunOutcome::tap_report. A second observation of
+// the same run (an exact re-check of sketch-backed keys) therefore counts
+// nothing toward the run.
 Result<StatStore> ObserveStatistics(const BlockContext& ctx,
                                     const ExecutionResult& exec,
                                     const std::vector<StatKey>& keys,

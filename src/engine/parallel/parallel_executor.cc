@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "engine/parallel/partition.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/common.h"
@@ -1001,13 +1000,6 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
     exec_span.Arg("nodes_completed",
                   static_cast<int64_t>(result.nodes_completed));
   }
-  ETLOPT_COUNTER_ADD("etlopt.engine.executions", 1);
-  ETLOPT_COUNTER_ADD("etlopt.engine.rows_processed", result.rows_processed);
-  ETLOPT_COUNTER_ADD("etlopt.engine.bytes_processed", result.bytes_processed);
-  ETLOPT_COUNTER_ADD("etlopt.parallel.merge_ns", result.merge_ns);
-  ETLOPT_GAUGE_SET("etlopt.parallel.workers", result.num_workers);
-  ETLOPT_GAUGE_SET("etlopt.parallel.partitions", result.partitions_total);
-  ETLOPT_GAUGE_SET("etlopt.parallel.skew", result.partition_skew);
   return pres;
 }
 

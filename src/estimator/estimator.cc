@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "opt/closure.h"
 #include "util/logging.h"
 
@@ -100,9 +99,6 @@ Status Estimator::DeriveAll(const StatStore& observed) {
     prov.rule = entry.rule;
     prov.inputs = entry.inputs;
     provenance_[entry.target] = std::move(prov);
-  }
-  if (clamped_ > 0) {
-    ETLOPT_COUNTER_ADD("etlopt.estimator.clamped", clamped_);
   }
   return Status::OK();
 }

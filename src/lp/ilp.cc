@@ -96,6 +96,8 @@ IlpSolution SolveIlp(const LinearProgram& lp,
     }
 
     const LpSolution relax = SolveLp(work, options.simplex);
+    ++best.lp_solves;
+    best.simplex_pivots += relax.pivots;
     if (relax.status != LpStatus::kOptimal) continue;  // prune (or numeric)
     if (relax.objective >= incumbent_obj - 1e-9) continue;
 

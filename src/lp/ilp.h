@@ -28,6 +28,9 @@ struct IlpSolution {
   std::vector<double> values;
   int explored_nodes = 0;
   bool proven_optimal = false;  // false when node/time limits truncated search
+  // LP relaxations solved and simplex pivots they took, across the search.
+  int64_t lp_solves = 0;
+  int64_t simplex_pivots = 0;
 };
 
 // Solves min c·x with the LP's constraints where the variables listed in

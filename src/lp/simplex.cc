@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/common.h"
 
@@ -85,20 +84,12 @@ enum class PivotResult { kOptimal, kUnbounded, kIterationLimit };
 // entry per tableau column (excluding the rhs column, which is last).
 PivotResult RunSimplex(Tableau& tab, std::vector<int>& basis,
                        const std::vector<double>& costs,
-                       const SimplexOptions& options, double tol) {
+                       const SimplexOptions& options, double tol,
+                       int64_t* pivots) {
   const int m = tab.rows();
   const int n = tab.cols() - 1;  // last column is rhs
   const int rhs = n;
   int degenerate_steps = 0;
-  int64_t pivots = 0;
-  // Batched: one atomic add per simplex call, not per pivot.
-  struct PivotFlush {
-    int64_t& pivots;
-    ~PivotFlush() {
-      ETLOPT_COUNTER_ADD("etlopt.lp.simplex.pivots", pivots);
-      ETLOPT_HIST_RECORD("etlopt.lp.simplex.pivots_per_solve", pivots);
-    }
-  } flush{pivots};
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Price: reduced cost r_j = c_j - sum_i c_B[i] * tab[i][j].
     const bool bland = degenerate_steps > 2 * (m + n);
@@ -145,7 +136,7 @@ PivotResult RunSimplex(Tableau& tab, std::vector<int>& basis,
     }
     tab.Pivot(leaving, entering);
     basis[static_cast<size_t>(leaving)] = entering;
-    ++pivots;
+    ++*pivots;
   }
   return PivotResult::kIterationLimit;
 }
@@ -153,7 +144,6 @@ PivotResult RunSimplex(Tableau& tab, std::vector<int>& basis,
 }  // namespace
 
 LpSolution SolveLp(const LinearProgram& lp, const SimplexOptions& options) {
-  ETLOPT_COUNTER_ADD("etlopt.lp.solves", 1);
   const double tol = options.tolerance;
   const int nvars = lp.num_variables();
 
@@ -259,7 +249,8 @@ LpSolution SolveLp(const LinearProgram& lp, const SimplexOptions& options) {
     for (int j = nstruct + nslack; j < ncols; ++j) {
       phase1[static_cast<size_t>(j)] = 1.0;
     }
-    const PivotResult res = RunSimplex(tab, basis, phase1, options, tol);
+    const PivotResult res = RunSimplex(tab, basis, phase1, options, tol,
+                                         &solution.pivots);
     if (res == PivotResult::kIterationLimit) {
       solution.status = LpStatus::kIterationLimit;
       return solution;
@@ -305,7 +296,8 @@ LpSolution SolveLp(const LinearProgram& lp, const SimplexOptions& options) {
   for (int j = nstruct + nslack; j < ncols; ++j) {
     phase2[static_cast<size_t>(j)] = 1e30;
   }
-  const PivotResult res = RunSimplex(tab, basis, phase2, options, tol);
+  const PivotResult res = RunSimplex(tab, basis, phase2, options, tol,
+                                       &solution.pivots);
   if (res == PivotResult::kIterationLimit) {
     solution.status = LpStatus::kIterationLimit;
     return solution;

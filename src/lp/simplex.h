@@ -1,6 +1,7 @@
 #ifndef ETLOPT_LP_SIMPLEX_H_
 #define ETLOPT_LP_SIMPLEX_H_
 
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -55,6 +56,7 @@ struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   double objective = 0.0;
   std::vector<double> values;
+  int64_t pivots = 0;  // simplex pivots over both phases
 };
 
 struct SimplexOptions {

@@ -1,71 +1,9 @@
 #include "obs/accuracy.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
-
-#include "obs/metrics.h"
 
 namespace etlopt {
 namespace obs {
-
-double QError(double estimated, double actual) {
-  const double e = std::max(estimated, 1.0);
-  const double a = std::max(actual, 1.0);
-  return std::max(e / a, a / e);
-}
-
-AccuracyTracker& AccuracyTracker::Global() {
-  static AccuracyTracker* tracker = new AccuracyTracker();
-  return *tracker;
-}
-
-void AccuracyTracker::Record(const std::string& op_type, int join_depth,
-                             double estimated, double actual) {
-  if (!ObsEnabled()) return;
-  const double q = QError(estimated, actual);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples_[{op_type, join_depth}].push_back(q);
-  }
-  ETLOPT_COUNTER_ADD("etlopt.accuracy.samples", 1);
-  // Scaled x1000 so the log-bucketed histogram resolves the [1, 2) range
-  // where most q-errors land.
-  ETLOPT_HIST_RECORD("etlopt.accuracy.qerror_x1000",
-                     static_cast<int64_t>(std::llround(q * 1000.0)));
-}
-
-void AccuracyTracker::RecordSe(RelMask se, double estimated, double actual) {
-  const int rels = PopCount(se);
-  Record(rels > 1 ? "join" : "chain", rels > 1 ? rels - 1 : 0, estimated,
-         actual);
-}
-
-void AccuracyTracker::RecordCardMap(
-    const std::unordered_map<RelMask, int64_t>& estimated,
-    const std::unordered_map<RelMask, int64_t>& truth) {
-  for (const auto& [se, est] : estimated) {
-    const auto it = truth.find(se);
-    if (it == truth.end()) continue;
-    RecordSe(se, static_cast<double>(est), static_cast<double>(it->second));
-  }
-}
-
-bool AccuracyTracker::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return samples_.empty();
-}
-
-int64_t AccuracyTracker::total_samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t total = 0;
-  for (const auto& [key, values] : samples_) {
-    total += static_cast<int64_t>(values.size());
-  }
-  return total;
-}
-
 namespace {
 
 double Quantile(const std::vector<double>& sorted, double q) {
@@ -77,74 +15,28 @@ double Quantile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-QErrorSummary Summarize(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  QErrorSummary s;
-  s.count = static_cast<int64_t>(values.size());
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  s.mean = values.empty() ? 0.0 : sum / static_cast<double>(values.size());
-  s.p50 = Quantile(values, 0.50);
-  s.p90 = Quantile(values, 0.90);
-  s.p95 = Quantile(values, 0.95);
-  s.p99 = Quantile(values, 0.99);
-  s.max = values.empty() ? 0.0 : values.back();
-  return s;
-}
-
 }  // namespace
 
-std::vector<std::pair<std::pair<std::string, int>, QErrorSummary>>
-AccuracyTracker::Summaries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::pair<std::string, int>, QErrorSummary>> out;
-  out.reserve(samples_.size());
-  for (const auto& [key, values] : samples_) {
-    out.emplace_back(key, Summarize(values));
-  }
-  return out;
+double QError(double estimated, double actual) {
+  const double e = std::max(estimated, 1.0);
+  const double a = std::max(actual, 1.0);
+  return std::max(e / a, a / e);
 }
 
-std::string AccuracyTracker::FormatTable() const {
-  const auto summaries = Summaries();
-  std::ostringstream out;
-  out << "estimator q-error by operator type and join depth:\n";
-  if (summaries.empty()) {
-    out << "  (no ground-truth samples recorded)\n";
-    return out.str();
-  }
-  char line[160];
-  std::snprintf(line, sizeof(line), "  %-8s %5s %7s %8s %8s %8s %8s %8s %8s\n",
-                "op", "depth", "count", "mean", "p50", "p90", "p95", "p99",
-                "max");
-  out << line;
-  auto all = std::vector<double>();
-  for (const auto& [key, s] : summaries) {
-    std::snprintf(line, sizeof(line),
-                  "  %-8s %5d %7lld %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n",
-                  key.first.c_str(), key.second,
-                  static_cast<long long>(s.count), s.mean, s.p50, s.p90,
-                  s.p95, s.p99, s.max);
-    out << line;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, values] : samples_) {
-      all.insert(all.end(), values.begin(), values.end());
-    }
-  }
-  const QErrorSummary s = Summarize(std::move(all));
-  std::snprintf(line, sizeof(line),
-                "  %-8s %5s %7lld %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n",
-                "all", "-", static_cast<long long>(s.count), s.mean, s.p50,
-                s.p90, s.p95, s.p99, s.max);
-  out << line;
-  return out.str();
-}
-
-void AccuracyTracker::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.clear();
+QErrorSummary SummarizeQErrors(std::vector<double> qerrors) {
+  std::sort(qerrors.begin(), qerrors.end());
+  QErrorSummary s;
+  s.count = static_cast<int64_t>(qerrors.size());
+  if (qerrors.empty()) return s;
+  double sum = 0.0;
+  for (double q : qerrors) sum += q;
+  s.mean = sum / static_cast<double>(qerrors.size());
+  s.p50 = Quantile(qerrors, 0.50);
+  s.p90 = Quantile(qerrors, 0.90);
+  s.p95 = Quantile(qerrors, 0.95);
+  s.p99 = Quantile(qerrors, 0.99);
+  s.max = qerrors.back();
+  return s;
 }
 
 }  // namespace obs

@@ -2,13 +2,7 @@
 #define ETLOPT_OBS_ACCURACY_H_
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
-
-#include "util/bitmask.h"
 
 namespace etlopt {
 namespace obs {
@@ -28,44 +22,10 @@ struct QErrorSummary {
   double max = 0.0;
 };
 
-// Accumulates estimator-accuracy samples whenever ground-truth cardinalities
-// are available (ComputeGroundTruthCards), keyed by operator type and join
-// depth. Sample volume is one per sub-expression per run, so raw samples are
-// kept for exact quantiles. Thread-safe.
-class AccuracyTracker {
- public:
-  static AccuracyTracker& Global();
-
-  // op_type: a short label like "join" or "chain"; join_depth: number of
-  // joins in the sub-expression (0 for singletons).
-  void Record(const std::string& op_type, int join_depth, double estimated,
-              double actual);
-
-  // Convenience for SE cardinalities: derives op_type/depth from the mask.
-  void RecordSe(RelMask se, double estimated, double actual);
-
-  // Records q-errors for every SE present in both maps.
-  void RecordCardMap(const std::unordered_map<RelMask, int64_t>& estimated,
-                     const std::unordered_map<RelMask, int64_t>& truth);
-
-  bool empty() const;
-  int64_t total_samples() const;
-
-  // Per-(op_type, depth) summaries, sorted by key.
-  std::vector<std::pair<std::pair<std::string, int>, QErrorSummary>>
-  Summaries() const;
-
-  // Fixed-width q-error quantile table (the --obs-summary rendering).
-  std::string FormatTable() const;
-
-  void Reset();
-
- private:
-  AccuracyTracker() = default;
-
-  mutable std::mutex mu_;
-  std::map<std::pair<std::string, int>, std::vector<double>> samples_;
-};
+// Count, mean, max and linearly interpolated quantiles of a set of q-error
+// samples (all zero when there are none). Samples are kept raw — one per
+// sub-expression or operator per run — so the quantiles are exact.
+QErrorSummary SummarizeQErrors(std::vector<double> qerrors);
 
 }  // namespace obs
 }  // namespace etlopt

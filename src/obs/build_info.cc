@@ -1,5 +1,7 @@
 #include "obs/build_info.h"
 
+#include <sys/resource.h>
+
 #include <sstream>
 
 namespace etlopt {
@@ -77,6 +79,12 @@ std::string BuildInfo::Summary() const {
 const BuildInfo& CurrentBuildInfo() {
   static const BuildInfo* info = new BuildInfo(MakeBuildInfo());
   return *info;
+}
+
+int64_t PeakRssBytes() {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<int64_t>(usage.ru_maxrss) * 1024;  // Linux: KiB
 }
 
 }  // namespace obs

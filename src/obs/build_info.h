@@ -1,6 +1,7 @@
 #ifndef ETLOPT_OBS_BUILD_INFO_H_
 #define ETLOPT_OBS_BUILD_INFO_H_
 
+#include <cstdint>
 #include <string>
 
 namespace etlopt {
@@ -34,6 +35,10 @@ struct BuildInfo {
 // build system injects (ETLOPT_GIT_SHA, ETLOPT_BUILD_TYPE,
 // ETLOPT_COMPILER_ID) and compiler feature macros for the sanitizer flags.
 const BuildInfo& CurrentBuildInfo();
+
+// Peak resident set size of this process so far, in bytes (getrusage's
+// ru_maxrss); 0 where the platform does not report it.
+int64_t PeakRssBytes();
 
 }  // namespace obs
 }  // namespace etlopt

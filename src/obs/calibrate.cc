@@ -199,20 +199,5 @@ double PlanCostQError(const RunProfile& profile) {
   return any ? QError(predicted, measured) : 0.0;
 }
 
-void RecordCostAccuracy(const RunProfile& profile) {
-  AccuracyTracker& tracker = AccuracyTracker::Global();
-  double predicted = 0.0;
-  double measured = 0.0;
-  bool any = false;
-  for (const OpProfile& op : profile.ops) {
-    if (op.pred_ns < 0.0) continue;
-    tracker.Record("cost", 0, op.pred_ns, static_cast<double>(op.self_ns));
-    predicted += op.pred_ns;
-    measured += static_cast<double>(op.self_ns);
-    any = true;
-  }
-  if (any) tracker.Record("plan_cost", 0, predicted, measured);
-}
-
 }  // namespace obs
 }  // namespace etlopt

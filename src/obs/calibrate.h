@@ -82,11 +82,6 @@ void AnnotatePredictions(const CostCalibration& calibration,
 // over annotated ops. 0.0 when nothing is annotated.
 double PlanCostQError(const RunProfile& profile);
 
-// Feeds per-operator ("cost", depth 0) and per-plan ("plan_cost") q-errors
-// of an annotated profile into the global AccuracyTracker, alongside the
-// cardinality samples.
-void RecordCostAccuracy(const RunProfile& profile);
-
 }  // namespace obs
 }  // namespace etlopt
 

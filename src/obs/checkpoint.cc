@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/metrics.h"
 #include "stats/stat_io.h"
 #include "util/json.h"
 
@@ -107,7 +106,6 @@ Status CheckpointWriter::Flush(const TapCheckpoint& checkpoint) {
                             "' failed");
   }
   ++flushes_;
-  ETLOPT_COUNTER_ADD("etlopt.obs.checkpoint.flushes", 1);
   return Status::OK();
 }
 

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "obs/calibrate.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "util/logging.h"
 
@@ -73,7 +72,6 @@ GuardVerdict EvaluateAdoption(const GuardOptions& options,
                               const GuardInputs& inputs) {
   GuardVerdict verdict;
   if (options.mode == GuardMode::kOff) return verdict;
-  ETLOPT_COUNTER_ADD("etlopt.guard.evaluations", 1);
 
   double min_confidence = 1.0;
   for (const SeEvidence& se : inputs.evidence) {
@@ -95,7 +93,6 @@ GuardVerdict EvaluateAdoption(const GuardOptions& options,
   if (!inputs.plan_changed) {
     // The proposal IS the designed plan; adoption is a no-op and cannot
     // regress. Record the score, skip the criteria.
-    ETLOPT_GAUGE_SET("etlopt.guard.evidence", verdict.evidence_score);
     return verdict;
   }
 
@@ -123,14 +120,9 @@ GuardVerdict EvaluateAdoption(const GuardOptions& options,
       }
     }
   }
-  if (!verdict.reasons.empty()) {
-    ETLOPT_COUNTER_ADD("etlopt.guard.flagged", 1);
-    if (options.mode == GuardMode::kStrict) {
-      verdict.adopt = false;
-      ETLOPT_COUNTER_ADD("etlopt.guard.fallbacks", 1);
-    }
+  if (!verdict.reasons.empty() && options.mode == GuardMode::kStrict) {
+    verdict.adopt = false;
   }
-  ETLOPT_GAUGE_SET("etlopt.guard.evidence", verdict.evidence_score);
   return verdict;
 }
 

@@ -108,7 +108,8 @@ struct GuardVerdict {
 // Scores the evidence and decides adoption under `options.mode`. In kOff
 // the verdict always adopts with no reasons; in kWarn the reasons are
 // recorded but `adopt` stays true; in kStrict any failed criterion flips
-// `adopt` to false. Emits etlopt.guard.* metrics.
+// `adopt` to false. The cycle's record derives its etlopt.guard.* counts
+// from the verdict (MakeRunRecord).
 GuardVerdict EvaluateAdoption(const GuardOptions& options,
                               const GuardInputs& inputs);
 

@@ -3,12 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "etl/workflow_io.h"
-#include "obs/metrics.h"
 #include "stats/stat_io.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -43,6 +43,26 @@ std::string FingerprintWorkflow(const Workflow& workflow) {
   Status status;
   const std::string text = WriteWorkflowText(workflow, &status);
   return FingerprintText(status.ok() ? text : workflow.ToString());
+}
+
+void RunRecord::AddMetric(const std::string& name, int64_t value) {
+  const auto it = std::lower_bound(
+      metrics.begin(), metrics.end(), name,
+      [](const auto& entry, const std::string& key) {
+        return entry.first < key;
+      });
+  if (it != metrics.end() && it->first == name) {
+    it->second += value;
+  } else {
+    metrics.emplace(it, name, value);
+  }
+}
+
+int64_t RunRecord::Metric(const std::string& name) const {
+  for (const auto& [key, value] : metrics) {
+    if (key == name) return value;
+  }
+  return 0;
 }
 
 std::string RunRecord::ToJsonLine() const {
@@ -109,6 +129,13 @@ std::string RunRecord::ToJsonLine() const {
   }
   if (num_threads != 1) {
     j.Set("num_threads", Json::Int(num_threads));
+  }
+  if (partitions > 0) {
+    j.Set("partitions", Json::Int(partitions));
+    j.Set("partition_skew", Json::Double(partition_skew));
+  }
+  if (peak_rss_bytes > 0) {
+    j.Set("peak_rss_bytes", Json::Int(peak_rss_bytes));
   }
   if (!profile.empty()) {
     j.Set("profile", ProfileToJson(profile));
@@ -202,6 +229,9 @@ Result<RunRecord> RunRecord::FromJsonLine(const std::string& line) {
   }
   record.quarantined_rows = j.GetInt("quarantined", 0);
   record.num_threads = static_cast<int>(j.GetInt("num_threads", 1));
+  record.partitions = static_cast<int>(j.GetInt("partitions", 0));
+  record.partition_skew = j.GetDouble("partition_skew", 0.0);
+  record.peak_rss_bytes = j.GetInt("peak_rss_bytes", 0);
   if (const Json* profile = j.Find("profile");
       profile != nullptr && profile->is_object()) {
     record.profile = ProfileFromJson(*profile);
@@ -236,7 +266,6 @@ Result<LedgerLoadResult> RunLedger::Load() const {
       // than losing the whole history, but say so — silent tolerance hides
       // real corruption.
       ++result.skipped_lines;
-      ETLOPT_COUNTER_ADD("etlopt.obs.ledger.skipped_lines", 1);
       ETLOPT_LOG(Warning) << "ledger '" << path_ << "' line " << line_number
                           << " unreadable, skipped: "
                           << record.status().ToString();

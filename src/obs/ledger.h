@@ -53,7 +53,10 @@ struct RunRecord {
   // comparing approximations rather than exact observations.
   std::vector<StatStore> block_stats;
 
-  // Counter snapshot at record time (sorted name -> value).
+  // This run's counters (sorted name -> value, zero counts omitted): rows,
+  // taps, selection effort, robustness and guard events. Records written
+  // before the counters were per-run hold the process's cumulative counts
+  // here; they still load.
   std::vector<std::pair<std::string, int64_t>> metrics;
 
   // ---- robustness fields (defaults describe a clean run; serialized only
@@ -78,6 +81,14 @@ struct RunRecord {
   // advisor's report flags cross-thread-count comparisons like it flags
   // cross-build ones.
   int num_threads = 1;
+  // Partition fan-out and max/mean partition cardinality of a partitioned
+  // run (serialized only when partitions > 0).
+  int partitions = 0;
+  double partition_skew = 0.0;
+  // Peak resident set size of the producing process when the record was
+  // made, in bytes (serialized only when set). One cycle per process makes
+  // it the run's peak.
+  int64_t peak_rss_bytes = 0;
 
   // Per-operator profile of the run (self time, rows, bytes, tap overhead,
   // and the calibrated prediction that was live when the run executed).
@@ -97,6 +108,11 @@ struct RunRecord {
   // Serialized only when engaged() — clean guarded runs leave the ledger
   // line unchanged.
   GuardRecord guard;
+
+  // Adds `value` to the named counter of `metrics`, keeping names sorted.
+  void AddMetric(const std::string& name, int64_t value);
+  // The named counter of `metrics`, 0 when absent.
+  int64_t Metric(const std::string& name) const;
 
   std::string ToJsonLine() const;
   static Result<RunRecord> FromJsonLine(const std::string& line);

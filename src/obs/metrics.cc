@@ -1,11 +1,7 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstdio>
+#include <atomic>
 #include <cstdlib>
-#include <sstream>
 
 namespace etlopt {
 namespace obs {
@@ -33,326 +29,6 @@ void SetObsEnabled(bool on) {
   EnabledFlag().store(on, std::memory_order_relaxed);
 }
 #endif  // ETLOPT_OBS_DISABLED
-
-int LogHistogram::BucketIndex(int64_t v) {
-  if (v < 1) return 0;
-  // bit_width(v) = floor(log2(v)) + 1, so values in [2^(i-1), 2^i) land in
-  // bucket i.
-  const int b = std::bit_width(static_cast<uint64_t>(v));
-  return b < kNumBuckets ? b : kNumBuckets - 1;
-}
-
-int64_t LogHistogram::BucketLowerBound(int bucket) {
-  if (bucket <= 0) return 0;
-  return int64_t{1} << (bucket - 1);
-}
-
-int64_t LogHistogram::BucketUpperBound(int bucket) {
-  if (bucket <= 0) return 1;
-  if (bucket >= kNumBuckets - 1) return INT64_MAX;
-  return int64_t{1} << bucket;
-}
-
-void LogHistogram::Record(int64_t v) {
-  buckets_[static_cast<size_t>(BucketIndex(v))].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  int64_t cur = min_.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-  cur = max_.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-int64_t LogHistogram::Min() const {
-  return min_.load(std::memory_order_relaxed);
-}
-
-int64_t LogHistogram::Max() const {
-  return max_.load(std::memory_order_relaxed);
-}
-
-double LogHistogram::Mean() const {
-  const int64_t n = Count();
-  return n == 0 ? 0.0 : static_cast<double>(Sum()) / static_cast<double>(n);
-}
-
-double LogHistogram::ApproxQuantile(double q) const {
-  const int64_t n = Count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(n - 1);
-  int64_t seen = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    const int64_t in_bucket = BucketCount(b);
-    if (in_bucket == 0) continue;
-    if (rank < static_cast<double>(seen + in_bucket)) {
-      const double frac =
-          (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      const double lo = static_cast<double>(BucketLowerBound(b));
-      const double hi = b >= kNumBuckets - 1
-                            ? static_cast<double>(Max())
-                            : static_cast<double>(BucketUpperBound(b));
-      const double v = lo + frac * (hi - lo);
-      return std::clamp(v, static_cast<double>(Min()),
-                        static_cast<double>(Max()));
-    }
-    seen += in_bucket;
-  }
-  return static_cast<double>(Max());
-}
-
-void LogHistogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(INT64_MAX, std::memory_order_relaxed);
-  max_.store(INT64_MIN, std::memory_order_relaxed);
-}
-
-std::string MetricName(
-    const std::string& base,
-    const std::vector<std::pair<std::string, std::string>>& labels) {
-  if (labels.empty()) return base;
-  std::string out = base;
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += k;
-    out += "=\"";
-    out += v;
-    out += '"';
-  }
-  out += '}';
-  return out;
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-LogHistogram& MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<LogHistogram>();
-  return *slot;
-}
-
-const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-const LogHistogram* MetricsRegistry::FindHistogram(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-namespace {
-
-// Prometheus metric names allow [a-zA-Z0-9_:] only; our dotted names map
-// dots (and any other byte) to '_'. The optional {label="v"} suffix is
-// already in exposition syntax and passes through.
-std::string PrometheusName(const std::string& name) {
-  std::string base = name;
-  std::string labels;
-  const size_t brace = name.find('{');
-  if (brace != std::string::npos) {
-    base = name.substr(0, brace);
-    labels = name.substr(brace);
-  }
-  for (char& c : base) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
-  }
-  return base + labels;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string FormatDouble(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "0";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
-std::string MetricsRegistry::ExportPrometheus() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  for (const auto& [name, c] : counters_) {
-    out << PrometheusName(name) << " " << c->Get() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    out << PrometheusName(name) << " " << FormatDouble(g->Get()) << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string pname = PrometheusName(name);
-    std::string base = pname;
-    std::string labels;
-    const size_t brace = pname.find('{');
-    if (brace != std::string::npos) {
-      base = pname.substr(0, brace);
-      // "{a="b"}" -> "a="b"," for merging with the le label.
-      labels = pname.substr(brace + 1, pname.size() - brace - 2) + ",";
-    }
-    int64_t cumulative = 0;
-    for (int b = 0; b < LogHistogram::kNumBuckets - 1; ++b) {
-      const int64_t n = h->BucketCount(b);
-      if (n == 0) continue;
-      cumulative += n;
-      out << base << "_bucket{" << labels << "le=\""
-          << LogHistogram::BucketUpperBound(b) << "\"} " << cumulative
-          << "\n";
-    }
-    out << base << "_bucket{" << labels << "le=\"+Inf\"} " << h->Count()
-        << "\n";
-    const std::string label_suffix =
-        labels.empty() ? ""
-                       : "{" + labels.substr(0, labels.size() - 1) + "}";
-    out << base << "_sum" << label_suffix << " " << h->Sum() << "\n";
-    out << base << "_count" << label_suffix << " " << h->Count() << "\n";
-    // Derived quantiles (log2-bucket interpolation): scrapers get latency
-    // percentiles without reconstructing them from the cumulative buckets.
-    if (h->Count() > 0) {
-      out << base << "_p50" << label_suffix << " "
-          << FormatDouble(h->ApproxQuantile(0.50)) << "\n";
-      out << base << "_p95" << label_suffix << " "
-          << FormatDouble(h->ApproxQuantile(0.95)) << "\n";
-      out << base << "_p99" << label_suffix << " "
-          << FormatDouble(h->ApproxQuantile(0.99)) << "\n";
-    }
-  }
-  return out.str();
-}
-
-std::string MetricsRegistry::ExportJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << JsonEscape(name) << "\":" << c->Get();
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << JsonEscape(name) << "\":" << FormatDouble(g->Get());
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << JsonEscape(name) << "\":{\"count\":" << h->Count()
-        << ",\"sum\":" << h->Sum();
-    if (h->Count() > 0) {
-      out << ",\"min\":" << h->Min() << ",\"max\":" << h->Max()
-          << ",\"p50\":" << FormatDouble(h->ApproxQuantile(0.50))
-          << ",\"p95\":" << FormatDouble(h->ApproxQuantile(0.95))
-          << ",\"p99\":" << FormatDouble(h->ApproxQuantile(0.99));
-    }
-    out << ",\"buckets\":[";
-    bool bfirst = true;
-    for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
-      const int64_t n = h->BucketCount(b);
-      if (n == 0) continue;
-      if (!bfirst) out << ",";
-      bfirst = false;
-      out << "{\"lo\":" << LogHistogram::BucketLowerBound(b) << ",\"hi\":";
-      if (b >= LogHistogram::kNumBuckets - 1) {
-        out << "\"inf\"";
-      } else {
-        out << LogHistogram::BucketUpperBound(b);
-      }
-      out << ",\"count\":" << n << "}";
-    }
-    out << "]}";
-  }
-  out << "}}";
-  return out.str();
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
-}
-
-std::vector<std::pair<std::string, int64_t>> MetricsRegistry::CounterValues()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, int64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c->Get());
-  return out;
-}
 
 }  // namespace obs
 }  // namespace etlopt

@@ -1,22 +1,17 @@
 #ifndef ETLOPT_OBS_METRICS_H_
 #define ETLOPT_OBS_METRICS_H_
 
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <utility>
-#include <vector>
-
 namespace etlopt {
 namespace obs {
 
-// Process-wide observability switch. Compiling with -DETLOPT_OBS_DISABLED
-// turns every instrumentation site into a no-op the optimizer can delete;
-// at runtime the ETLOPT_OBS_DISABLED environment variable (non-empty, not
-// "0") starts the process disabled, and SetObsEnabled flips it on the fly.
+// Process-wide switch for the instrumentation that costs a run time or
+// memory: the tracer's spans and the per-operator profiler. A run's own
+// numbers (rows, taps, guard verdict, q-error — everything in its
+// RunRecord) are results of the run, not instrumentation, and are always
+// rendered. Compiling with -DETLOPT_OBS_DISABLED turns the spans into
+// no-ops the optimizer can delete; at runtime the ETLOPT_OBS_DISABLED
+// environment variable (non-empty, not "0") starts the process disabled,
+// and SetObsEnabled flips it on the fly.
 #ifdef ETLOPT_OBS_DISABLED
 inline constexpr bool ObsEnabled() { return false; }
 inline void SetObsEnabled(bool) {}
@@ -25,170 +20,7 @@ bool ObsEnabled();
 void SetObsEnabled(bool on);
 #endif
 
-// Monotonically increasing counter. Add is a single relaxed fetch_add, so
-// callers on hot paths should batch locally (see BatchedCounter) or add
-// per-operator totals rather than per row.
-class Counter {
- public:
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  void Increment() { Add(1); }
-  int64_t Get() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-// Accumulates locally and flushes once on destruction (or Flush) — the
-// batched-atomics pattern for per-row loops.
-class BatchedCounter {
- public:
-  explicit BatchedCounter(Counter* counter) : counter_(counter) {}
-  ~BatchedCounter() { Flush(); }
-
-  BatchedCounter(const BatchedCounter&) = delete;
-  BatchedCounter& operator=(const BatchedCounter&) = delete;
-
-  void Add(int64_t delta) { local_ += delta; }
-  void Increment() { ++local_; }
-  void Flush() {
-    if (local_ != 0 && counter_ != nullptr) counter_->Add(local_);
-    local_ = 0;
-  }
-
- private:
-  Counter* counter_;
-  int64_t local_ = 0;
-};
-
-// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double Get() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0.0); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-// Fixed log2-scale histogram for latencies (ns) and value distributions.
-// Bucket 0 holds v < 1; bucket i (1 <= i < kNumBuckets-1) holds
-// [2^(i-1), 2^i); the last bucket is the +inf overflow. Recording is one
-// relaxed fetch_add on the bucket plus count/sum updates — no locks.
-class LogHistogram {
- public:
-  static constexpr int kNumBuckets = 64;
-
-  static int BucketIndex(int64_t v);
-  // Inclusive lower bound of bucket i (0 for bucket 0).
-  static int64_t BucketLowerBound(int bucket);
-  // Exclusive upper bound of bucket i; INT64_MAX for the overflow bucket.
-  static int64_t BucketUpperBound(int bucket);
-
-  void Record(int64_t v);
-
-  int64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
-  int64_t Min() const;  // INT64_MAX when empty
-  int64_t Max() const;  // INT64_MIN when empty
-  int64_t BucketCount(int bucket) const {
-    return buckets_[static_cast<size_t>(bucket)].load(
-        std::memory_order_relaxed);
-  }
-  double Mean() const;
-  // Approximate quantile (q in [0,1]): linear interpolation inside the
-  // containing bucket, clamped to the observed min/max.
-  double ApproxQuantile(double q) const;
-
-  void Reset();
-
- private:
-  std::atomic<int64_t> buckets_[kNumBuckets] = {};
-  std::atomic<int64_t> count_{0};
-  std::atomic<int64_t> sum_{0};
-  std::atomic<int64_t> min_{INT64_MAX};
-  std::atomic<int64_t> max_{INT64_MIN};
-};
-
-// Renders "base{k1="v1",k2="v2"}" — the flat metric naming convention used
-// throughout (labels are part of the registry key).
-std::string MetricName(
-    const std::string& base,
-    const std::vector<std::pair<std::string, std::string>>& labels);
-
-// Thread-safe name -> metric registry. Metric objects are allocated once
-// and never moved or removed (Reset zeroes values), so pointers returned by
-// the getters stay valid for the process lifetime — cache them at hot sites.
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global();
-
-  Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
-  LogHistogram& GetHistogram(const std::string& name);
-
-  // Lookup without creation; nullptr when absent.
-  const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
-  const LogHistogram* FindHistogram(const std::string& name) const;
-
-  // Prometheus text exposition format. Dots in metric names become
-  // underscores; the {label="value"} suffix passes through.
-  std::string ExportPrometheus() const;
-  // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string ExportJson() const;
-
-  // Zeroes every metric (objects stay registered and pointers stay valid).
-  void Reset();
-
-  // Snapshot of counter names+values (sorted) — convenient for tests.
-  std::vector<std::pair<std::string, int64_t>> CounterValues() const;
-
- private:
-  MetricsRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<LogHistogram>> histograms_;
-};
-
 }  // namespace obs
 }  // namespace etlopt
-
-// Convenience macros. Each site caches its Counter pointer in a function
-// static, so steady-state cost is one branch + one relaxed fetch_add.
-// Under -DETLOPT_OBS_DISABLED they expand to nothing.
-#ifndef ETLOPT_OBS_DISABLED
-#define ETLOPT_COUNTER_ADD(name, delta)                                  \
-  do {                                                                   \
-    if (::etlopt::obs::ObsEnabled()) {                                   \
-      static ::etlopt::obs::Counter& etlopt_obs_counter =                \
-          ::etlopt::obs::MetricsRegistry::Global().GetCounter(name);     \
-      etlopt_obs_counter.Add(delta);                                     \
-    }                                                                    \
-  } while (0)
-#define ETLOPT_HIST_RECORD(name, value)                                  \
-  do {                                                                   \
-    if (::etlopt::obs::ObsEnabled()) {                                   \
-      static ::etlopt::obs::LogHistogram& etlopt_obs_hist =              \
-          ::etlopt::obs::MetricsRegistry::Global().GetHistogram(name);   \
-      etlopt_obs_hist.Record(value);                                     \
-    }                                                                    \
-  } while (0)
-#define ETLOPT_GAUGE_SET(name, value)                                    \
-  do {                                                                   \
-    if (::etlopt::obs::ObsEnabled()) {                                   \
-      static ::etlopt::obs::Gauge& etlopt_obs_gauge =                    \
-          ::etlopt::obs::MetricsRegistry::Global().GetGauge(name);       \
-      etlopt_obs_gauge.Set(value);                                       \
-    }                                                                    \
-  } while (0)
-#else
-#define ETLOPT_COUNTER_ADD(name, delta) ((void)0)
-#define ETLOPT_HIST_RECORD(name, value) ((void)0)
-#define ETLOPT_GAUGE_SET(name, value) ((void)0)
-#endif
 
 #endif  // ETLOPT_OBS_METRICS_H_

@@ -15,24 +15,19 @@ namespace {
 
 // Cardinality accuracy of one run: q-error over every SE card that carries
 // ground truth (actual >= 0).
-struct CardAccuracy {
-  int samples = 0;
-  double mean = 0.0;
-  double max = 0.0;
-};
+QErrorSummary CardQError(const RunRecord& record) {
+  std::vector<double> qerrors;
+  for (const auto& [se, q] : CardQErrors(record)) qerrors.push_back(q);
+  return SummarizeQErrors(std::move(qerrors));
+}
 
-CardAccuracy CardQError(const RunRecord& record) {
-  CardAccuracy acc;
-  double sum = 0.0;
-  for (const RunRecord::SeCard& card : record.cards) {
-    if (card.actual < 0.0 || card.estimated < 0.0) continue;
-    const double q = QError(card.estimated, card.actual);
-    sum += q;
-    acc.max = std::max(acc.max, q);
-    ++acc.samples;
-  }
-  if (acc.samples > 0) acc.mean = sum / acc.samples;
-  return acc;
+// Peak RSS in MB, "-" for records that predate the field.
+std::string FormatPeakMb(int64_t bytes) {
+  if (bytes <= 0) return "-";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f",
+                static_cast<double>(bytes) / (1 << 20));
+  return buf;
 }
 
 int SketchStatCount(const RunRecord& record) {
@@ -153,6 +148,44 @@ CostCalibration RefitGroup(const Group& group) {
   return FitCalibration(group_records);
 }
 
+// The gauges a record's fields carry, under the names the metrics export
+// has always used.
+std::vector<std::pair<std::string, double>> RunGauges(const RunRecord& r) {
+  std::vector<std::pair<std::string, double>> gauges;
+  if (r.Metric("etlopt.core.cycles") > 0 && !r.partial) {
+    gauges.emplace_back("etlopt.core.initial_cost", r.initial_cost);
+    gauges.emplace_back("etlopt.core.optimized_cost", r.optimized_cost);
+  }
+  if (r.Metric("etlopt.guard.evaluations") > 0) {
+    gauges.emplace_back("etlopt.guard.evidence", r.guard.evidence);
+  }
+  if (r.partitions > 0) {
+    gauges.emplace_back("etlopt.parallel.workers", r.num_threads);
+    gauges.emplace_back("etlopt.parallel.partitions", r.partitions);
+    gauges.emplace_back("etlopt.parallel.skew", r.partition_skew);
+  }
+  if (r.peak_rss_bytes > 0) {
+    gauges.emplace_back("etlopt.process.peak_rss_bytes",
+                        static_cast<double>(r.peak_rss_bytes));
+  }
+  return gauges;
+}
+
+// Prometheus metric names allow [a-zA-Z0-9_:] only: the dotted base maps
+// every other byte to '_'; the {label="v"} suffix is already exposition
+// syntax and passes through.
+std::string PrometheusName(const std::string& name) {
+  const size_t brace = std::min(name.find('{'), name.size());
+  std::string out = name;
+  for (size_t i = 0; i < brace; ++i) {
+    const char c = out[i];
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == ':';
+    if (!ok) out[i] = '_';
+  }
+  return out;
+}
+
 std::string FormatQ(double q) {
   if (q <= 0.0) return "-";
   char buf[32];
@@ -161,6 +194,15 @@ std::string FormatQ(double q) {
 }
 
 }  // namespace
+
+std::vector<std::pair<RelMask, double>> CardQErrors(const RunRecord& record) {
+  std::vector<std::pair<RelMask, double>> qerrors;
+  for (const RunRecord::SeCard& card : record.cards) {
+    if (card.estimated < 0.0 || card.actual < 0.0) continue;
+    qerrors.emplace_back(card.se, QError(card.estimated, card.actual));
+  }
+  return qerrors;
+}
 
 std::string FormatRunReportMarkdown(const std::vector<RunRecord>& records,
                                     const RunReportOptions& options) {
@@ -187,12 +229,13 @@ std::string FormatRunReportMarkdown(const std::vector<RunRecord>& records,
     const std::vector<DriftReport> drift = ReplayDrift(group);
 
     // ---- runs table: card q-error and plan cost q-error trends ----
-    out << "| run | execute_ms | selector | card q-error mean | card "
-           "q-error max | cards | plan cost q-error | flags |\n";
-    out << "|---|---|---|---|---|---|---|---|\n";
+    out << "| run | execute_ms | process peak RSS MB | selector "
+           "| card q-error mean "
+           "| card q-error max | cards | plan cost q-error | flags |\n";
+    out << "|---|---|---|---|---|---|---|---|---|\n";
     for (size_t i = 0; i < group.runs.size(); ++i) {
       const RunRecord& r = *group.runs[i];
-      const CardAccuracy cards = CardQError(r);
+      const QErrorSummary cards = CardQError(r);
       const double cost_q = PlanCostQError(r.profile);
       std::vector<std::string> flags;
       if (r.partial) flags.push_back("partial");
@@ -214,10 +257,11 @@ std::string FormatRunReportMarkdown(const std::vector<RunRecord>& records,
       }
       char exec_ms[32];
       std::snprintf(exec_ms, sizeof(exec_ms), "%.1f", r.execute_ms);
-      out << "| " << r.run_id << " | " << exec_ms << " | " << r.selector
-          << " | " << (cards.samples > 0 ? FormatQ(cards.mean) : "-") << " | "
-          << (cards.samples > 0 ? FormatQ(cards.max) : "-") << " | "
-          << cards.samples << " | " << FormatQ(cost_q) << " | "
+      out << "| " << r.run_id << " | " << exec_ms << " | "
+          << FormatPeakMb(r.peak_rss_bytes) << " | " << r.selector << " | "
+          << (cards.count > 0 ? FormatQ(cards.mean) : "-") << " | "
+          << (cards.count > 0 ? FormatQ(cards.max) : "-") << " | "
+          << cards.count << " | " << FormatQ(cost_q) << " | "
           << (joined.empty() ? "-" : joined) << " |\n";
     }
     out << "\n";
@@ -346,9 +390,12 @@ Json RunReportJson(const std::vector<RunRecord>& records,
       jr.Set("ts_ms", Json::Int(r.timestamp_ms));
       jr.Set("execute_ms", Json::Double(r.execute_ms));
       jr.Set("selector", Json::Str(r.selector));
-      const CardAccuracy cards = CardQError(r);
+      if (r.peak_rss_bytes > 0) {
+        jr.Set("peak_rss_bytes", Json::Int(r.peak_rss_bytes));
+      }
+      const QErrorSummary cards = CardQError(r);
       Json jcard = Json::Object();
-      jcard.Set("samples", Json::Int(cards.samples));
+      jcard.Set("samples", Json::Int(cards.count));
       jcard.Set("mean", Json::Double(cards.mean));
       jcard.Set("max", Json::Double(cards.max));
       jr.Set("card_qerror", std::move(jcard));
@@ -404,6 +451,34 @@ Json RunReportJson(const std::vector<RunRecord>& records,
   }
   j.Set("workflows", std::move(workflows));
   return j;
+}
+
+std::string RunMetricsPrometheus(const RunRecord& record) {
+  std::ostringstream out;
+  for (const auto& [name, value] : record.metrics) {
+    out << PrometheusName(name) << " " << value << "\n";
+  }
+  // Enough digits that byte counts print whole.
+  out.precision(15);
+  for (const auto& [name, value] : RunGauges(record)) {
+    out << PrometheusName(name) << " " << value << "\n";
+  }
+  return out.str();
+}
+
+std::string RunMetricsJson(const RunRecord& record) {
+  Json counters = Json::Object();
+  for (const auto& [name, value] : record.metrics) {
+    counters.Set(name, Json::Int(value));
+  }
+  Json gauges = Json::Object();
+  for (const auto& [name, value] : RunGauges(record)) {
+    gauges.Set(name, Json::Double(value));
+  }
+  Json j = Json::Object();
+  j.Set("counters", std::move(counters));
+  j.Set("gauges", std::move(gauges));
+  return j.Dump();
 }
 
 }  // namespace obs

@@ -2,6 +2,7 @@
 #define ETLOPT_OBS_RUN_REPORT_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/ledger.h"
@@ -34,6 +35,20 @@ std::string FormatRunReportMarkdown(const std::vector<RunRecord>& records,
 // per fingerprint).
 Json RunReportJson(const std::vector<RunRecord>& records,
                    const RunReportOptions& options = {});
+
+// Q-error of each SE card that carries ground truth (estimated and actual
+// both set), in record order and paired with its SE: the card samples that
+// both the runs table here and the --obs-summary q-error table read.
+std::vector<std::pair<RelMask, double>> CardQErrors(const RunRecord& record);
+
+// One run's counters (RunRecord::metrics) and the gauges its fields carry
+// (plan costs, guard evidence, parallel fan-out, peak RSS) — the advisor's
+// --metrics-out. Prometheus text exposition: one `name value` sample per
+// line, dots in the base name mapped to underscores, a {label="v"} suffix
+// passed through.
+std::string RunMetricsPrometheus(const RunRecord& record);
+// The same as one JSON object: {"counters":{...},"gauges":{...}}.
+std::string RunMetricsJson(const RunRecord& record);
 
 }  // namespace obs
 }  // namespace etlopt

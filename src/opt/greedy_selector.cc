@@ -5,7 +5,6 @@
 #include <iterator>
 #include <tuple>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/closure.h"
 #include "util/common.h"
@@ -257,9 +256,6 @@ SelectionResult GreedyCover(const SelectionProblem& problem, double budget,
     }
     if (pending.empty()) break;
     search->Run(problem.observable, observed, pending);
-    ETLOPT_COUNTER_ADD("etlopt.opt.greedy.derivation_passes", 1);
-    ETLOPT_HIST_RECORD("etlopt.opt.greedy.candidate_set_size",
-                       static_cast<int64_t>(pending.size()));
     std::sort(pending.begin(), pending.end(), [&](int a, int b) {
       return search->best(a).cost < search->best(b).cost;
     });
@@ -335,7 +331,7 @@ SelectionResult GreedyCover(const SelectionProblem& problem, double budget,
       result.total_cost += problem.cost[static_cast<size_t>(s)];
     }
   }
-  ETLOPT_COUNTER_ADD("etlopt.opt.greedy.iterations", iterations);
+  result.greedy_iterations = iterations;
   span.Arg("iterations", iterations);
   span.Arg("observed", static_cast<int64_t>(result.observed.size()));
   return result;
@@ -375,11 +371,13 @@ SelectionResult SelectGreedy(const SelectionProblem& problem) {
       }
     }
     SelectionResult alt = GreedyCover(no_ud, kInf, nullptr, &search);
+    const int64_t iterations = best.greedy_iterations + alt.greedy_iterations;
     if (alt.feasible &&
         (!best.feasible || alt.total_cost < best.total_cost - 1e-9)) {
       alt.method = "greedy(no-ud-pass)";
       best = std::move(alt);
     }
+    best.greedy_iterations = iterations;
   }
   return best;
 }

@@ -1,7 +1,6 @@
 #include "opt/ilp_selector.h"
 
 #include "lp/ilp.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/closure.h"
 #include "opt/greedy_selector.h"
@@ -31,7 +30,6 @@ SelectionResult SelectIlp(const SelectionProblem& problem,
   const int64_t rows = static_cast<int64_t>(m) * 2 + n * 2 + vars;  // + bounds
   const int64_t cells = rows * (vars + 2 * rows + 1);
   if (cells > options.max_tableau_cells) {
-    ETLOPT_COUNTER_ADD("etlopt.opt.ilp.size_fallbacks", 1);
     greedy.method = "ilp(greedy-fallback:size)";
     return greedy;
   }
@@ -166,13 +164,11 @@ SelectionResult SelectIlp(const SelectionProblem& problem,
 
   span.Arg("lp_vars", static_cast<int64_t>(lp.num_variables()));
   span.Arg("lp_constraints", static_cast<int64_t>(lp.num_constraints()));
-  ETLOPT_COUNTER_ADD("etlopt.opt.ilp.solves", 1);
-  ETLOPT_COUNTER_ADD("etlopt.opt.ilp.lp_vars", lp.num_variables());
-  ETLOPT_COUNTER_ADD("etlopt.opt.ilp.lp_constraints", lp.num_constraints());
 
   const IlpSolution sol = SolveIlp(lp, integer_vars, ilp_options);
+  greedy.lp_solves = sol.lp_solves;
+  greedy.simplex_pivots = sol.simplex_pivots;
   if (sol.status != LpStatus::kOptimal) {
-    ETLOPT_COUNTER_ADD("etlopt.opt.ilp.limit_fallbacks", 1);
     greedy.method = "ilp(greedy-fallback:" +
                     std::string(sol.status == LpStatus::kIterationLimit
                                     ? "limit"
@@ -184,6 +180,9 @@ SelectionResult SelectIlp(const SelectionProblem& problem,
   SelectionResult result;
   result.feasible = true;
   result.proven_optimal = sol.proven_optimal;
+  result.greedy_iterations = greedy.greedy_iterations;
+  result.lp_solves = sol.lp_solves;
+  result.simplex_pivots = sol.simplex_pivots;
   result.method = sol.proven_optimal ? "ilp" : "ilp(truncated)";
   for (int s = 0; s < n; ++s) {
     const int xv = x_var[static_cast<size_t>(s)];

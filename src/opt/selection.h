@@ -1,6 +1,7 @@
 #ifndef ETLOPT_OPT_SELECTION_H_
 #define ETLOPT_OPT_SELECTION_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,11 @@ struct SelectionResult {
   double total_cost = 0.0;
   std::vector<int> observed;  // stat indices to observe
   std::string method;         // "greedy", "ilp", "ilp(greedy-fallback)", ...
+  // Search effort: greedy iterations (the ILP's warm start included), LP
+  // relaxations solved and simplex pivots taken (ILP only).
+  int64_t greedy_iterations = 0;
+  int64_t lp_solves = 0;
+  int64_t simplex_pivots = 0;
 
   std::vector<StatKey> ObservedKeys(const CssCatalog& catalog) const;
 };

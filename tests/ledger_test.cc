@@ -147,6 +147,34 @@ TEST(RunRecordTest, JsonLineRoundTrips) {
   EXPECT_EQ(parsed->metrics[0].second, 1);
 }
 
+// Ledger lines written while `metrics` snapshotted the process-global
+// counters (cumulative across every cycle of the process, with per-node
+// labelled series) still load; a line of this format round-trips the peak
+// RSS, serialized only when set.
+TEST(RunRecordTest, OldCumulativeMetricsLoadAndPeakRssRoundTrips) {
+  const std::string old_line =
+      R"({"run_id":"run-1","fingerprint":"00000000000000aa","workflow":"wf",)"
+      R"("ts_ms":1,"selector":"greedy","plan_sig":"00000000000000bb",)"
+      R"("initial_cost":10,"optimized_cost":8,"phases":{"analyze_ms":1,)"
+      R"("execute_ms":2,"optimize_ms":3},"cards":[],"stats":[],)"
+      R"("metrics":{"etlopt.accuracy.samples":36,"etlopt.core.cycles":6,)"
+      R"("etlopt.engine.rows_out{wf=\"wf\",node=\"2\",op=\"Join\"}":41788}})";
+  const Result<obs::RunRecord> old = obs::RunRecord::FromJsonLine(old_line);
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  EXPECT_EQ(old->Metric("etlopt.core.cycles"), 6);
+  EXPECT_EQ(old->metrics.size(), 3u);
+  EXPECT_EQ(old->peak_rss_bytes, 0);
+
+  obs::RunRecord record = MakeRecord("run-2", 100);
+  EXPECT_EQ(record.ToJsonLine().find("peak_rss_bytes"), std::string::npos);
+  record.peak_rss_bytes = int64_t{3} << 30;
+  const Result<obs::RunRecord> parsed =
+      obs::RunRecord::FromJsonLine(record.ToJsonLine());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->peak_rss_bytes, int64_t{3} << 30);
+  EXPECT_EQ(parsed->ToJsonLine(), record.ToJsonLine());
+}
+
 TEST(RunRecordTest, FromJsonLineRejectsNonRecords) {
   EXPECT_FALSE(obs::RunRecord::FromJsonLine("").ok());
   EXPECT_FALSE(obs::RunRecord::FromJsonLine("{\"run_id\":").ok());

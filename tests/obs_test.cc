@@ -14,10 +14,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/report.h"
 #include "engine/executor.h"
 #include "obs/accuracy.h"
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/run_report.h"
 #include "obs/trace.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
@@ -210,255 +213,71 @@ JsonValue ParseJsonOrDie(const std::string& text) {
 }
 
 // ---------------------------------------------------------------------------
-// Counter / registry semantics
+// Run-record exporters (--metrics-out)
 // ---------------------------------------------------------------------------
 
-TEST(ObsCounterTest, AddGetReset) {
-  obs::Counter c;
-  EXPECT_EQ(c.Get(), 0);
-  c.Add(5);
-  c.Increment();
-  EXPECT_EQ(c.Get(), 6);
-  c.Reset();
-  EXPECT_EQ(c.Get(), 0);
+// A record carrying a plain counter, a per-source labelled twin, and the
+// gauges its fields export.
+obs::RunRecord ExportRecord() {
+  obs::RunRecord record;
+  record.AddMetric("etlopt.engine.source.retries{source=\"orders\"}", 3);
+  record.AddMetric("etlopt.core.cycles", 1);
+  record.AddMetric("etlopt.engine.source.retries", 2);
+  record.AddMetric("etlopt.engine.source.retries", 1);
+  record.initial_cost = 120.0;
+  record.optimized_cost = 80.5;
+  record.num_threads = 4;
+  record.partitions = 4;
+  record.partition_skew = 1.25;
+  record.peak_rss_bytes = 7 << 20;
+  return record;
 }
-
-TEST(ObsCounterTest, BatchedCounterFlushesOnDestruction) {
-  obs::Counter c;
-  {
-    obs::BatchedCounter batch(&c);
-    for (int i = 0; i < 1000; ++i) batch.Increment();
-    EXPECT_EQ(c.Get(), 0) << "batched adds must not hit the atomic early";
-  }
-  EXPECT_EQ(c.Get(), 1000);
-}
-
-TEST(ObsRegistryTest, GetReturnsStableInstanceAndFindSeesIt) {
-  auto& registry = obs::MetricsRegistry::Global();
-  const std::string name = "test.obs.registry.stable";
-  EXPECT_EQ(registry.FindCounter(name), nullptr);
-  obs::Counter& a = registry.GetCounter(name);
-  obs::Counter& b = registry.GetCounter(name);
-  EXPECT_EQ(&a, &b);
-  a.Add(3);
-  const obs::Counter* found = registry.FindCounter(name);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found, &a);
-  EXPECT_EQ(found->Get(), 3);
-  // Reset zeroes values but keeps the object (and pointer) registered.
-  registry.Reset();
-  EXPECT_EQ(registry.FindCounter(name), &a);
-  EXPECT_EQ(a.Get(), 0);
-}
-
-TEST(ObsRegistryTest, CounterGaugeHistogramNamespacesAreIndependent) {
-  auto& registry = obs::MetricsRegistry::Global();
-  const std::string name = "test.obs.registry.shared_name";
-  registry.GetCounter(name).Add(1);
-  registry.GetGauge(name).Set(2.5);
-  registry.GetHistogram(name).Record(7);
-  EXPECT_EQ(registry.FindCounter(name)->Get(), 1);
-  EXPECT_DOUBLE_EQ(registry.FindGauge(name)->Get(), 2.5);
-  EXPECT_EQ(registry.FindHistogram(name)->Count(), 1);
-}
-
-TEST(ObsRegistryTest, ConcurrentIncrementsSumExactly) {
-  auto& registry = obs::MetricsRegistry::Global();
-  obs::Counter& counter = registry.GetCounter("test.obs.concurrent.plain");
-  obs::Counter& batched = registry.GetCounter("test.obs.concurrent.batched");
-  counter.Reset();
-  batched.Reset();
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 50000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter, &batched] {
-      obs::BatchedCounter batch(&batched);
-      for (int i = 0; i < kPerThread; ++i) {
-        counter.Increment();
-        batch.Increment();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter.Get(), int64_t{kThreads} * kPerThread);
-  EXPECT_EQ(batched.Get(), int64_t{kThreads} * kPerThread);
-}
-
-TEST(ObsMetricNameTest, FormatsLabels) {
-  EXPECT_EQ(obs::MetricName("a.b", {}), "a.b");
-  EXPECT_EQ(obs::MetricName("a.b", {{"k", "v"}}), "a.b{k=\"v\"}");
-  EXPECT_EQ(obs::MetricName("a", {{"x", "1"}, {"y", "2"}}),
-            "a{x=\"1\",y=\"2\"}");
-}
-
-// ---------------------------------------------------------------------------
-// LogHistogram bucket boundaries and statistics
-// ---------------------------------------------------------------------------
-
-TEST(ObsLogHistogramTest, BucketBoundaries) {
-  using H = obs::LogHistogram;
-  EXPECT_EQ(H::BucketIndex(-5), 0);
-  EXPECT_EQ(H::BucketIndex(0), 0);
-  EXPECT_EQ(H::BucketIndex(1), 1);
-  EXPECT_EQ(H::BucketIndex(2), 2);
-  EXPECT_EQ(H::BucketIndex(3), 2);
-  EXPECT_EQ(H::BucketIndex(4), 3);
-  EXPECT_EQ(H::BucketIndex(1023), 10);
-  EXPECT_EQ(H::BucketIndex(1024), 11);
-  EXPECT_EQ(H::BucketIndex(INT64_MAX), H::kNumBuckets - 1);
-  // Every interior bucket covers exactly [lower, upper).
-  for (int b = 1; b < H::kNumBuckets - 1; ++b) {
-    EXPECT_EQ(H::BucketIndex(H::BucketLowerBound(b)), b) << "bucket " << b;
-    EXPECT_EQ(H::BucketIndex(H::BucketUpperBound(b) - 1), b) << "bucket " << b;
-    if (b + 1 < H::kNumBuckets - 1) {
-      // Buckets tile: each upper bound is the next bucket's lower bound.
-      EXPECT_EQ(H::BucketLowerBound(b + 1), H::BucketUpperBound(b));
-    }
-  }
-  EXPECT_EQ(H::BucketUpperBound(H::kNumBuckets - 1), INT64_MAX);
-}
-
-TEST(ObsLogHistogramTest, RecordTracksCountSumMinMax) {
-  obs::LogHistogram h;
-  EXPECT_EQ(h.Count(), 0);
-  EXPECT_EQ(h.Min(), INT64_MAX);
-  EXPECT_EQ(h.Max(), INT64_MIN);
-  for (int64_t v : {5, 100, 1, 7, 7}) h.Record(v);
-  EXPECT_EQ(h.Count(), 5);
-  EXPECT_EQ(h.Sum(), 120);
-  EXPECT_EQ(h.Min(), 1);
-  EXPECT_EQ(h.Max(), 100);
-  EXPECT_DOUBLE_EQ(h.Mean(), 24.0);
-  // 5, 7, 7 all land in bucket [4, 8).
-  EXPECT_EQ(h.BucketCount(obs::LogHistogram::BucketIndex(7)), 3);
-  // Quantiles are approximate but must stay within the observed range.
-  for (double q : {0.0, 0.5, 0.9, 1.0}) {
-    const double v = h.ApproxQuantile(q);
-    EXPECT_GE(v, 1.0) << "q=" << q;
-    EXPECT_LE(v, 100.0) << "q=" << q;
-  }
-  h.Reset();
-  EXPECT_EQ(h.Count(), 0);
-  EXPECT_EQ(h.Sum(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Exporters
-// ---------------------------------------------------------------------------
 
 TEST(ObsExportTest, JsonExportRoundTrips) {
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("test.obs.json.counter").Reset();
-  registry.GetCounter("test.obs.json.counter").Add(42);
-  registry.GetGauge("test.obs.json.gauge").Set(1.5);
-  obs::LogHistogram& h = registry.GetHistogram("test.obs.json.hist");
-  h.Reset();
-  h.Record(3);
-  h.Record(900);
+  const obs::RunRecord record = ExportRecord();
+  // AddMetric keeps names sorted and sums repeated adds.
+  ASSERT_EQ(record.metrics.size(), 3u);
+  EXPECT_EQ(record.metrics[0].first, "etlopt.core.cycles");
+  EXPECT_EQ(record.Metric("etlopt.engine.source.retries"), 3);
+  EXPECT_EQ(record.Metric("etlopt.absent"), 0);
 
-  const JsonValue root = ParseJsonOrDie(registry.ExportJson());
+  const JsonValue root = ParseJsonOrDie(obs::RunMetricsJson(record));
   ASSERT_EQ(root.type, JsonValue::Type::kObject);
-  EXPECT_DOUBLE_EQ(root.at("counters").at("test.obs.json.counter").number,
-                   42.0);
-  EXPECT_DOUBLE_EQ(root.at("gauges").at("test.obs.json.gauge").number, 1.5);
-  const JsonValue& hist = root.at("histograms").at("test.obs.json.hist");
-  EXPECT_DOUBLE_EQ(hist.at("count").number, 2.0);
-  EXPECT_DOUBLE_EQ(hist.at("sum").number, 903.0);
-  EXPECT_DOUBLE_EQ(hist.at("min").number, 3.0);
-  EXPECT_DOUBLE_EQ(hist.at("max").number, 900.0);
-  int64_t bucket_total = 0;
-  for (const JsonValue& bucket : hist.at("buckets").array) {
-    bucket_total += static_cast<int64_t>(bucket.at("count").number);
-    EXPECT_TRUE(bucket.has("lo"));
-    EXPECT_TRUE(bucket.has("hi"));
-  }
-  EXPECT_EQ(bucket_total, 2);
+  const JsonValue& counters = root.at("counters");
+  EXPECT_DOUBLE_EQ(counters.at("etlopt.core.cycles").number, 1.0);
+  EXPECT_DOUBLE_EQ(
+      counters.at("etlopt.engine.source.retries{source=\"orders\"}").number,
+      3.0);
+  const JsonValue& gauges = root.at("gauges");
+  EXPECT_DOUBLE_EQ(gauges.at("etlopt.core.initial_cost").number, 120.0);
+  EXPECT_DOUBLE_EQ(gauges.at("etlopt.core.optimized_cost").number, 80.5);
+  EXPECT_DOUBLE_EQ(gauges.at("etlopt.parallel.workers").number, 4.0);
+  EXPECT_DOUBLE_EQ(gauges.at("etlopt.parallel.skew").number, 1.25);
+  EXPECT_DOUBLE_EQ(gauges.at("etlopt.process.peak_rss_bytes").number,
+                   7 << 20);
+  // The adoption gate never ran: no evidence gauge.
+  EXPECT_FALSE(gauges.has("etlopt.guard.evidence"));
 }
 
-TEST(ObsExportTest, PrometheusSanitizesNamesAndEmitsCumulativeBuckets) {
-  auto& registry = obs::MetricsRegistry::Global();
-  registry
-      .GetCounter(obs::MetricName("test.obs.prom.counter", {{"op", "Join"}}))
-      .Reset();
-  registry
-      .GetCounter(obs::MetricName("test.obs.prom.counter", {{"op", "Join"}}))
-      .Add(9);
-  obs::LogHistogram& h = registry.GetHistogram("test.obs.prom.hist");
-  h.Reset();
-  h.Record(1);
-  h.Record(2);
-  h.Record(1000000);
-
-  const std::string text = registry.ExportPrometheus();
-  EXPECT_NE(text.find("test_obs_prom_counter{op=\"Join\"} 9\n"),
-            std::string::npos)
-      << text;
-  // Dots never survive sanitization in the metric name itself.
-  for (size_t pos = text.find("test"); pos != std::string::npos;
-       pos = text.find("test", pos + 1)) {
-    const size_t end = text.find_first_of(" {", pos);
-    ASSERT_NE(end, std::string::npos);
-    EXPECT_EQ(text.substr(pos, end - pos).find('.'), std::string::npos);
+TEST(ObsExportTest, PrometheusSanitizesNamesAndPassesLabels) {
+  const std::string text = obs::RunMetricsPrometheus(ExportRecord());
+  for (const char* sample :
+       {"etlopt_core_cycles 1\n",
+        "etlopt_engine_source_retries{source=\"orders\"} 3\n",
+        "etlopt_core_optimized_cost 80.5\n", "etlopt_parallel_workers 4\n",
+        "etlopt_process_peak_rss_bytes 7340032\n"}) {
+    EXPECT_NE(text.find(sample), std::string::npos) << sample << text;
   }
-  // Cumulative bucket counts: the +Inf bucket equals the total count and
-  // every le-bucket is non-decreasing.
-  EXPECT_NE(text.find("test_obs_prom_hist_bucket{le=\"2\"} 1\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_obs_prom_hist_bucket{le=\"4\"} 2\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_obs_prom_hist_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_obs_prom_hist_sum 1000003\n"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_obs_prom_hist_count 3\n"), std::string::npos)
-      << text;
-}
-
-TEST(ObsExportTest, HistogramQuantilesInJsonAndPrometheus) {
-  auto& registry = obs::MetricsRegistry::Global();
-  obs::LogHistogram& h = registry.GetHistogram("test.obs.quant.hist");
-  h.Reset();
-  // 98 fast samples, 2 slow outliers: p50 sits in the dense bucket while
-  // p99 must climb into the tail.
-  for (int i = 0; i < 98; ++i) h.Record(10);
-  h.Record(1000);
-  h.Record(100000);
-
-  const JsonValue root = ParseJsonOrDie(registry.ExportJson());
-  const JsonValue& hist = root.at("histograms").at("test.obs.quant.hist");
-  ASSERT_TRUE(hist.has("p50"));
-  ASSERT_TRUE(hist.has("p95"));
-  ASSERT_TRUE(hist.has("p99"));
-  const double p50 = hist.at("p50").number;
-  const double p95 = hist.at("p95").number;
-  const double p99 = hist.at("p99").number;
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  // Quantiles interpolate within log buckets but stay clamped to the
-  // observed range; p50 stays near the dense value, p99 reaches the tail.
-  EXPECT_GE(p50, 10.0);
-  EXPECT_LE(p50, 16.0);  // upper bound of 10's power-of-two bucket
-  EXPECT_GT(p99, 500.0);
-  EXPECT_LE(p99, 100000.0);
-
-  const std::string text = registry.ExportPrometheus();
-  EXPECT_NE(text.find("test_obs_quant_hist_p50 "), std::string::npos) << text;
-  EXPECT_NE(text.find("test_obs_quant_hist_p95 "), std::string::npos) << text;
-  EXPECT_NE(text.find("test_obs_quant_hist_p99 "), std::string::npos) << text;
-
-  // An empty histogram exports no quantile keys (they would be lies).
-  h.Reset();
-  const JsonValue empty_root = ParseJsonOrDie(registry.ExportJson());
-  const JsonValue& empty_hist =
-      empty_root.at("histograms").at("test.obs.quant.hist");
-  EXPECT_FALSE(empty_hist.has("p50"));
-  EXPECT_EQ(registry.ExportPrometheus().find("test_obs_quant_hist_p50"),
-            std::string::npos);
+  // Dots never survive sanitization in a metric name itself.
+  std::istringstream lines(text);
+  std::string line;
+  int samples = 0;
+  while (std::getline(lines, line)) {
+    const std::string name = line.substr(0, line.find_first_of(" {"));
+    EXPECT_EQ(name.find('.'), std::string::npos) << line;
+    ++samples;
+  }
+  EXPECT_EQ(samples, 3 + 6);  // three counters, six gauges
 }
 
 // ---------------------------------------------------------------------------
@@ -507,6 +326,44 @@ TEST(ObsTracerTest, NestedSpansProduceValidChromeTrace) {
   EXPECT_EQ(outer_ev->at("args").at("label").str, "a\"b");
   EXPECT_DOUBLE_EQ(inner_ev->at("args").at("cost").number, 1.5);
   tracer.Clear();
+}
+
+// A hash join's span is the one channel for its phase timings: build_ns
+// and probe_ns appear once each, next to its row counts.
+TEST(ObsTracerTest, HashJoinSpanCarriesEachPhaseOnce) {
+  obs::SetObsEnabled(true);
+  testing_util::PaperExample ex = testing_util::MakePaperExample();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  ASSERT_TRUE(Executor(&ex.workflow).Execute(ex.sources).ok());
+  tracer.SetEnabled(false);
+  const std::string text = tracer.ChromeTraceJson();
+  tracer.Clear();
+
+  const auto occurrences = [&](const std::string& needle) {
+    int n = 0;
+    for (size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  int joins = 0;
+  const JsonValue root = ParseJsonOrDie(text);
+  for (const JsonValue* e : PayloadEvents(root)) {
+    if (e->at("name").str != "engine.hash_join") continue;
+    ++joins;
+    const JsonValue& args = e->at("args");
+    for (const char* key :
+         {"build_rows", "probe_rows", "rows_out", "build_ns", "probe_ns"}) {
+      EXPECT_TRUE(args.has(key)) << key;
+    }
+  }
+  EXPECT_EQ(joins, 2);
+  EXPECT_EQ(occurrences("\"build_ns\""), joins);
+  EXPECT_EQ(occurrences("\"probe_ns\""), joins);
+  EXPECT_EQ(occurrences("\"build_rows\""), joins);
 }
 
 TEST(ObsTracerTest, DisabledTracerRecordsNothing) {
@@ -711,7 +568,7 @@ TEST(ObsTracerTest, ProfileCounterEventsCarryNoDuration) {
 }
 
 // ---------------------------------------------------------------------------
-// Accuracy tracker
+// Q-error summary
 // ---------------------------------------------------------------------------
 
 TEST(ObsAccuracyTest, QErrorIsSymmetricAndClamped) {
@@ -724,99 +581,132 @@ TEST(ObsAccuracyTest, QErrorIsSymmetricAndClamped) {
   EXPECT_GE(obs::QError(-3, 5), 1.0);
 }
 
-TEST(ObsAccuracyTest, TrackerGroupsByOpTypeAndDepth) {
-  obs::SetObsEnabled(true);
-  obs::AccuracyTracker& tracker = obs::AccuracyTracker::Global();
-  tracker.Reset();
-  EXPECT_TRUE(tracker.empty());
-  tracker.Record("join", 2, 100, 50);
-  tracker.Record("join", 2, 80, 80);
-  tracker.Record("chain", 0, 10, 10);
-  EXPECT_EQ(tracker.total_samples(), 3);
-  const auto summaries = tracker.Summaries();
-  ASSERT_EQ(summaries.size(), 2u);
-  bool saw_join = false;
-  for (const auto& [key, summary] : summaries) {
-    if (key.first == "join") {
-      saw_join = true;
-      EXPECT_EQ(key.second, 2);
-      EXPECT_EQ(summary.count, 2);
-      EXPECT_DOUBLE_EQ(summary.max, 2.0);
-    }
+TEST(ObsAccuracyTest, SummarizeQErrorsInterpolatesQuantiles) {
+  const obs::QErrorSummary empty = obs::SummarizeQErrors({});
+  EXPECT_EQ(empty.count, 0);
+  EXPECT_DOUBLE_EQ(empty.max, 0.0);
+
+  // Unsorted input; quantiles interpolate linearly between ranks.
+  const obs::QErrorSummary s = obs::SummarizeQErrors({4.0, 1.0, 2.0, 1.0, 2.0});
+  EXPECT_EQ(s.count, 5);
+  EXPECT_DOUBLE_EQ(s.mean, 2.0);
+  EXPECT_DOUBLE_EQ(s.p50, 2.0);
+  EXPECT_DOUBLE_EQ(s.p90, 3.2);  // rank 3.6: 2 + 0.6 * (4 - 2)
+  EXPECT_DOUBLE_EQ(s.max, 4.0);
+  EXPECT_LE(s.p95, s.p99);
+  EXPECT_LE(s.p99, s.max);
+}
+
+// The --obs-summary q-error table groups the record's samples by operator
+// type and join depth: SE cards by their join count, profile operators as
+// "cost", the plan total as "plan_cost", and caller samples as given.
+TEST(ObsAccuracyTest, SummaryTableGroupsByOpTypeAndDepth) {
+  obs::RunRecord record;
+  const auto card = [](RelMask se, double est, double actual) {
+    obs::RunRecord::SeCard c;
+    c.se = se;
+    c.estimated = est;
+    c.actual = actual;
+    return c;
+  };
+  record.cards = {card(0b111, 100, 50), card(0b101, 80, 80), card(0b1, 10, 10),
+                  card(0b11, 7, -1)};  // no ground truth: not a sample
+  obs::OpProfile op;
+  op.op = "Join";
+  op.self_ns = 100;
+  op.pred_ns = 400.0;
+  record.profile.ops = {op};
+
+  const std::vector<QErrorSample> samples = RecordQErrorSamples(record);
+  std::map<std::pair<std::string, int>, int> counts;
+  for (const QErrorSample& s : samples) ++counts[{s.op, s.depth}];
+  EXPECT_EQ(counts, (std::map<std::pair<std::string, int>, int>{
+                        {{"join", 2}, 1},
+                        {{"join", 1}, 1},
+                        {{"chain", 0}, 1},
+                        {{"cost", 0}, 1},
+                        {{"plan_cost", 0}, 1}}));
+
+  const std::string table = FormatObsSummary(record, {{"sketch", 1, 1.5}});
+  for (const char* row : {"  join         2       1    2.000",
+                          "  chain        0       1    1.000",
+                          "  cost         0       1    4.000",
+                          "  plan_cost     0       1    4.000",
+                          "  sketch       1       1    1.500",
+                          "  all          -       6"}) {
+    EXPECT_NE(table.find(row), std::string::npos) << row << "\n" << table;
   }
-  EXPECT_TRUE(saw_join);
-  const std::string table = tracker.FormatTable();
-  EXPECT_NE(table.find("join"), std::string::npos);
-  EXPECT_NE(table.find("chain"), std::string::npos);
-  tracker.Reset();
-  EXPECT_TRUE(tracker.empty());
+  // No engine ran: the headline counts and sections stay silent.
+  EXPECT_EQ(table.find("engine executions"), std::string::npos) << table;
+  EXPECT_EQ(table.find("-- guard --"), std::string::npos) << table;
+  EXPECT_NE(FormatObsSummary(obs::RunRecord())
+                .find("(no ground-truth samples recorded)"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Executor integration: per-operator row counters match actual cardinalities
+// Executor integration: the profile's per-operator rows match the outputs
 // ---------------------------------------------------------------------------
 
 TEST(ObsExecutorIntegrationTest, RowCountersMatchExecutionResult) {
   obs::SetObsEnabled(true);
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.Reset();
-
+  obs::SetProfilerEnabled(true);
   testing_util::PaperExample ex = testing_util::MakePaperExample();
   Executor executor(&ex.workflow, testing_util::RetainOutputs());
   Result<ExecutionResult> result = executor.Execute(ex.sources);
+  obs::SetProfilerEnabled(false);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  int64_t expected_rows_out = 0;
-  for (const WorkflowNode& node : ex.workflow.nodes()) {
+  // One profile entry per operator, in plan order, with its output rows.
+  ASSERT_EQ(result->profile.ops.size(),
+            static_cast<size_t>(ex.workflow.num_nodes()));
+  EXPECT_EQ(result->nodes_completed, ex.workflow.num_nodes());
+  int64_t rows_in = 0;
+  for (const obs::OpProfile& op : result->profile.ops) {
+    const WorkflowNode& node = ex.workflow.node(static_cast<NodeId>(op.node));
+    EXPECT_EQ(op.op, OpKindName(node.kind));
     const auto it = result->node_outputs.find(node.id);
     ASSERT_NE(it, result->node_outputs.end());
-    const int64_t actual = it->second.num_rows();
-    expected_rows_out += actual;
-    const std::string name = obs::MetricName(
-        "etlopt.engine.rows_out",
-        {{"wf", ex.workflow.name()},
-         {"node", std::to_string(node.id)},
-         {"op", OpKindName(node.kind)}});
-    const obs::Counter* c = registry.FindCounter(name);
-    ASSERT_NE(c, nullptr) << "missing per-operator counter " << name;
-    EXPECT_EQ(c->Get(), actual) << name;
+    EXPECT_EQ(op.rows_out, it->second.num_rows()) << op.label;
     if (node.kind != OpKind::kSink) {
-      EXPECT_GT(c->Get(), 0) << name;
+      EXPECT_GT(op.rows_out, 0) << op.label;
     }
+    rows_in += op.rows_in;
   }
-
-  const obs::Counter* ops = registry.FindCounter("etlopt.engine.ops_executed");
-  ASSERT_NE(ops, nullptr);
-  EXPECT_EQ(ops->Get(), ex.workflow.num_nodes());
-  const obs::Counter* rows_out =
-      registry.FindCounter("etlopt.engine.rows_out");
-  ASSERT_NE(rows_out, nullptr);
-  EXPECT_EQ(rows_out->Get(), expected_rows_out);
-  const obs::Counter* processed =
-      registry.FindCounter("etlopt.engine.rows_processed");
-  ASSERT_NE(processed, nullptr);
-  EXPECT_EQ(processed->Get(), result->rows_processed);
-
-  // Reject counters exist for the joins and agree with the captured tables.
-  int64_t rejects_right = 0;
-  for (const auto& [node_id, table] : result->join_rejects_right) {
-    rejects_right += table.num_rows();
-  }
-  const obs::Counter* rr =
-      registry.FindCounter("etlopt.engine.join.rejects_right");
-  ASSERT_NE(rr, nullptr);
-  EXPECT_EQ(rr->Get(), rejects_right);
+  // Every operator's input rows are what the engine counts as processed.
+  EXPECT_EQ(rows_in, result->rows_processed);
 }
 
+// The kill-switch gates instrumentation only: with observability off the
+// tracer and the profiler record nothing, while the run's own numbers —
+// what its RunRecord is made from — are unchanged.
 TEST(ObsDisableTest, RuntimeDisableSkipsRecording) {
-  auto& registry = obs::MetricsRegistry::Global();
+  testing_util::PaperExample ex = testing_util::MakePaperExample();
+  const Executor executor(&ex.workflow);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  obs::SetProfilerEnabled(true);
+
   obs::SetObsEnabled(false);
-  registry.GetCounter("test.obs.disabled.counter").Reset();
-  ETLOPT_COUNTER_ADD("test.obs.disabled.counter", 5);
-  EXPECT_EQ(registry.FindCounter("test.obs.disabled.counter")->Get(), 0);
+  const Result<ExecutionResult> off = executor.Execute(ex.sources);
+  const size_t events_off = tracer.NumEvents();
   obs::SetObsEnabled(true);
-  ETLOPT_COUNTER_ADD("test.obs.disabled.counter", 5);
-  EXPECT_EQ(registry.FindCounter("test.obs.disabled.counter")->Get(), 5);
+  const Result<ExecutionResult> on = executor.Execute(ex.sources);
+  const size_t events_on = tracer.NumEvents();
+  tracer.SetEnabled(false);
+  tracer.Clear();
+  obs::SetProfilerEnabled(false);
+
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_EQ(events_off, 0u);
+  EXPECT_GT(events_on, 0u);
+  EXPECT_TRUE(off->profile.empty());
+  EXPECT_FALSE(on->profile.empty());
+  EXPECT_EQ(off->rows_processed, on->rows_processed);
+  EXPECT_EQ(off->bytes_processed, on->bytes_processed);
+  EXPECT_EQ(off->nodes_completed, on->nodes_completed);
 }
 
 }  // namespace

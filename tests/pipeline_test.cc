@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <sstream>
+#include <string>
 
 #include "core/pipeline.h"
+#include "core/report.h"
 #include "datagen/workload_suite.h"
 #include "test_util.h"
 
@@ -176,6 +182,89 @@ TEST(PipelineTest, CpuMetricWithSizeFeedback) {
   for (const auto& [se, card] : opt->block_cards[0]) {
     EXPECT_EQ(card, cycle.opt.block_cards[0].at(se)) << "SE " << se;
   }
+}
+
+// What one process reports for one cycle: its record's counters and its
+// --obs-summary without the lines that carry timings or the process's
+// memory (phases, peak RSS, parallel merge time).
+std::string ReportCycle(const Workflow& workflow, const SourceMap& sources) {
+  const CycleOutcome cycle = Pipeline().RunCycle(workflow, sources).value();
+  std::vector<CardMap> truths;
+  for (const auto& ba : cycle.analysis->blocks) {
+    truths.push_back(ComputeGroundTruthCards(
+                         ba->ctx, ba->plan_space.subexpressions(),
+                         cycle.run.exec)
+                         .value());
+  }
+  const obs::RunRecord record = MakeRunRecord(cycle, "run-1", &truths);
+  std::string report;
+  for (const auto& [name, value] : record.metrics) {
+    report += name + " = " + std::to_string(value) + "\n";
+  }
+  std::istringstream summary(FormatObsSummary(record));
+  for (std::string line; std::getline(summary, line);) {
+    if (line.rfind("  phases: ", 0) == 0 ||
+        line.rfind("  peak RSS: ", 0) == 0 ||
+        line.rfind("  output merge time: ", 0) == 0) {
+      continue;
+    }
+    report += line + "\n";
+  }
+  return report;
+}
+
+// The same report from a child process that runs only this cycle.
+std::string ReportCycleInFreshProcess(const Workflow& workflow,
+                                      const SourceMap& sources) {
+  int fds[2];
+  if (pipe(fds) != 0) return "pipe failed";
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    const std::string report = ReportCycle(workflow, sources);
+    size_t written = 0;
+    while (written < report.size()) {
+      const ssize_t n =
+          write(fds[1], report.data() + written, report.size() - written);
+      if (n <= 0) break;
+      written += static_cast<size_t>(n);
+    }
+    _exit(written == report.size() ? 0 : 1);
+  }
+  close(fds[1]);
+  std::string report;
+  char buf[4096];
+  for (ssize_t n; (n = read(fds[0], buf, sizeof(buf))) > 0;) {
+    report.append(buf, static_cast<size_t>(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return report;
+}
+
+// A record holds its own cycle's numbers: one process running two
+// different cycles reports each exactly as a process that ran only that
+// cycle does, whatever ran before it.
+TEST(PipelineTest, EachCycleReportsItsOwnNumbers) {
+  const WorkloadSpec wf3 = BuildWorkload(3);
+  const SourceMap wf3_sources = GenerateSources(wf3, 7, 0.01);
+  const testing_util::PaperExample paper = testing_util::MakePaperExample();
+
+  const std::string wf3_fresh =
+      ReportCycleInFreshProcess(wf3.workflow, wf3_sources);
+  const std::string paper_fresh =
+      ReportCycleInFreshProcess(paper.workflow, paper.sources);
+  ASSERT_NE(wf3_fresh.find("etlopt.engine.executions = 1\n"),
+            std::string::npos)
+      << wf3_fresh;
+  ASSERT_NE(paper_fresh.find("  engine executions: 1\n"), std::string::npos)
+      << paper_fresh;
+
+  EXPECT_EQ(ReportCycle(wf3.workflow, wf3_sources), wf3_fresh);
+  EXPECT_EQ(ReportCycle(paper.workflow, paper.sources), paper_fresh);
+  EXPECT_EQ(ReportCycle(wf3.workflow, wf3_sources), wf3_fresh);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "obs/checkpoint.h"
 #include "obs/drift.h"
 #include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "test_util.h"
 #include "util/fault.h"
 
@@ -30,11 +29,6 @@ std::string TempPath(const std::string& name) {
       ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
   std::remove(path.c_str());
   return path;
-}
-
-int64_t CounterValue(const char* name) {
-  const obs::Counter* c = obs::MetricsRegistry::Global().FindCounter(name);
-  return c == nullptr ? 0 : c->Get();
 }
 
 class RobustnessTest : public ::testing::Test {
@@ -105,7 +99,7 @@ TEST_F(RobustnessTest, CrashMatrixYieldsPartialRecordsAndSalvageableRuns) {
 
 // A crash past the first join leaves that join's statistics salvageable:
 // the partial record carries real SE cardinalities, and the next lifecycle
-// seeds its cost model from them (visible through the feedback counter).
+// seeds its cost model from them (visible as its feedback key count).
 TEST_F(RobustnessTest, PartialRecordCarriesSalvagedCardsThatSeedNextRun) {
   auto ex = testing_util::MakePaperExample();
   ASSERT_TRUE(FaultInjector::InstallGlobal("op:join4:crash").ok());
@@ -118,13 +112,13 @@ TEST_F(RobustnessTest, PartialRecordCarriesSalvagedCardsThatSeedNextRun) {
   EXPECT_FALSE(record.cards.empty());
 
   ASSERT_TRUE(FaultInjector::InstallGlobal("").ok());
-  const int64_t fed_before = CounterValue("etlopt.core.partial_feedback_keys");
   const std::vector<obs::RunRecord> history{record};
   const Result<BudgetedLifecycleResult> next =
       RunBudgetedLifecycle(ex.workflow, ex.sources, 1e9, {}, &history);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_FALSE(next->aborted());
-  EXPECT_GT(CounterValue("etlopt.core.partial_feedback_keys"), fed_before);
+  EXPECT_EQ(next->partial_feedback_keys,
+            static_cast<int64_t>(record.cards.size()));
 }
 
 // RunCycle consumes the same salvage: a partial last history record seeds
@@ -141,12 +135,14 @@ TEST_F(RobustnessTest, RunCycleSeedsFromPartialHistory) {
   ASSERT_FALSE(history[0].cards.empty());
 
   ASSERT_TRUE(FaultInjector::InstallGlobal("").ok());
-  const int64_t fed_before = CounterValue("etlopt.core.partial_feedback_keys");
   const Result<CycleOutcome> next =
       pipeline.RunCycle(ex.workflow, ex.sources, &history);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_FALSE(next->aborted());
-  EXPECT_EQ(CounterValue("etlopt.core.partial_feedback_keys") - fed_before,
+  EXPECT_EQ(next->analysis->partial_feedback_keys,
+            static_cast<int64_t>(history[0].cards.size()));
+  EXPECT_EQ(MakeRunRecord(*next, "run-2").Metric(
+                "etlopt.core.partial_feedback_keys"),
             static_cast<int64_t>(history[0].cards.size()));
 }
 
@@ -276,16 +272,14 @@ TEST_F(RobustnessTest, LedgerLoadSkipsCorruptMidFileLines) {
         << line2 << "\n";
   }
 
-  const int64_t skipped_before =
-      CounterValue("etlopt.obs.ledger.skipped_lines");
   const auto loaded = ledger.Load();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->skipped_lines, 2);
   ASSERT_EQ(loaded->records.size(), 2u);
   EXPECT_EQ(loaded->records[0].run_id, "run-1");
   EXPECT_EQ(loaded->records[1].run_id, "run-2");
-  EXPECT_EQ(CounterValue("etlopt.obs.ledger.skipped_lines"),
-            skipped_before + 2);
+  // Loading again counts the same lines again: the count is the load's.
+  EXPECT_EQ(ledger.Load()->skipped_lines, 2);
 }
 
 // Clean-run ledger lines are byte-identical to the seed format: the

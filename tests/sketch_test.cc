@@ -7,7 +7,6 @@
 
 #include "core/pipeline.h"
 #include "obs/drift.h"
-#include "obs/metrics.h"
 #include "sketch/countmin.h"
 #include "sketch/hll.h"
 #include "sketch/kmv.h"
@@ -242,40 +241,35 @@ TEST(TapTest, EstimatorPropagatesErrorBounds) {
   EXPECT_GT(derived_approx, 0);
 }
 
-// The etlopt.tap.* counters by name.
-std::map<std::string, int64_t> TapCounters() {
+// The etlopt.tap.* counters of a cycle's record, by name.
+std::map<std::string, int64_t> TapCounters(const CycleOutcome& cycle) {
   std::map<std::string, int64_t> taps;
-  for (const auto& [name, value] :
-       obs::MetricsRegistry::Global().CounterValues()) {
+  for (const auto& [name, value] : MakeRunRecord(cycle, "run-1").metrics) {
     if (name.rfind("etlopt.tap.", 0) == 0) taps[name] = value;
   }
   return taps;
 }
 
 TEST(TapTest, ReobservingARunLeavesTapCountersUnchanged) {
-  // A budgeted cycle counts its taps once, from the cycle's TapReport; an
-  // exact re-observation of the same run (what `run --approx-taps` does to
-  // check its sketch accuracy) must not count them again.
-  obs::SetObsEnabled(true);
+  // A budgeted cycle counts its taps once, in the cycle's TapReport, and its
+  // record renders them from there; an exact re-observation of the same run
+  // (what `run --approx-taps` does to check its sketch accuracy) must not
+  // count them again.
   auto ex = testing_util::MakePaperExample();
   PipelineOptions options;
   options.tap_memory_budget_bytes = 4096;
   Pipeline pipeline(options);
-  std::map<std::string, int64_t> before = TapCounters();
 
   const Result<CycleOutcome> cycle = pipeline.RunCycle(ex.workflow, ex.sources);
   ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
   const TapReport& report = cycle->run.tap_report;
   ASSERT_GT(report.exact_taps, 0);
   ASSERT_GT(report.sketch_taps, 0);
-  const std::map<std::string, int64_t> after_cycle = TapCounters();
-  auto counted = [&](const std::string& name) {
-    return after_cycle.at(name) - before[name];
-  };
-  EXPECT_EQ(counted("etlopt.tap.exact"), report.exact_taps);
-  EXPECT_EQ(counted("etlopt.tap.sketch"), report.sketch_taps);
-  EXPECT_EQ(counted("etlopt.tap.bytes"), report.tap_bytes);
-  EXPECT_EQ(counted("etlopt.tap.exact_bytes_estimate"),
+  const std::map<std::string, int64_t> after_cycle = TapCounters(*cycle);
+  EXPECT_EQ(after_cycle.at("etlopt.tap.exact"), report.exact_taps);
+  EXPECT_EQ(after_cycle.at("etlopt.tap.sketch"), report.sketch_taps);
+  EXPECT_EQ(after_cycle.at("etlopt.tap.bytes"), report.tap_bytes);
+  EXPECT_EQ(after_cycle.at("etlopt.tap.exact_bytes_estimate"),
             report.exact_bytes_estimate);
 
   int reobserved = 0;
@@ -291,7 +285,7 @@ TEST(TapTest, ReobservingARunLeavesTapCountersUnchanged) {
     reobserved += again.exact_taps;
   }
   EXPECT_GT(reobserved, 0);
-  EXPECT_EQ(TapCounters(), after_cycle);
+  EXPECT_EQ(TapCounters(*cycle), after_cycle);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@
 //                             1000)
 //
 // Observability options (analyze and run):
-//   --metrics-out=<file>      dump the metrics registry on exit
+//   --metrics-out=<file>      write the run's counters and gauges on exit
 //                             (.json -> JSON, otherwise Prometheus text)
 //   --trace-out=<file>        record spans, write Chrome trace JSON
 //                             (open in chrome://tracing or Perfetto)
-//   --obs-summary             print headline counters + q-error table
+//   --obs-summary             print the run's headline counts, phases, peak
+//                             RSS and q-error table
 //
 // Profiling and calibration (run):
 //   --profile                 per-operator profiler: print the self/
@@ -61,8 +62,8 @@
 //   --approx-taps[=<bytes>]   collect distinct/histogram taps with streaming
 //                             sketches when the estimated exact footprint
 //                             exceeds the byte budget (default 1 MiB);
-//                             reports exact-vs-sketch memory and feeds the
-//                             sketch q-error telemetry
+//                             reports exact-vs-sketch memory and adds the
+//                             sketch rows of the --obs-summary q-error table
 //
 // Parallel execution (run; see docs/parallelism.md):
 //   --threads=<n>             run eligible operator chains partitioned over
@@ -109,11 +110,11 @@
 #include "etl/transforms.h"
 #include "etl/workflow_io.h"
 #include "obs/accuracy.h"
+#include "obs/build_info.h"
 #include "obs/calibrate.h"
 #include "obs/drift.h"
 #include "obs/explain.h"
 #include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
@@ -121,6 +122,7 @@
 #include "util/bitmask.h"
 #include "util/fault.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 using namespace etlopt;
 
@@ -133,7 +135,7 @@ int Fail(const std::string& message) {
 
 // Observability sinks shared by analyze/run. Parse turns the tracer on as
 // soon as --trace-out appears, so every later phase is captured; Finish
-// writes the requested dumps.
+// writes the requested dumps, rendering every number from the run's record.
 struct ObsSinks {
   std::string metrics_out;
   std::string trace_out;
@@ -164,14 +166,14 @@ struct ObsSinks {
     return written == content.size();
   }
 
-  int Finish() const {
+  int Finish(const obs::RunRecord& record,
+             const std::vector<QErrorSample>& extra_qerrors = {}) const {
     if (!metrics_out.empty()) {
       const bool json =
           metrics_out.size() >= 5 &&
           metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0;
-      const std::string dump =
-          json ? obs::MetricsRegistry::Global().ExportJson()
-               : obs::MetricsRegistry::Global().ExportPrometheus();
+      const std::string dump = json ? obs::RunMetricsJson(record)
+                                    : obs::RunMetricsPrometheus(record);
       if (!WriteFile(metrics_out, dump)) {
         return Fail("cannot write metrics to '" + metrics_out + "'");
       }
@@ -186,7 +188,7 @@ struct ObsSinks {
                   obs::Tracer::Global().NumEvents(), trace_out.c_str());
     }
     if (summary) {
-      std::printf("\n%s", FormatObsSummary().c_str());
+      std::printf("\n%s", FormatObsSummary(record, extra_qerrors).c_str());
     }
     return 0;
   }
@@ -263,8 +265,12 @@ int Analyze(const std::string& path, int argc, char** argv) {
   if (!wf.ok()) return Fail(wf.status().ToString());
 
   Pipeline pipeline(options);
+  Timer timer;
   const auto analysis = pipeline.Analyze(*wf);
   if (!analysis.ok()) return Fail(analysis.status().ToString());
+  obs::RunRecord record;
+  record.analyze_ms = timer.ElapsedMillis();
+  record.metrics = AnalysisCounters(**analysis);
   std::printf("%s", FormatAnalysisReport(**analysis).c_str());
 
   if (budget >= 0.0) {
@@ -274,6 +280,8 @@ int Analyze(const std::string& path, int argc, char** argv) {
     for (const auto& block : (*analysis)->blocks) {
       const BudgetedSelection plan = SelectWithBudget(
           block->problem, block->ctx, block->plan_space, budget);
+      record.AddMetric("etlopt.opt.greedy.iterations",
+                       plan.first_run.greedy_iterations);
       std::printf("block %d: first run observes %zu statistics (%.0f "
                   "units); %zu SE(s) deferred; %d total execution(s)\n",
                   block->block.id, plan.first_run.observed.size(),
@@ -281,7 +289,8 @@ int Analyze(const std::string& path, int argc, char** argv) {
                   plan.total_executions());
     }
   }
-  return obs_sinks.Finish();
+  record.peak_rss_bytes = obs::PeakRssBytes();
+  return obs_sinks.Finish(record);
 }
 
 // Synthetic sources for a designer-exported workflow file: every source
@@ -396,9 +405,11 @@ int Run(const std::string& target, int argc, char** argv) {
   obs::RunLedger ledger(ledger_path);
   std::vector<obs::RunRecord> history;
   std::string run_id = "run-1";
+  int skipped_lines = 0;
   if (!ledger_path.empty()) {
     const Result<obs::LedgerLoadResult> loaded = ledger.Load();
     if (!loaded.ok()) return Fail(loaded.status().ToString());
+    skipped_lines = loaded->skipped_lines;
     if (loaded->skipped_lines > 0) {
       std::printf("ledger: skipped %d corrupt line(s) in %s\n",
                   loaded->skipped_lines, ledger_path.c_str());
@@ -430,19 +441,15 @@ int Run(const std::string& target, int argc, char** argv) {
   }
 
   // Estimator accuracy: with the executed tables in hand, ground truth for
-  // every SE is computable — feed the q-error telemetry (and the ledger
-  // record's `actual` column).
+  // every SE is computable — the record's `actual` column, and the q-error
+  // table of --obs-summary.
   const auto& blocks = cycle->analysis->blocks;
   std::vector<CardMap> truths(blocks.size());
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockAnalysis& ba = *blocks[b];
     const auto truth = ComputeGroundTruthCards(
         ba.ctx, ba.plan_space.subexpressions(), cycle->run.exec);
-    if (truth.ok() && b < cycle->opt.block_cards.size()) {
-      obs::AccuracyTracker::Global().RecordCardMap(
-          cycle->opt.block_cards[b], *truth);
-      truths[b] = *truth;
-    }
+    if (truth.ok() && b < cycle->opt.block_cards.size()) truths[b] = *truth;
   }
 
   std::printf("\nexecuted: %lld rows (%lld bytes) processed\n",
@@ -478,6 +485,7 @@ int Run(const std::string& target, int argc, char** argv) {
     std::printf("\n%s", cycle->opt.guard.ToText().c_str());
   }
 
+  std::vector<QErrorSample> sketch_qerrors;
   if (options.tap_memory_budget_bytes > 0) {
     const TapReport& taps = cycle->run.tap_report;
     std::printf(
@@ -494,8 +502,7 @@ int Run(const std::string& target, int argc, char** argv) {
     }
     std::printf("\n");
     // Sketch accuracy: re-observe the sketch-backed statistics exactly and
-    // feed estimate-vs-truth into the q-error telemetry (shown under
-    // --obs-summary, label "sketch").
+    // compare (the "sketch" rows of the --obs-summary q-error table).
     if (taps.sketch_taps > 0) {
       for (size_t b = 0; b < cycle->analysis->blocks.size() &&
                          b < cycle->run.block_stats.size();
@@ -522,16 +529,18 @@ int Run(const std::string& target, int argc, char** argv) {
           const double act = ev->is_count()
                                  ? static_cast<double>(ev->count())
                                  : static_cast<double>(ev->hist().TotalCount());
-          obs::AccuracyTracker::Global().Record("sketch", PopCount(key.rels) - 1,
-                                                est, act);
+          sketch_qerrors.push_back(
+              {"sketch", PopCount(key.rels) - 1, obs::QError(est, act)});
         }
       }
     }
   }
 
+  obs::RunRecord record = MakeRunRecord(*cycle, run_id, &truths);
+  if (skipped_lines > 0) {
+    record.AddMetric("etlopt.obs.ledger.skipped_lines", skipped_lines);
+  }
   if (!ledger_path.empty() || explain) {
-    const obs::RunRecord record = MakeRunRecord(*cycle, run_id, &truths);
-
     obs::DriftReport drift;
     if (!history.empty()) {
       drift = obs::DriftDetector().Compare(history, record);
@@ -577,7 +586,7 @@ int Run(const std::string& target, int argc, char** argv) {
                   ledger_path.c_str());
     }
   }
-  const int sink_status = obs_sinks.Finish();
+  const int sink_status = obs_sinks.Finish(record, sketch_qerrors);
   if (sink_status != 0) return sink_status;
   // Exit 4: the plan-regression guard intervened — either the adoption gate
   // kept the designed plan, or a runtime estimate monitor aborted the run
