@@ -1,11 +1,13 @@
 // Micro-benchmarks for the histogram algebra (the estimator's hot path),
-// from single kernels up to a whole Estimator::DeriveAll over a workload's
-// observed statistics.
+// from single kernels up to a whole Estimator::DeriveAll (and the pipeline's
+// demanded derivation of the SE cardinalities) over a workload's observed
+// statistics.
 
 #include <benchmark/benchmark.h>
 
 #include "core/pipeline.h"
 #include "datagen/workload_suite.h"
+#include "obs/build_info.h"
 #include "stats/histogram.h"
 #include "util/random.h"
 
@@ -104,8 +106,9 @@ BENCHMARK(BM_UnionDivision)->Arg(100)->Arg(1000);
 // Estimator::DeriveAll over every block of suite workload N, from the
 // statistics one serial exact-tap run observed at scale 0.05 (the advise
 // scale of the end-to-end plan_heavy workload for wf21: 1,107 derived
-// statistics, 1.1 M buckets).
-void BM_DeriveAll(benchmark::State& state) {
+// statistics, 1.1 M buckets). With `cards_only`, the pipeline's demanded
+// derivation instead: Card(se) of every SE and what those read.
+void DeriveBench(benchmark::State& state, bool cards_only) {
   const WorkloadSpec spec = BuildWorkload(static_cast<int>(state.range(0)));
   const SourceMap sources = GenerateSources(spec, 7, 0.05);
   PipelineOptions options;
@@ -113,13 +116,18 @@ void BM_DeriveAll(benchmark::State& state) {
   const Pipeline pipeline(options);
   const auto analysis = pipeline.Analyze(spec.workflow).value();
   const RunOutcome run = pipeline.RunAndObserve(*analysis, sources).value();
+  std::vector<std::vector<StatKey>> demand;
+  for (const auto& ba : analysis->blocks) {
+    demand.push_back(cards_only ? CardKeys(ba->plan_space.subexpressions())
+                                : ba->catalog.stats());
+  }
   for (auto _ : state) {
     size_t derived = 0;
     for (size_t b = 0; b < analysis->blocks.size(); ++b) {
       const BlockAnalysis& ba = *analysis->blocks[b];
       Estimator estimator(&ba.ctx, &ba.catalog);
-      if (!estimator.DeriveAll(run.block_stats[b]).ok()) {
-        state.SkipWithError("DeriveAll failed");
+      if (!estimator.Derive(run.block_stats[b], demand[b]).ok()) {
+        state.SkipWithError("Derive failed");
         return;
       }
       derived += estimator.derived().size();
@@ -127,9 +135,24 @@ void BM_DeriveAll(benchmark::State& state) {
     benchmark::DoNotOptimize(derived);
   }
 }
+
+void BM_DeriveAll(benchmark::State& state) { DeriveBench(state, false); }
 BENCHMARK(BM_DeriveAll)->Arg(13)->Arg(21)->Unit(benchmark::kMillisecond);
+
+void BM_DeriveCards(benchmark::State& state) { DeriveBench(state, true); }
+BENCHMARK(BM_DeriveCards)->Arg(13)->Arg(21)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace etlopt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const etlopt::obs::BuildInfo& build = etlopt::obs::CurrentBuildInfo();
+  benchmark::AddCustomContext("etlopt_build_type", build.build_type);
+  benchmark::AddCustomContext("etlopt_compiler", build.compiler);
+  benchmark::AddCustomContext("etlopt_git_sha", build.git_sha);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -533,7 +533,8 @@ Result<OptimizeOutcome> Pipeline::Optimize(
     {
       obs::ScopedSpan est_span("pipeline.estimation");
       est_span.Arg("block", static_cast<int64_t>(ba.block.id));
-      derived = estimator.DeriveAll(run.block_stats[i]);
+      derived = estimator.Derive(run.block_stats[i],
+                                 CardKeys(ba.plan_space.subexpressions()));
     }
     outcome.clamped_values += estimator.clamped_values();
     // A degraded run (disabled taps, or an abort's salvaged prefix) leaves

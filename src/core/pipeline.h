@@ -123,9 +123,10 @@ struct OptimizeOutcome {
   std::vector<CardMap> block_cards;  // estimated SE cardinalities per block
   double initial_cost = 0.0;         // designed plan, under learned stats
   double optimized_cost = 0.0;       // chosen plan, under learned stats
-  // Everything the estimator derived per block, with provenance: which
-  // observed statistic (through which CSS rule) fed each estimate. This is
-  // what the advisor's `explain` renders.
+  // What the estimator derived per block, with provenance: the observed
+  // statistics plus the SE cardinalities and every statistic their
+  // derivations read, and which observed statistic (through which CSS
+  // rule) fed each of them.
   struct BlockEstimates {
     StatStore derived;
     ProvenanceMap provenance;

@@ -605,7 +605,7 @@ void PinAllocatorThresholds() {
 #if defined(__GLIBC__)
   static const bool pinned = [] {
     mallopt(M_MMAP_THRESHOLD, 32 << 20);
-    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    mallopt(M_TRIM_THRESHOLD, 512 << 20);
     return true;
   }();
   (void)pinned;

@@ -207,13 +207,14 @@ struct ExecutionResult {
   }
 };
 
-// Fixes glibc's malloc thresholds once per process: mmap at 32 MiB and trim
-// at 64 MiB, the ceiling glibc's dynamic mmap threshold climbs to and twice
-// that (its own trim-to-mmap ratio). Left dynamic, both thresholds rise
-// only after a large block is freed, so whether a run's buffers reuse heap
-// that is already faulted in, or are mapped and faulted afresh, would
-// depend on what ran earlier in the process. Both executors call it on
-// entry; a no-op off glibc.
+// Fixes glibc's malloc thresholds once per process: mmap at 32 MiB, the
+// ceiling glibc's dynamic mmap threshold climbs to, and trim at 512 MiB, so
+// a run's freed buffers stay in the process for the next run instead of
+// being returned at the heap top and faulted in again. Left dynamic, both
+// thresholds rise only after a large block is freed, so whether a run's
+// buffers reuse heap that is already faulted in, or are mapped and faulted
+// afresh, would depend on what ran earlier in the process. Both executors
+// call it on entry; a no-op off glibc.
 void PinAllocatorThresholds();
 
 // Single-threaded executor for ETL workflows, running the columnar

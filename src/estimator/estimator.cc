@@ -13,7 +13,8 @@ Estimator::Estimator(const BlockContext* ctx, const CssCatalog* catalog)
   ETLOPT_CHECK(ctx_ != nullptr && catalog_ != nullptr);
 }
 
-Status Estimator::DeriveAll(const StatStore& observed) {
+Status Estimator::Derive(const StatStore& observed,
+                         std::span<const StatKey> demand) {
   derived_ = observed;
   provenance_.clear();
   clamped_ = 0;
@@ -63,7 +64,31 @@ Status Estimator::DeriveAll(const StatStore& observed) {
   std::vector<int> order;
   ComputeClosure(*catalog_, obs_flags, &derivation, &order);
 
+  // Mark the demanded statistics and, through each one's chosen CSS, every
+  // derived statistic it reads. Observed and underivable ones stop the walk.
+  std::vector<char> needed(static_cast<size_t>(n), 0);
+  std::vector<int> stack;
+  for (const StatKey& key : demand) {
+    const int s = catalog_->IndexOf(key);
+    if (s >= 0 && !needed[static_cast<size_t>(s)]) {
+      needed[static_cast<size_t>(s)] = 1;
+      stack.push_back(s);
+    }
+  }
+  while (!stack.empty()) {
+    const int css = derivation[static_cast<size_t>(stack.back())];
+    stack.pop_back();
+    if (css < 0) continue;
+    for (int in : catalog_->css_inputs(css)) {
+      if (!needed[static_cast<size_t>(in)]) {
+        needed[static_cast<size_t>(in)] = 1;
+        stack.push_back(in);
+      }
+    }
+  }
+
   for (int s : order) {
+    if (!needed[static_cast<size_t>(s)]) continue;
     const CssEntry& entry = catalog_->entry(derivation[static_cast<size_t>(s)]);
     ETLOPT_ASSIGN_OR_RETURN(StatValue value, Evaluate(entry));
     // Sanitize: with corrupted or salvaged inputs a derivation can produce
@@ -169,11 +194,10 @@ Result<StatValue> Estimator::Evaluate(const CssEntry& entry) {
     case RuleId::kJ2: {
       ETLOPT_ASSIGN_OR_RETURN(const Histogram* x, hist_in(0));
       ETLOPT_ASSIGN_OR_RETURN(const Histogram* y, hist_in(1));
-      Histogram combined = Histogram::MultiplyBy(*x, *y);
-      if (entry.marginalize) {
-        combined = combined.Marginalize(entry.target.attrs);
-      }
-      return StatValue::Hist(std::move(combined));
+      return StatValue::Hist(
+          entry.marginalize
+              ? Histogram::MultiplyThenMarginalize(*x, *y, entry.target.attrs)
+              : Histogram::MultiplyBy(*x, *y));
     }
     case RuleId::kJ4: {
       // |e| = |H_{e∪k}^J / H_k^J| + |reject(L wrt k) ⋈ R|   (Eq. 1-3)
@@ -243,6 +267,13 @@ Result<int64_t> Estimator::Count(const StatKey& key) const {
 Result<Histogram> Estimator::Hist(const StatKey& key) const {
   ETLOPT_ASSIGN_OR_RETURN(const Histogram* hist, derived_.GetHist(key));
   return *hist;
+}
+
+std::vector<StatKey> CardKeys(const std::vector<RelMask>& subexpressions) {
+  std::vector<StatKey> keys;
+  keys.reserve(subexpressions.size());
+  for (RelMask se : subexpressions) keys.push_back(StatKey::Card(se));
+  return keys;
 }
 
 Result<std::unordered_map<RelMask, int64_t>> Estimator::AllCardinalities(

@@ -1,8 +1,10 @@
 #ifndef ETLOPT_ESTIMATOR_ESTIMATOR_H_
 #define ETLOPT_ESTIMATOR_ESTIMATOR_H_
 
+#include <span>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "css/css.h"
 #include "planspace/block.h"
@@ -10,7 +12,7 @@
 
 namespace etlopt {
 
-// How one statistic value came to be during DeriveAll: either observed
+// How one statistic value came to be during Derive: either observed
 // directly (a leaf of the derivation DAG) or derived by a CSS rule from
 // the listed inputs. The provenance map is what lets the explain layer
 // answer "which stored statistic fed this estimate".
@@ -24,7 +26,7 @@ using ProvenanceMap =
     std::unordered_map<StatKey, StatProvenance, StatKeyHash>;
 
 // Evaluates the CSS derivation DAG: starting from the observed statistic
-// values, computes the value of every computable statistic using each rule's
+// values, computes the value of every demanded statistic using each rule's
 // evaluation semantics (dot product for J1, multiply-through for J2/J3,
 // union-division for J4/J5, predicate counting for S1, ...). With exact
 // histograms every derived value is exact (Section 3.1), which is the
@@ -33,11 +35,20 @@ class Estimator {
  public:
   Estimator(const BlockContext* ctx, const CssCatalog* catalog);
 
-  // Derives everything derivable from `observed`. Fails if a rule's inputs
-  // are inconsistent (modeling errors).
-  Status DeriveAll(const StatStore& observed);
+  // Derives, from `observed`, the demanded statistics and every statistic
+  // their derivations read, and nothing else: the closure's firing order is
+  // walked backwards from `demand` along each chosen CSS's inputs, and the
+  // marked statistics are evaluated in firing order. A demanded key that is
+  // observed or not derivable adds nothing. The observed values are all
+  // kept. Fails if a rule's inputs are inconsistent (modeling errors).
+  Status Derive(const StatStore& observed, std::span<const StatKey> demand);
 
-  // Value lookups after DeriveAll.
+  // Derive with every statistic of the catalog demanded.
+  Status DeriveAll(const StatStore& observed) {
+    return Derive(observed, catalog_->stats());
+  }
+
+  // Value lookups after Derive.
   bool Has(const StatKey& key) const { return derived_.Contains(key); }
   Result<int64_t> Cardinality(RelMask se) const;
   Result<int64_t> Count(const StatKey& key) const;
@@ -49,7 +60,8 @@ class Estimator {
 
   const StatStore& derived() const { return derived_; }
 
-  // Per-statistic provenance recorded by DeriveAll.
+  // Per-statistic provenance recorded by Derive: every observed key, and
+  // every derived key with all its ancestors.
   const ProvenanceMap& provenance() const { return provenance_; }
 
   // Hand the derived store and the provenance to the caller without a
@@ -75,10 +87,11 @@ class Estimator {
                                const std::vector<StatKey>& distrusted = {},
                                double distrust_penalty = 0.5) const;
 
-  // Derived values clamped by DeriveAll's sanitization pass (negative
-  // counts floored at zero, non-finite error bounds capped, zero-divisor
-  // union-divisions treated as pass-through). Non-zero means some observed
-  // input violated the exact-statistics invariants.
+  // Values clamped by Derive's sanitization passes (negative counts floored
+  // at zero, non-finite error bounds capped, zero-divisor union-divisions
+  // treated as pass-through): the repairs of every observed input plus the
+  // repairs in the derivations the demanded statistics read. Non-zero means
+  // some observed input violated the exact-statistics invariants.
   int64_t clamped_values() const { return clamped_; }
 
  private:
@@ -90,6 +103,9 @@ class Estimator {
   ProvenanceMap provenance_;
   int64_t clamped_ = 0;
 };
+
+// Card(se) for each SE: the demand of the join optimizer and of `explain`.
+std::vector<StatKey> CardKeys(const std::vector<RelMask>& subexpressions);
 
 }  // namespace etlopt
 

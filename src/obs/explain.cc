@@ -47,7 +47,8 @@ Result<PlanExplain> BuildPlanExplain(
     ETLOPT_CHECK(input.ctx != nullptr && input.catalog != nullptr &&
                  input.stats != nullptr);
     Estimator estimator(input.ctx, input.catalog);
-    ETLOPT_RETURN_IF_ERROR(estimator.DeriveAll(*input.stats));
+    ETLOPT_RETURN_IF_ERROR(
+        estimator.Derive(*input.stats, CardKeys(input.ses)));
 
     std::vector<RelMask> ses = input.ses;
     std::sort(ses.begin(), ses.end(), [](RelMask a, RelMask b) {

@@ -46,7 +46,8 @@ struct PlanExplain {
   std::vector<SeExplainEntry> entries;  // block-major, then by depth/mask
 };
 
-// Derives every SE estimate from the given statistics and annotates it with
+// Derives every SE estimate from the given statistics (Card(se) of
+// `ses` and what those read, nothing else) and annotates it with
 // estimate vs. actual, q-error, the feeding statistics (StatKey + source
 // run id), and drift status from `drift` (may be null).
 Result<PlanExplain> BuildPlanExplain(

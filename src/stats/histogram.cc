@@ -222,6 +222,29 @@ Histogram Histogram::MultiplyBy(const Histogram& a, const Histogram& b) {
   return out;
 }
 
+Histogram Histogram::MultiplyThenMarginalize(const Histogram& a,
+                                             const Histogram& b,
+                                             AttrMask keep) {
+  ETLOPT_CHECK_MSG(IsSubset(b.attr_mask_, a.attr_mask_),
+                   "MultiplyBy requires b.attrs ⊆ a.attrs");
+  ETLOPT_CHECK_MSG(IsSubset(keep, a.attr_mask_),
+                   "Marginalize target must be a subset of histogram attrs");
+  Projector project_b(a.attrs_, b.attr_mask_);
+  Projector project_keep(a.attrs_, keep);
+  Histogram out(keep);
+  out.Reserve(a.NumBuckets());
+  for (int64_t i = 0; i < a.NumBuckets(); ++i) {
+    const Value* key = a.KeyAt(i);
+    const int64_t j = b.Find(project_b(key));
+    if (j < 0) continue;
+    const int64_t count =
+        a.counts_[static_cast<size_t>(i)] * b.counts_[static_cast<size_t>(j)];
+    if (count != 0) out.AddRaw(project_keep(key), count);
+  }
+  out.FitToSize();
+  return out;
+}
+
 Histogram Histogram::DivideBy(const Histogram& a, const Histogram& b) {
   ETLOPT_CHECK_MSG(IsSubset(b.attr_mask_, a.attr_mask_),
                    "DivideBy requires b.attrs ⊆ a.attrs");

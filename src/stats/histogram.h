@@ -124,6 +124,11 @@ class Histogram {
   // Buckets scaled to zero are dropped.
   static Histogram MultiplyBy(const Histogram& a, const Histogram& b);
 
+  // MultiplyBy(a, b).Marginalize(keep) in one pass over `a`, without the
+  // intermediate product; same buckets in the same insertion order.
+  static Histogram MultiplyThenMarginalize(const Histogram& a,
+                                           const Histogram& b, AttrMask keep);
+
   // a / b bucket-wise on the projection (Eq. 2): each bucket of `a` is
   // divided by b's count on the projected key. Requires b.attrs ⊆ a.attrs and
   // a non-zero divisor for every bucket of `a` (guaranteed when `a` is the

@@ -9,9 +9,15 @@
 // The digests were recorded before the histogram kernels were rewritten;
 // layout and speed changes must leave all four unchanged. On a mismatch the
 // failure message prints the new digest.
+//
+// EstimationDemandTest runs the same observations through the pipeline's
+// demanded derivation (Card(se) of every SE): its cards must match the same
+// committed digests, and everything it evaluates must equal the full
+// derivation's value and provenance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,39 +172,57 @@ struct EstimateTexts {
   std::string derived, cards, clamped, provenance;
 };
 
-EstimateTexts RunEstimates(int index, int64_t tap_budget) {
+// One serial observed run of workload `index`, as the digests were taken.
+struct Observed {
+  std::unique_ptr<Analysis> analysis;
+  RunOutcome run;
+};
+
+Observed Observe(int index, int64_t tap_budget) {
   const WorkloadSpec spec = BuildWorkload(index);
   const SourceMap sources = GenerateSources(spec, kSeed, kScale);
   PipelineOptions opts;
   opts.num_threads = 1;
   opts.tap_memory_budget_bytes = tap_budget;
   const Pipeline pipeline(opts);
-  const auto analysis = pipeline.Analyze(spec.workflow).value();
-  const RunOutcome run = pipeline.RunAndObserve(*analysis, sources).value();
-  const AttrCatalog& attrs = analysis->workflow->catalog();
+  Observed out;
+  out.analysis = pipeline.Analyze(spec.workflow).value();
+  out.run = pipeline.RunAndObserve(*out.analysis, sources).value();
+  return out;
+}
+
+// The sorted `se=card` lines of one block's cardinalities.
+std::string CardsText(const Estimator& estimator, const BlockAnalysis& ba) {
+  std::string text;
+  const auto cards = estimator.AllCardinalities(ba.plan_space.subexpressions());
+  if (cards.ok()) {
+    std::vector<std::pair<RelMask, int64_t>> sorted(cards->begin(),
+                                                    cards->end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const auto& [se, rows] : sorted) {
+      text += std::to_string(se) + "=" + std::to_string(rows) + "\n";
+    }
+  } else {
+    text += cards.status().ToString() + "\n";
+  }
+  return text;
+}
+
+EstimateTexts RunEstimates(int index, int64_t tap_budget) {
+  const Observed observed = Observe(index, tap_budget);
+  const Analysis& analysis = *observed.analysis;
+  const AttrCatalog& attrs = analysis.workflow->catalog();
 
   EstimateTexts out;
-  for (size_t b = 0; b < analysis->blocks.size(); ++b) {
-    const BlockAnalysis& ba = *analysis->blocks[b];
+  for (size_t b = 0; b < analysis.blocks.size(); ++b) {
+    const BlockAnalysis& ba = *analysis.blocks[b];
     const std::string block = "block " + std::to_string(b) + ":\n";
     Estimator estimator(&ba.ctx, &ba.catalog);
-    const Status derived = estimator.DeriveAll(run.block_stats[b]);
+    const Status derived = estimator.DeriveAll(observed.run.block_stats[b]);
     EXPECT_TRUE(derived.ok()) << derived.ToString();
     out.derived += block + WriteStatStoreText(estimator.derived());
 
-    out.cards += block;
-    const auto cards =
-        estimator.AllCardinalities(ba.plan_space.subexpressions());
-    if (cards.ok()) {
-      std::vector<std::pair<RelMask, int64_t>> sorted(cards->begin(),
-                                                      cards->end());
-      std::sort(sorted.begin(), sorted.end());
-      for (const auto& [se, rows] : sorted) {
-        out.cards += std::to_string(se) + "=" + std::to_string(rows) + "\n";
-      }
-    } else {
-      out.cards += cards.status().ToString() + "\n";
-    }
+    out.cards += block + CardsText(estimator, ba);
 
     out.clamped += block + std::to_string(estimator.clamped_values()) + "\n";
 
@@ -234,6 +258,112 @@ TEST_P(EstimationGolden, SketchTapsMatchDigests) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, EstimationGolden,
+                         ::testing::Range(1, 31),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "wf" + std::to_string(info.param);
+                         });
+
+// Bit-identical values: same kind, same count or the same buckets in the
+// same insertion order, same error bound.
+void ExpectSameValue(const StatValue& got, const StatValue& want,
+                     const std::string& key) {
+  ASSERT_EQ(got.is_count(), want.is_count()) << key;
+  EXPECT_EQ(got.is_approx(), want.is_approx()) << key;
+  EXPECT_EQ(got.rel_error(), want.rel_error()) << key;
+  if (got.is_count()) {
+    EXPECT_EQ(got.count(), want.count()) << key;
+    return;
+  }
+  const Histogram& g = got.hist();
+  const Histogram& w = want.hist();
+  ASSERT_EQ(g.attr_mask(), w.attr_mask()) << key;
+  ASSERT_EQ(g.NumBuckets(), w.NumBuckets()) << key;
+  for (int64_t i = 0; i < g.NumBuckets(); ++i) {
+    const Histogram::Bucket x = g.BucketAt(i);
+    const Histogram::Bucket y = w.BucketAt(i);
+    ASSERT_TRUE(std::equal(x.key.begin(), x.key.end(), y.key.begin(),
+                           y.key.end()) &&
+                x.count == y.count)
+        << key << " bucket " << i;
+  }
+}
+
+// Counts in *demanded_evaluated and *full_evaluated the statistics each
+// derivation evaluated (observed keys excluded), summed over the blocks.
+void CheckDemandedDerivation(int index, int64_t tap_budget,
+                             const GoldenDigests& want,
+                             size_t* demanded_evaluated,
+                             size_t* full_evaluated) {
+  const Observed observed = Observe(index, tap_budget);
+  const Analysis& analysis = *observed.analysis;
+  std::string cards;
+  for (size_t b = 0; b < analysis.blocks.size(); ++b) {
+    const BlockAnalysis& ba = *analysis.blocks[b];
+    const std::vector<RelMask>& ses = ba.plan_space.subexpressions();
+    Estimator full(&ba.ctx, &ba.catalog);
+    EXPECT_TRUE(full.DeriveAll(observed.run.block_stats[b]).ok());
+    Estimator demanded(&ba.ctx, &ba.catalog);
+    const Status status =
+        demanded.Derive(observed.run.block_stats[b], CardKeys(ses));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    cards += "block " + std::to_string(b) + ":\n" + CardsText(demanded, ba);
+    EXPECT_LE(demanded.clamped_values(), full.clamped_values());
+
+    for (const auto& [key, prov] : demanded.provenance()) {
+      const std::string name = key.ToString();
+      const StatProvenance* want_prov = full.FindProvenance(key);
+      ASSERT_NE(want_prov, nullptr) << name;
+      EXPECT_EQ(prov.observed, want_prov->observed) << name;
+      if (!prov.observed) {
+        EXPECT_EQ(prov.rule, want_prov->rule) << name;
+        EXPECT_EQ(prov.inputs, want_prov->inputs) << name;
+        ++*demanded_evaluated;
+      }
+      const StatValue* got = demanded.derived().Find(key);
+      const StatValue* expect = full.derived().Find(key);
+      ASSERT_NE(got, nullptr) << name;
+      ASSERT_NE(expect, nullptr) << name;
+      ExpectSameValue(*got, *expect, name);
+    }
+    for (const auto& [key, prov] : full.provenance()) {
+      if (!prov.observed) ++*full_evaluated;
+    }
+    // The guard's evidence reads the same ancestry.
+    for (RelMask se : ses) {
+      EXPECT_EQ(demanded.ObservedLeaves(StatKey::Card(se)),
+                full.ObservedLeaves(StatKey::Card(se)))
+          << "se " << se;
+      EXPECT_EQ(demanded.CardinalityConfidence(se),
+                full.CardinalityConfidence(se))
+          << "se " << se;
+    }
+  }
+  EXPECT_EQ(obs::FingerprintText(cards), want.cards) << "cards";
+}
+
+class EstimationDemandTest : public ::testing::TestWithParam<int> {
+ protected:
+  void Check(int64_t tap_budget, const GoldenDigests& want) {
+    size_t demanded = 0;
+    size_t full = 0;
+    CheckDemandedDerivation(GetParam(), tap_budget, want, &demanded, &full);
+    EXPECT_LE(demanded, full);
+    // The 8-way join wf21 derives far more than its SE cards read.
+    if (GetParam() == 21) {
+      EXPECT_LT(demanded, full);
+    }
+  }
+};
+
+TEST_P(EstimationDemandTest, ExactTapsEvaluateTheFullDerivationsSlice) {
+  Check(0, kExact[GetParam() - 1]);
+}
+
+TEST_P(EstimationDemandTest, SketchTapsEvaluateTheFullDerivationsSlice) {
+  Check(kSketchBudgetBytes, kSketch[GetParam() - 1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, EstimationDemandTest,
                          ::testing::Range(1, 31),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "wf" + std::to_string(info.param);

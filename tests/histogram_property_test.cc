@@ -392,6 +392,41 @@ TEST_P(HistogramModelSweep, EveryKernelMatchesTheReferenceModel) {
   }
 }
 
+TEST_P(HistogramModelSweep, FusedMultiplyMarginalizeEqualsTwoSteps) {
+  // The estimator's J2-with-marginalize kernel must be the two-step
+  // MultiplyBy + Marginalize bucket for bucket, in insertion order: later
+  // kernels inherit that order.
+  const int arity = GetParam();
+  Rng rng(static_cast<uint64_t>(arity) * 104729 + 11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const AttrMask mask = RandomMask(rng, arity);
+    Histogram a(mask);
+    Model am(mask);
+    Fill(rng, static_cast<int>(rng.NextInRange(0, 300)), -3, 6, &a, &am);
+    const AttrMask sub = RandomSubset(rng, mask);
+    Histogram b(sub);
+    Model bm(sub);
+    Fill(rng, static_cast<int>(rng.NextInRange(0, 40)), -2, 4, &b, &bm);
+    const AttrMask keep = RandomSubset(rng, mask);
+
+    const Histogram fused = Histogram::MultiplyThenMarginalize(a, b, keep);
+    const Histogram two_step = Histogram::MultiplyBy(a, b).Marginalize(keep);
+    ExpectMatchesModel(
+        fused, FilterMarginalizeModel(MultiplyModel(am, bm), nullptr, keep),
+        "MultiplyThenMarginalize");
+    ASSERT_EQ(fused.NumBuckets(), two_step.NumBuckets());
+    EXPECT_EQ(fused.TotalCount(), two_step.TotalCount());
+    for (int64_t i = 0; i < fused.NumBuckets(); ++i) {
+      const Histogram::Bucket x = fused.BucketAt(i);
+      const Histogram::Bucket y = two_step.BucketAt(i);
+      EXPECT_TRUE(std::equal(x.key.begin(), x.key.end(), y.key.begin(),
+                             y.key.end()))
+          << "bucket " << i;
+      EXPECT_EQ(x.count, y.count) << "bucket " << i;
+    }
+  }
+}
+
 TEST_P(HistogramModelSweep, EqualityIgnoresInsertionOrder) {
   const int arity = GetParam();
   Rng rng(static_cast<uint64_t>(arity) * 104729 + 11);
