@@ -3,8 +3,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "css/generator.h"
 #include "datagen/workload_suite.h"
+#include "obs/build_info.h"
 #include "opt/closure.h"
 #include "opt/greedy_selector.h"
 #include "opt/ilp_selector.h"
@@ -78,6 +81,26 @@ BENCHMARK(BM_GreedySelect)
     ->Arg(30)
     ->Unit(benchmark::kMillisecond);
 
+// SelectGreedyWithBudget at half of each block's unbudgeted cost: the pass
+// defers every pending statistic whose bundle no longer fits.
+void BM_GreedySelectWithBudget(benchmark::State& state) {
+  const Prepared p = Prepare(static_cast<int>(state.range(0)));
+  std::vector<double> budgets;
+  for (const SelectionProblem& problem : p.problems) {
+    budgets.push_back(SelectGreedy(problem).total_cost / 2);
+  }
+  std::vector<int> uncovered;
+  for (auto _ : state) {
+    double cost = 0;
+    for (size_t i = 0; i < p.problems.size(); ++i) {
+      cost += SelectGreedyWithBudget(p.problems[i], budgets[i], &uncovered)
+                  .total_cost;
+    }
+    benchmark::DoNotOptimize(cost);
+  }
+}
+BENCHMARK(BM_GreedySelectWithBudget)->Arg(21)->Unit(benchmark::kMillisecond);
+
 void BM_IlpSelectSmall(benchmark::State& state) {
   const Prepared p = Prepare(static_cast<int>(state.range(0)));
   IlpSelectorOptions options;
@@ -96,4 +119,14 @@ BENCHMARK(BM_IlpSelectSmall)->Arg(3)->Arg(22)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace etlopt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const etlopt::obs::BuildInfo& build = etlopt::obs::CurrentBuildInfo();
+  benchmark::AddCustomContext("etlopt_build_type", build.build_type);
+  benchmark::AddCustomContext("etlopt_compiler", build.compiler);
+  benchmark::AddCustomContext("etlopt_git_sha", build.git_sha);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -594,9 +594,6 @@ Result<OptimizeOutcome> Pipeline::Optimize(
         evidence.push_back(ev);
       }
     }
-    // The estimator is done: its derived store and provenance move over.
-    outcome.block_estimates.push_back(OptimizeOutcome::BlockEstimates{
-        estimator.TakeDerived(), estimator.TakeProvenance()});
     if (complete) {
       obs::ScopedSpan join_span("pipeline.join_optimization");
       join_span.Arg("block", static_cast<int64_t>(ba.block.id));

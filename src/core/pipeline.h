@@ -123,15 +123,6 @@ struct OptimizeOutcome {
   std::vector<CardMap> block_cards;  // estimated SE cardinalities per block
   double initial_cost = 0.0;         // designed plan, under learned stats
   double optimized_cost = 0.0;       // chosen plan, under learned stats
-  // What the estimator derived per block, with provenance: the observed
-  // statistics plus the SE cardinalities and every statistic their
-  // derivations read, and which observed statistic (through which CSS
-  // rule) fed each of them.
-  struct BlockEstimates {
-    StatStore derived;
-    ProvenanceMap provenance;
-  };
-  std::vector<BlockEstimates> block_estimates;
   // Adoption verdict of the plan-regression guard, plus any runtime monitor
   // violations the execution raised. When the strict gate rejected the
   // proposal, `optimized` carries the designed workflow, optimized_cost

@@ -64,10 +64,6 @@ class Estimator {
   // every derived key with all its ancestors.
   const ProvenanceMap& provenance() const { return provenance_; }
 
-  // Hand the derived store and the provenance to the caller without a
-  // copy. The estimator's lookups must not be used afterwards.
-  StatStore TakeDerived() { return std::move(derived_); }
-  ProvenanceMap TakeProvenance() { return std::move(provenance_); }
   const StatProvenance* FindProvenance(const StatKey& key) const {
     auto it = provenance_.find(key);
     return it == provenance_.end() ? nullptr : &it->second;

@@ -82,19 +82,34 @@ IncrementalClosure::IncrementalClosure(const CssCatalog& catalog)
 
 void IncrementalClosure::Add(int stat) {
   if (computable_[static_cast<size_t>(stat)]) return;
-  computable_[static_cast<size_t>(stat)] = 1;
-  stack_.push_back(stat);
+  MakeComputable(stat);
   while (!stack_.empty()) {
     const int s = stack_.back();
     stack_.pop_back();
     for (int c : catalog_.css_reading(s)) {
+      log_.push_back(c);
       if (--missing_[static_cast<size_t>(c)] == 0) {
         const int target = catalog_.css_target(c);
-        if (!computable_[static_cast<size_t>(target)]) {
-          computable_[static_cast<size_t>(target)] = 1;
-          stack_.push_back(target);
-        }
+        if (!computable_[static_cast<size_t>(target)]) MakeComputable(target);
       }
+    }
+  }
+}
+
+void IncrementalClosure::MakeComputable(int stat) {
+  computable_[static_cast<size_t>(stat)] = 1;
+  log_.push_back(-1 - stat);
+  stack_.push_back(stat);
+}
+
+void IncrementalClosure::Rollback(size_t mark) {
+  while (log_.size() > mark) {
+    const int entry = log_.back();
+    log_.pop_back();
+    if (entry >= 0) {
+      ++missing_[static_cast<size_t>(entry)];
+    } else {
+      computable_[static_cast<size_t>(-1 - entry)] = 0;
     }
   }
 }

@@ -23,7 +23,9 @@ std::vector<char> ComputeClosure(const CssCatalog& catalog,
 // The same closure, grown one observation at a time: Add() propagates only
 // through the CSSs that read a newly computable statistic, so a sequence of
 // additions costs one pass over the catalog in total. After any sequence of
-// additions, flags() equals ComputeClosure of the added set.
+// additions, flags() equals ComputeClosure of the added set. Every change is
+// logged, so the closure can be rolled back to an earlier Mark() at the
+// cost of the changes made since.
 class IncrementalClosure {
  public:
   explicit IncrementalClosure(const CssCatalog& catalog);
@@ -31,16 +33,25 @@ class IncrementalClosure {
   // Makes `stat` computable and fires every CSS this completes.
   void Add(int stat);
 
+  // Rollback(Mark()) undoes every Add made after the Mark() call.
+  size_t Mark() const { return log_.size(); }
+  void Rollback(size_t mark);
+
   bool computable(int stat) const {
     return computable_[static_cast<size_t>(stat)] != 0;
   }
   const std::vector<char>& flags() const { return computable_; }
 
  private:
+  void MakeComputable(int stat);
+
   const CssCatalog& catalog_;
   std::vector<char> computable_;
   std::vector<int> missing_;  // per CSS: inputs not yet computable
   std::vector<int> stack_;
+  // A CSS index per decrement of its `missing_`, -1 - stat per statistic
+  // made computable.
+  std::vector<int> log_;
 };
 
 }  // namespace etlopt

@@ -1,6 +1,7 @@
 #include "opt/greedy_selector.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <tuple>
@@ -35,10 +36,17 @@ struct Derivation {
 // candidate) and streaming the observation candidates from a sorted list
 // instead of the heap change no derivation.
 //
+// A search is started for a set of wanted statistics and then resumed one
+// finalization tier at a time (NextTier): the greedy pass needs only the
+// cheapest affordable wanted statistic, so it stops the search at the first
+// tier that holds one instead of finalizing every wanted statistic. A final
+// statistic's derivation only uses statistics finalized before it, so where
+// the search stops changes no derivation it reports.
+//
 // One search serves every iteration of both greedy passes, which share the
-// observation costs: the per-CSS state template, the CSSs without inputs
-// and the statistics ordered by cost are built once, and the buffers are
-// reused.
+// observation costs: the CSSs without inputs and the statistics ordered by
+// cost are built once, the buffers are reused, and the per-CSS state is
+// reset lazily through a generation stamp rather than copied per start.
 class DerivationSearch {
  public:
   DerivationSearch(const CssCatalog& catalog, const std::vector<double>& cost)
@@ -46,14 +54,11 @@ class DerivationSearch {
         cost_(cost),
         best_(static_cast<size_t>(catalog.num_stats())),
         wanted_(static_cast<size_t>(catalog.num_stats()), 0),
-        visit_stamp_(static_cast<size_t>(catalog.num_stats()), 0) {
+        visit_stamp_(static_cast<size_t>(catalog.num_stats()), 0),
+        css_(static_cast<size_t>(catalog.num_css()), CssState{0.0, 0, 0}) {
     const int n = catalog.num_stats();
-    const int m = catalog.num_css();
-    css_init_.reserve(static_cast<size_t>(m));
-    for (int c = 0; c < m; ++c) {
-      const int inputs = static_cast<int>(catalog.css_inputs(c).size());
-      css_init_.push_back({0.0, inputs, catalog.css_target(c)});
-      if (inputs == 0) no_input_css_.push_back(c);
+    for (int c = 0; c < catalog.num_css(); ++c) {
+      if (catalog.css_inputs(c).empty()) no_input_css_.push_back(c);
     }
     by_cost_.resize(static_cast<size_t>(n));
     for (int s = 0; s < n; ++s) by_cost_[static_cast<size_t>(s)] = s;
@@ -63,59 +68,51 @@ class DerivationSearch {
     });
   }
 
-  // Recomputes the cheapest derivations, where observing an `observable`
-  // statistic costs nothing once it is `observed` and its cost otherwise
-  // (residual costs), stopping once every statistic of `wanted` (distinct
-  // indices) is final.
-  // A final statistic's derivation only uses statistics finalized before
-  // it, so the early stop changes no derivation reachable from `wanted`;
-  // when the search runs dry, statistics it did not finalize are
-  // unreachable and keep cost kInf.
-  void Run(const std::vector<char>& observable,
-           const std::vector<char>& observed, const std::vector<int>& wanted) {
+  // Starts a search for the cheapest derivations, where observing an
+  // `observable` statistic costs nothing once it is `observed` and its cost
+  // otherwise (residual costs). NextTier reports the statistics of `wanted`
+  // (distinct indices) as they become final.
+  void Start(const std::vector<char>& observable,
+             const std::vector<char>& observed,
+             const std::vector<int>& wanted) {
+    if (++generation_ == 0) {  // wrapped: no stamp may match a fresh one
+      for (CssState& state : css_) state.generation = 0;
+      std::fill(wanted_.begin(), wanted_.end(), 0);
+      generation_ = 1;
+    }
     std::fill(best_.begin(), best_.end(), Derivation{});
-    css_ = css_init_;
     heap_.clear();
     StreamObservations(observable, observed);
-    for (int c : no_input_css_) {
-      Offer(0.0, css_init_[static_cast<size_t>(c)].target, c);
-    }
-    for (int s : wanted) wanted_[static_cast<size_t>(s)] = 1;
-
-    size_t remaining = wanted.size();
-    size_t next_observation = 0;
-    while (remaining > 0) {
-      Item item{};
-      if (!heap_.empty() &&
-          (next_observation == observations_.size() ||
-           observations_[next_observation] > heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-        item = heap_.back();
-        heap_.pop_back();
-      } else if (next_observation < observations_.size()) {
-        item = observations_[next_observation++];
-      } else {
-        break;
-      }
-      Derivation& d = best_[static_cast<size_t>(item.stat)];
-      if (d.reachable) continue;
-      d = Derivation{item.cost, item.css, true, true};
-      if (wanted_[static_cast<size_t>(item.stat)]) --remaining;
-      for (int c : catalog_.css_reading(item.stat)) {
-        CssState& state = css_[static_cast<size_t>(c)];
-        state.sum += item.cost;
-        if (--state.missing == 0) Offer(state.sum, state.target, c);
-      }
-    }
-    for (int s : wanted) wanted_[static_cast<size_t>(s)] = 0;
+    next_observation_ = 0;
+    for (int c : no_input_css_) Offer(0.0, catalog_.css_target(c), c);
+    for (int s : wanted) wanted_[static_cast<size_t>(s)] = generation_;
   }
 
-  const Derivation& best(int stat) const {
-    return best_[static_cast<size_t>(stat)];
+  // Resumes the search up to the next finalization tier: it takes
+  // candidates until a wanted statistic becomes final at some cost C, then
+  // every further candidate of cost C (only those can still finalize at C),
+  // and returns in `tier` the wanted statistics finalized at C, in index
+  // order. Successive tiers come in increasing cost, so they list the
+  // wanted statistics by (cost, index). Returns false, with `tier` empty,
+  // once the search runs dry; the wanted statistics no tier reported are
+  // unreachable.
+  bool NextTier(std::vector<int>* tier) {
+    tier->clear();
+    Item item{};
+    while (tier->empty() && Pop(&item)) Finalize(item, tier);
+    if (tier->empty()) return false;
+    const double tier_cost = item.cost;
+    for (const Item* next = Peek(); next != nullptr && next->cost == tier_cost;
+         next = Peek()) {
+      Pop(&item);
+      Finalize(item, tier);
+    }
+    std::sort(tier->begin(), tier->end());
+    return true;
   }
 
   // Replaces `bundle` with the observable leaves of the chosen derivation of
-  // `stat`, in depth-first order.
+  // the final statistic `stat`, in depth-first order.
   void CollectBundle(int stat, std::vector<int>* bundle) {
     bundle->clear();
     ++stamp_;
@@ -134,11 +131,57 @@ class DerivationSearch {
     }
   };
 
+  // Valid in the search started at `generation`; older states read as
+  // (0, all inputs missing).
   struct CssState {
-    double sum;   // costs of the final inputs
-    int missing;  // inputs not yet final
-    int target;
+    double sum;     // costs of the final inputs
+    int missing;    // inputs not yet final
+    uint32_t generation;
   };
+
+  // The smallest queued candidate, or nullptr once the search ran dry.
+  const Item* Peek() const {
+    const bool observations_left = next_observation_ < observations_.size();
+    if (!heap_.empty() &&
+        (!observations_left ||
+         observations_[next_observation_] > heap_.front())) {
+      return &heap_.front();
+    }
+    return observations_left ? &observations_[next_observation_] : nullptr;
+  }
+
+  bool Pop(Item* item) {
+    const Item* next = Peek();
+    if (next == nullptr) return false;
+    *item = *next;
+    if (next == heap_.data()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      heap_.pop_back();
+    } else {
+      ++next_observation_;
+    }
+    return true;
+  }
+
+  // Makes `item`'s statistic final unless it already is, appending it to
+  // `tier` when wanted, and offers every CSS this completes.
+  void Finalize(const Item& item, std::vector<int>* tier) {
+    Derivation& d = best_[static_cast<size_t>(item.stat)];
+    if (d.reachable) return;
+    d = Derivation{item.cost, item.css, true, true};
+    if (wanted_[static_cast<size_t>(item.stat)] == generation_) {
+      tier->push_back(item.stat);
+    }
+    for (int c : catalog_.css_reading(item.stat)) {
+      CssState& state = css_[static_cast<size_t>(c)];
+      if (state.generation != generation_) {
+        state = {0.0, static_cast<int>(catalog_.css_inputs(c).size()),
+                 generation_};
+      }
+      state.sum += item.cost;
+      if (--state.missing == 0) Offer(state.sum, catalog_.css_target(c), c);
+    }
+  }
 
   // Queues CSS candidate (cost, stat, css) unless it cannot win.
   void Offer(double cost, int stat, int css) {
@@ -187,7 +230,7 @@ class DerivationSearch {
     int& stamp = visit_stamp_[static_cast<size_t>(stat)];
     if (stamp == stamp_) return;
     stamp = stamp_;
-    const Derivation& d = best(stat);
+    const Derivation& d = best_[static_cast<size_t>(stat)];
     ETLOPT_CHECK(d.reachable);
     if (d.via_css < 0) {
       bundle->push_back(stat);
@@ -198,18 +241,47 @@ class DerivationSearch {
 
   const CssCatalog& catalog_;
   const std::vector<double> cost_;  // per stat: observation cost
-  std::vector<CssState> css_init_;  // per CSS: state before any input is final
   std::vector<int> no_input_css_;
   std::vector<int> by_cost_;        // stat indices by (cost, index)
 
+  uint32_t generation_ = 0;         // of the current search
   std::vector<Derivation> best_;    // per stat
-  std::vector<char> wanted_;        // per stat, set only during Run
+  std::vector<uint32_t> wanted_;    // per stat: generation it is wanted in
   std::vector<int> visit_stamp_;    // per stat, CollectBundle's visited mark
   int stamp_ = 0;
-  std::vector<CssState> css_;
+  std::vector<CssState> css_;       // per CSS
   std::vector<Item> heap_;          // CSS candidates
   std::vector<Item> free_, paid_, observations_;
+  size_t next_observation_ = 0;
 };
+
+// Decides, in order, which of tested[begin, end) are redundant, given that
+// `closure` holds the forced observations, the kept part of tested[0,
+// begin) and all of tested[end, size): a statistic is dropped from
+// `observed` when every `required` statistic stays computable without it.
+// This is the one-at-a-time reverse delete (every statistic tested against
+// the ones kept before it and all after it), computed with the right half
+// added once for the whole left half instead of once per test.
+void DropRedundant(const std::vector<int>& tested, size_t begin, size_t end,
+                   const std::vector<int>& required,
+                   IncrementalClosure* closure, std::vector<char>* observed) {
+  if (end - begin == 1) {
+    if (std::all_of(required.begin(), required.end(),
+                    [&](int s) { return closure->computable(s); })) {
+      (*observed)[static_cast<size_t>(tested[begin])] = 0;
+    }
+    return;
+  }
+  const size_t mid = begin + (end - begin) / 2;
+  const size_t mark = closure->Mark();
+  for (size_t i = mid; i < end; ++i) closure->Add(tested[i]);
+  DropRedundant(tested, begin, mid, required, closure, observed);
+  closure->Rollback(mark);
+  for (size_t i = begin; i < mid; ++i) {
+    if ((*observed)[static_cast<size_t>(tested[i])]) closure->Add(tested[i]);
+  }
+  DropRedundant(tested, mid, end, required, closure, observed);
+}
 
 // One greedy pass (see SelectGreedyWithBudget), deriving with `search`,
 // which was built for the costs of `problem`.
@@ -228,25 +300,30 @@ SelectionResult GreedyCover(const SelectionProblem& problem, double budget,
   span.Arg("css", static_cast<int64_t>(catalog.num_css()));
   int64_t iterations = 0;
 
+  auto forced = [&](int s) {
+    return static_cast<size_t>(s) < problem.must_observe.size() &&
+           problem.must_observe[static_cast<size_t>(s)];
+  };
   std::vector<char> observed(static_cast<size_t>(n), 0);
   IncrementalClosure closure(catalog);
   double spent = 0.0;
   // Drift-flagged statistics are pre-seeded into the cover: they must be
   // re-observed regardless of what the derivation graph could supply.
-  for (size_t s = 0; s < problem.must_observe.size(); ++s) {
-    if (problem.must_observe[s]) {
-      observed[s] = 1;
-      spent += problem.cost[s];
-      closure.Add(static_cast<int>(s));
+  for (int s = 0; s < n; ++s) {
+    if (forced(s)) {
+      observed[static_cast<size_t>(s)] = 1;
+      spent += problem.cost[static_cast<size_t>(s)];
+      closure.Add(s);
     }
   }
   std::vector<char> deferred(static_cast<size_t>(n), 0);
   std::vector<int> pending;
+  std::vector<int> tier;
   std::vector<int> bundle;
 
   for (;;) {
     ++iterations;
-    // Uncovered, not yet deferred required statistics, cheapest first.
+    // Uncovered, not yet deferred required statistics.
     pending.clear();
     for (int s = 0; s < n; ++s) {
       if (problem.required[static_cast<size_t>(s)] && !closure.computable(s) &&
@@ -255,51 +332,53 @@ SelectionResult GreedyCover(const SelectionProblem& problem, double budget,
       }
     }
     if (pending.empty()) break;
-    search->Run(problem.observable, observed, pending);
-    std::sort(pending.begin(), pending.end(), [&](int a, int b) {
-      return search->best(a).cost < search->best(b).cost;
-    });
+    // Pick the first pending statistic, by (derivation cost, index), whose
+    // bundle fits the budget; the ones before it are deferred.
+    search->Start(problem.observable, observed, pending);
+    double added = 0.0;
     bool progressed = false;
-    for (int pick : pending) {
-      if (!search->best(pick).reachable) {
-        deferred[static_cast<size_t>(pick)] = 1;
-        continue;
-      }
-      search->CollectBundle(pick, &bundle);
-      // Actual incremental cost (the scalar derivation cost may double
-      // count shared inputs).
-      double added = 0.0;
-      for (int s : bundle) {
-        if (!observed[static_cast<size_t>(s)]) {
-          added += problem.cost[static_cast<size_t>(s)];
+    while (!progressed && search->NextTier(&tier)) {
+      for (int pick : tier) {
+        search->CollectBundle(pick, &bundle);
+        // Actual incremental cost (the scalar derivation cost may double
+        // count shared inputs).
+        added = 0.0;
+        for (int s : bundle) {
+          if (!observed[static_cast<size_t>(s)]) {
+            added += problem.cost[static_cast<size_t>(s)];
+          }
         }
-      }
-      if (spent + added > budget) {
-        deferred[static_cast<size_t>(pick)] = 1;
-        continue;
-      }
-      for (int s : bundle) {
-        if (!observed[static_cast<size_t>(s)]) {
-          observed[static_cast<size_t>(s)] = 1;
-          closure.Add(s);
+        if (spent + added > budget) {
+          deferred[static_cast<size_t>(pick)] = 1;
+          continue;
         }
+        progressed = true;
+        break;
       }
-      spent += added;
-      progressed = true;
-      break;
     }
     if (!progressed) break;  // nothing affordable/reachable remains
+    for (int s : bundle) {
+      if (!observed[static_cast<size_t>(s)]) {
+        observed[static_cast<size_t>(s)] = 1;
+        closure.Add(s);
+      }
+    }
+    spent += added;
   }
 
   result.feasible = true;
+  std::vector<int> required;
   for (int s = 0; s < n; ++s) {
-    if (problem.required[static_cast<size_t>(s)] && !closure.computable(s)) {
+    if (!problem.required[static_cast<size_t>(s)]) continue;
+    required.push_back(s);
+    if (!closure.computable(s)) {
       result.feasible = false;
       if (uncovered_required != nullptr) uncovered_required->push_back(s);
     }
   }
   // A partial cover (budget mode) is reported as chosen so far; a full one
-  // first drops observations that became redundant (most expensive first).
+  // first drops observations that became redundant (most expensive first;
+  // forced observations are never redundant).
   if (result.feasible) {
     std::vector<int> kept;
     for (int s = 0; s < n; ++s) {
@@ -309,19 +388,17 @@ SelectionResult GreedyCover(const SelectionProblem& problem, double budget,
       return problem.cost[static_cast<size_t>(a)] >
              problem.cost[static_cast<size_t>(b)];
     });
+    IncrementalClosure base(catalog);
+    std::vector<int> tested;
     for (int s : kept) {
-      if (static_cast<size_t>(s) < problem.must_observe.size() &&
-          problem.must_observe[static_cast<size_t>(s)]) {
-        continue;  // forced observations are never redundant
+      if (forced(s)) {
+        base.Add(s);
+      } else {
+        tested.push_back(s);
       }
-      observed[static_cast<size_t>(s)] = 0;
-      std::vector<int> trial;
-      for (int t = 0; t < n; ++t) {
-        if (observed[static_cast<size_t>(t)]) trial.push_back(t);
-      }
-      if (!SelectionCovers(problem, trial)) {
-        observed[static_cast<size_t>(s)] = 1;  // still needed
-      }
+    }
+    if (!tested.empty()) {
+      DropRedundant(tested, 0, tested.size(), required, &base, &observed);
     }
   }
 

@@ -8,9 +8,10 @@ namespace etlopt {
 // The greedy heuristic of Section 5.3: in each round, cover one still-
 // uncovered required statistic with its cheapest observation bundle under
 // *residual* costs (statistics already chosen cost nothing more, which gives
-// the amortization the paper motivates with Figure 7). Bundle costs are
-// computed with a Knuth-style AND-OR shortest-derivation pass over the CSS
-// graph. A reverse-delete pass then removes redundant observations.
+// the amortization the paper motivates with Figure 7), the lowest stat index
+// winning ties. Bundle costs are computed with a Knuth-style AND-OR
+// shortest-derivation pass over the CSS graph. A reverse-delete pass then
+// removes redundant observations, most expensive first.
 SelectionResult SelectGreedy(const SelectionProblem& problem);
 
 // Budgeted variant (Section 6.1): stops adding observations once the budget

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "core/pipeline.h"
+#include "estimator/estimator.h"
 #include "obs/drift.h"
 #include "sketch/countmin.h"
 #include "sketch/hll.h"
@@ -220,18 +221,28 @@ TEST(TapTest, EstimatorPropagatesErrorBounds) {
   ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
   ASSERT_GT(cycle->run.tap_report.sketch_taps, 0);
   // Any estimate derived from a sketch-collected statistic must carry a
-  // non-zero propagated error bound.
+  // non-zero propagated error bound. Each block's statistics are derived
+  // again as Pipeline::Optimize derives them: the SE cardinalities and
+  // everything they read.
   int derived_approx = 0;
-  for (const auto& be : cycle->opt.block_estimates) {
-    for (const auto& [key, prov] : be.provenance) {
+  const std::vector<std::unique_ptr<BlockAnalysis>>& blocks =
+      cycle->analysis->blocks;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    Estimator estimator(&blocks[b]->ctx, &blocks[b]->catalog);
+    ASSERT_TRUE(
+        estimator
+            .Derive(cycle->run.block_stats[b],
+                    CardKeys(blocks[b]->plan_space.subexpressions()))
+            .ok());
+    for (const auto& [key, prov] : estimator.provenance()) {
       if (prov.observed) continue;
       bool approx_input = false;
       for (const StatKey& in : prov.inputs) {
-        const StatValue* iv = be.derived.Find(in);
+        const StatValue* iv = estimator.derived().Find(in);
         if (iv != nullptr && iv->is_approx()) approx_input = true;
       }
       if (!approx_input) continue;
-      const StatValue* v = be.derived.Find(key);
+      const StatValue* v = estimator.derived().Find(key);
       ASSERT_NE(v, nullptr);
       EXPECT_TRUE(v->is_approx()) << key.ToString();
       EXPECT_GT(v->rel_error(), 0.0) << key.ToString();
