@@ -5,6 +5,7 @@
 
 #include "core/pipeline.h"
 #include "datagen/workload_suite.h"
+#include "obs/build_info.h"
 
 namespace etlopt {
 namespace {
@@ -30,6 +31,8 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000);
 
+// One serial run of workload N at scale 0.05, every join taking both reject
+// sides; wf21 is the 8-way join.
 void BM_ExecuteWorkflow(benchmark::State& state) {
   const WorkloadSpec spec = BuildWorkload(static_cast<int>(state.range(0)));
   const SourceMap sources = GenerateSources(spec, 3, 0.05);
@@ -39,7 +42,7 @@ void BM_ExecuteWorkflow(benchmark::State& state) {
         executor.Execute(sources).value().rows_processed);
   }
 }
-BENCHMARK(BM_ExecuteWorkflow)->Arg(3)->Arg(5)->Arg(12)
+BENCHMARK(BM_ExecuteWorkflow)->Arg(3)->Arg(5)->Arg(12)->Arg(21)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullPipelineCycle(benchmark::State& state) {
@@ -98,4 +101,14 @@ BENCHMARK(BM_GroundTruthCards)->Args({12, 20})->Args({21, 50})
 }  // namespace
 }  // namespace etlopt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const etlopt::obs::BuildInfo& build = etlopt::obs::CurrentBuildInfo();
+  benchmark::AddCustomContext("etlopt_build_type", build.build_type);
+  benchmark::AddCustomContext("etlopt_compiler", build.compiler);
+  benchmark::AddCustomContext("etlopt_git_sha", build.git_sha);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -131,6 +131,18 @@ JoinHashTable::RowRange JoinHashTable::Lookup(Value key) const {
   }
 }
 
+RowBits MakeRowBits(int64_t rows) {
+  return RowBits(static_cast<size_t>((rows + 63) / 64), 0);
+}
+
+SelVector ClearRows(const RowBits& bits, int64_t rows) {
+  SelVector sel;
+  for (int64_t r = 0; r < rows; ++r) {
+    if (!TestBit(bits, r)) sel.push_back(r);
+  }
+  return sel;
+}
+
 Value StringDictionary::Intern(const std::string& s) {
   const auto it = ids_.find(s);
   if (it != ids_.end()) return it->second;

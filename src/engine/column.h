@@ -1,6 +1,7 @@
 #ifndef ETLOPT_ENGINE_COLUMN_H_
 #define ETLOPT_ENGINE_COLUMN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -70,7 +71,6 @@ class JoinHashTable {
 
   // Build row ids holding `key`, in build row order; empty when absent.
   RowRange Lookup(Value key) const;
-  bool Contains(Value key) const { return !Lookup(key).empty(); }
 
   int64_t num_keys() const { return static_cast<int64_t>(group_key_.size()); }
   int64_t num_rows() const { return static_cast<int64_t>(row_ids_.size()); }
@@ -83,6 +83,39 @@ class JoinHashTable {
   std::vector<int64_t> group_start_;  // group id -> offset into row_ids_
   std::vector<int64_t> row_ids_;      // build row ids, grouped, build order
 };
+
+// A set of rows (or ranks) as a bitmap, one bit each.
+using RowBits = std::vector<uint64_t>;
+
+// The empty set over [0, rows).
+RowBits MakeRowBits(int64_t rows);
+inline bool TestBit(const RowBits& bits, int64_t r) {
+  return (bits[static_cast<size_t>(r >> 6)] >> (r & 63)) & 1;
+}
+inline void SetBit(RowBits* bits, int64_t r) {
+  (*bits)[static_cast<size_t>(r >> 6)] |= uint64_t{1} << (r & 63);
+}
+
+// Rows of `bits`' domain [0, rows) whose bit is clear, ascending.
+SelVector ClearRows(const RowBits& bits, int64_t rows);
+
+// Marks every build row of a probe hit `range` in `hit`. The marks are
+// atomic, so the morsels of a partitioned join can share one bitmap. A
+// key's build rows are marked together, so the first row of a range tells
+// whether the whole key is marked. The build rows left clear after the
+// probe are the join's right-side rejects.
+inline void MarkHit(const JoinHashTable::RowRange& range, RowBits* hit) {
+  auto word = [hit](int64_t r) {
+    return std::atomic_ref<uint64_t>((*hit)[static_cast<size_t>(r >> 6)]);
+  };
+  const int64_t first = *range.begin;
+  if ((word(first).load(std::memory_order_relaxed) >> (first & 63)) & 1) {
+    return;
+  }
+  for (const int64_t* r = range.begin; r != range.end; ++r) {
+    word(*r).fetch_or(uint64_t{1} << (*r & 63), std::memory_order_relaxed);
+  }
+}
 
 // Interns strings to dense ids so string-typed source attributes flow
 // through the engine as ordinary Value columns (the dictionary encoding of

@@ -4,10 +4,10 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
-#include <numeric>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -126,7 +126,7 @@ Schema JoinOutputSchema(const Table& left, const Table& right, AttrId attr,
 }  // namespace
 
 Table HashJoin(const Table& left, const Table& right, AttrId attr,
-               Table* rejects, int64_t build_rows_hint) {
+               Table* rejects, int64_t build_rows_hint, Table* right_rejects) {
   const int lkey = left.schema().IndexOf(attr);
   const int rkey = right.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
@@ -138,7 +138,8 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
   // JoinHashTable hashes the build keys in one pass; the probe loop only
   // touches the key columns and emits selection vectors, and the output
   // columns materialize via gathers. Emission order is probe order x
-  // build-insertion order per key.
+  // build-insertion order per key. Right rejects are the build rows no
+  // probe row hit, in build order.
   Timer phase;
   const JoinHashTable ht(right.column_data(rkey), right.num_rows(),
                          build_rows_hint);
@@ -150,6 +151,8 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
   SelVector lsel;
   SelVector rsel;
   SelVector reject_sel;
+  RowBits hit;
+  if (right_rejects != nullptr) hit = MakeRowBits(right.num_rows());
   lsel.reserve(static_cast<size_t>(n));
   rsel.reserve(static_cast<size_t>(n));
   for (int64_t l = 0; l < n; ++l) {
@@ -158,6 +161,7 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
       if (rejects != nullptr) reject_sel.push_back(l);
       continue;
     }
+    if (right_rejects != nullptr) MarkHit(range, &hit);
     for (const int64_t* r = range.begin; r != range.end; ++r) {
       lsel.push_back(l);
       rsel.push_back(*r);
@@ -181,6 +185,9 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
   if (rejects != nullptr) {
     *rejects = Table::Gather(left, reject_sel);
   }
+  if (right_rejects != nullptr) {
+    *right_rejects = Table::Gather(right, ClearRows(hit, right.num_rows()));
+  }
   const int64_t probe_ns = ElapsedNs(phase);
   if (span.active()) {
     span.Arg("build_rows", right.num_rows());
@@ -188,66 +195,6 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
     span.Arg("rows_out", out.num_rows());
     span.Arg("build_ns", build_ns);
     span.Arg("probe_ns", probe_ns);
-  }
-  return out;
-}
-
-Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
-                    Table* rejects) {
-  const int lkey = left.schema().IndexOf(attr);
-  const int rkey = right.schema().IndexOf(attr);
-  ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
-
-  std::vector<int> right_cols;
-  Table out{JoinOutputSchema(left, right, attr, &right_cols)};
-  const size_t out_width = static_cast<size_t>(out.schema().size());
-
-  obs::ScopedSpan span("engine.sort_merge_join");
-  // Sort row indices of both sides by the key.
-  std::vector<int64_t> lidx(static_cast<size_t>(left.num_rows()));
-  std::vector<int64_t> ridx(static_cast<size_t>(right.num_rows()));
-  std::iota(lidx.begin(), lidx.end(), 0);
-  std::iota(ridx.begin(), ridx.end(), 0);
-  std::sort(lidx.begin(), lidx.end(), [&](int64_t a, int64_t b) {
-    return left.at(a, lkey) < left.at(b, lkey);
-  });
-  std::sort(ridx.begin(), ridx.end(), [&](int64_t a, int64_t b) {
-    return right.at(a, rkey) < right.at(b, rkey);
-  });
-
-  size_t li = 0;
-  size_t ri = 0;
-  while (li < lidx.size()) {
-    const Value lv = left.at(lidx[li], lkey);
-    while (ri < ridx.size() && right.at(ridx[ri], rkey) < lv) ++ri;
-    // Group of right rows with this key.
-    size_t rend = ri;
-    while (rend < ridx.size() && right.at(ridx[rend], rkey) == lv) ++rend;
-    if (ri == rend) {
-      if (rejects != nullptr) {
-        rejects->AppendRowFrom(left, lidx[li]);
-      }
-      ++li;
-      continue;
-    }
-    // All left rows with this key join with the right group.
-    while (li < lidx.size() && left.at(lidx[li], lkey) == lv) {
-      for (size_t r = ri; r < rend; ++r) {
-        std::vector<Value> row = left.row(lidx[li]);
-        row.reserve(out_width);
-        for (int col : right_cols) {
-          row.push_back(right.at(ridx[r], col));
-        }
-        out.AddRow(row);
-      }
-      ++li;
-    }
-    ri = rend;
-  }
-  if (span.active()) {
-    span.Arg("left_rows", left.num_rows());
-    span.Arg("right_rows", right.num_rows());
-    span.Arg("rows_out", out.num_rows());
   }
   return out;
 }
@@ -376,34 +323,33 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
       const Table& in = input(0);
       const TransformSpec& t = node.transform;
       const int col = in.schema().IndexOf(t.input_attr);
+      // Batched UDF: untouched columns are shared, the transformed (or
+      // derived) column is one fn-application loop over the input array.
+      auto mapped = std::make_shared<Column>();
+      MapColumn(t.fn, in.column_data(col), in.num_rows(), mapped.get());
+      const Column& values = *mapped;
+      std::vector<ColumnPtr> out_cols;
+      out_cols.reserve(static_cast<size_t>(out.schema().size()));
+      const bool in_place = t.output_attr == t.input_attr;
+      for (int c = 0; c < in.schema().size(); ++c) {
+        out_cols.push_back(in_place && c == col ? mapped
+                                                : in.shared_column(c));
+      }
+      if (!in_place) out_cols.push_back(std::move(mapped));
+      out = Table::FromColumns(out.schema(), std::move(out_cols),
+                               in.num_rows());
       if (t.is_aggregate) {
-        // Black-box aggregate UDF: emits one row per distinct transformed
-        // key value (a deterministic blocking reduction). Output order
-        // depends on input order, so this stays a single row-order loop.
-        std::unordered_map<Value, bool> seen;
+        // Black-box aggregate UDF (a deterministic blocking reduction):
+        // keeps the first row of each distinct transformed value, in input
+        // order.
+        std::unordered_set<Value> seen;
+        SelVector first;
         for (int64_t r = 0; r < in.num_rows(); ++r) {
-          const Value v = t.fn(in.at(r, col));
-          if (seen.emplace(v, true).second) {
-            std::vector<Value> row = in.row(r);
-            row[static_cast<size_t>(col)] = v;
-            out.AddRow(row);
+          if (seen.insert(values[static_cast<size_t>(r)]).second) {
+            first.push_back(r);
           }
         }
-      } else {
-        // Batched UDF: untouched columns are shared, the transformed (or
-        // derived) column is one fn-application loop over the input array.
-        auto mapped = std::make_shared<Column>();
-        MapColumn(t.fn, in.column_data(col), in.num_rows(), mapped.get());
-        std::vector<ColumnPtr> out_cols;
-        out_cols.reserve(static_cast<size_t>(out.schema().size()));
-        const bool in_place = t.output_attr == t.input_attr;
-        for (int c = 0; c < in.schema().size(); ++c) {
-          out_cols.push_back(in_place && c == col ? mapped
-                                                  : in.shared_column(c));
-        }
-        if (!in_place) out_cols.push_back(std::move(mapped));
-        out = Table::FromColumns(out.schema(), std::move(out_cols),
-                                 in.num_rows());
+        out = Table::Gather(out, first);
       }
       result.rows_processed += in.num_rows();
       break;
@@ -447,25 +393,10 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
           build_hint = hint_it->second;
         }
       }
-      Table rejects{left.schema()};
-      out = node.join.algorithm == JoinAlgorithm::kSortMerge
-                ? SortMergeJoin(left, right, node.join.attr, &rejects)
-                : HashJoin(left, right, node.join.attr, &rejects, build_hint);
+      out = HashJoin(left, right, node.join.attr,
+                     &result.join_rejects[node.id], build_hint,
+                     &result.join_rejects_right[node.id]);
       result.rows_processed += left.num_rows() + right.num_rows();
-      result.join_rejects[node.id] = std::move(rejects);
-      // Right-side rejects: right rows whose key never occurs on the left.
-      {
-        const int lkey = left.schema().IndexOf(node.join.attr);
-        const int rkey = right.schema().IndexOf(node.join.attr);
-        const JoinHashTable left_keys(left.column_data(lkey),
-                                      left.num_rows());
-        const Value* rkeys = right.column_data(rkey);
-        SelVector sel;
-        for (int64_t r = 0; r < right.num_rows(); ++r) {
-          if (!left_keys.Contains(rkeys[r])) sel.push_back(r);
-        }
-        result.join_rejects_right[node.id] = Table::Gather(right, sel);
-      }
       break;
     }
     case OpKind::kMaterialize:

@@ -122,9 +122,12 @@ const char* AbortKindName(AbortKind kind);
 // sink, materialized targets, and nodes without consumers.
 struct ExecutionResult {
   std::unordered_map<NodeId, Table> node_outputs;
-  // Rows that found no match, per join node and side (captured for every
+  // Rows that found no match, per join node and side, captured for every
   // join so reject links — designed or instrumentation-added — are
-  // available).
+  // available. Left rejects are the probe rows without a match, in probe
+  // order; right rejects are the build rows no probe row hit, in build
+  // order. Both come out of the join's one hash probe (HashJoin, and the
+  // partitioned join's shared hit marks).
   std::unordered_map<NodeId, Table> join_rejects;        // left-side rejects
   std::unordered_map<NodeId, Table> join_rejects_right;  // right-side rejects
   // Materialize / Sink outputs, by target name.
@@ -294,19 +297,17 @@ bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
 Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node);
 
 // Executes a join of two tables on a shared attribute (hash join; build on
-// the right input). When `rejects` is non-null it receives the left rows
-// with no match. Exposed for the instrumentation side-joins of the
-// union-division statistics. `build_rows_hint` > 0 presizes the build
-// table from the estimator's predicted build cardinality
-// (ExecutorOptions::build_rows_hints); <= 0 falls back to the row count.
+// the right input), the engine's one join kernel. When `rejects` is
+// non-null it receives the left rows with no match, in probe order; when
+// `right_rejects` is non-null it receives the right rows no left row hit,
+// in build order (from the build rows' hit marks, MarkHit). Exposed for the
+// instrumentation side-joins of the union-division statistics.
+// `build_rows_hint` > 0 presizes the build table from the estimator's
+// predicted build cardinality (ExecutorOptions::build_rows_hints); <= 0
+// falls back to the row count.
 Table HashJoin(const Table& left, const Table& right, AttrId attr,
-               Table* rejects, int64_t build_rows_hint = -1);
-
-// Sort-merge implementation of the same join (identical output multiset,
-// different physical cost profile). The executor dispatches on
-// JoinSpec::algorithm; kAuto uses hash.
-Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
-                    Table* rejects);
+               Table* rejects, int64_t build_rows_hint = -1,
+               Table* right_rejects = nullptr);
 
 // Derives ExecutorOptions::build_rows_hints from armed plan monitors: for
 // every join node whose build (right) input carries an expected

@@ -77,14 +77,11 @@ std::vector<NodeClass> Classify(const Workflow& wf, AttrId p) {
         if (left.mode == Mode::kPre && right.mode == Mode::kPre) {
           cls.mode = Mode::kPre;
         } else if (left.mode == Mode::kPartitioned &&
-                   node.join.algorithm != JoinAlgorithm::kSortMerge &&
                    ((right.mode == Mode::kPartitioned && node.join.attr == p &&
                      left.copart && right.copart) ||
                     right.mode == Mode::kPre)) {
           // Co-partitioned on the partition key, or partitioned probe
           // against a broadcast build side computed in the pre phase.
-          // Sort-merge joins gather instead: their (sorted) row order is
-          // kept exact by running the serial kernel.
           cls.mode = Mode::kPartitioned;
           cls.copart = left.copart;
         } else {
@@ -198,28 +195,6 @@ Slice ApplyTransformSlice(const WorkflowNode& node, const Schema& out_schema,
       in.rank};
 }
 
-// A set of rows (or ranks) as a bitmap, one bit each.
-using RowBits = std::vector<uint64_t>;
-
-RowBits MakeRowBits(int64_t rows) {
-  return RowBits(static_cast<size_t>((rows + 63) / 64), 0);
-}
-bool TestBit(const RowBits& bits, int64_t r) {
-  return (bits[static_cast<size_t>(r >> 6)] >> (r & 63)) & 1;
-}
-void SetBit(RowBits* bits, int64_t r) {
-  (*bits)[static_cast<size_t>(r >> 6)] |= uint64_t{1} << (r & 63);
-}
-
-// Rows of `bits`' domain [0, rows) whose bit is clear, ascending.
-SelVector ClearRows(const RowBits& bits, int64_t rows) {
-  SelVector sel;
-  for (int64_t r = 0; r < rows; ++r) {
-    if (!TestBit(bits, r)) sel.push_back(r);
-  }
-  return sel;
-}
-
 // The rows `sel` of a slice, with their ranks.
 Slice SelectRows(const Slice& in, const SelVector& sel) {
   auto rank = std::make_shared<std::vector<int64_t>>();
@@ -238,23 +213,6 @@ struct Morsel {
   int64_t out_rows = 0;
   int64_t out_at = 0;  // the morsel's first output row in its partition
 };
-
-// Marks every build row whose key `range` holds in `hit`, which the
-// partition's (or, for a broadcast build, every) morsels share. A key's
-// build rows are marked together, so the first row of a range tells
-// whether the whole key is marked.
-void MarkHit(const JoinHashTable::RowRange& range, RowBits* hit) {
-  auto word = [hit](int64_t r) {
-    return std::atomic_ref<uint64_t>((*hit)[static_cast<size_t>(r >> 6)]);
-  };
-  const int64_t first = *range.begin;
-  if ((word(first).load(std::memory_order_relaxed) >> (first & 63)) & 1) {
-    return;
-  }
-  for (const int64_t* r = range.begin; r != range.end; ++r) {
-    word(*r).fetch_or(uint64_t{1} << (*r & 63), std::memory_order_relaxed);
-  }
-}
 
 // The merge barrier: reassembles slices into one table in serial order.
 // Row i of a slice lands at the dense position of its rank. Ranks that

@@ -41,8 +41,8 @@ struct ParallelResult {
 // filter/project/row-transform chains, co-partitioned hash joins on that
 // key, and hash joins whose build side is a serial ("broadcast") chain run
 // partition-local on the worker pool; blocking operators (aggregates,
-// aggregate UDF transforms) and sort-merge joins gather first and run
-// serially, exactly like every node does on the serial path.
+// aggregate UDF transforms) gather first and run serially, exactly like
+// every node does on the serial path.
 //
 // Determinism and equivalence: partition placement is a pure hash of the
 // key value, and every partition-local row carries one int64 rank: its
@@ -56,10 +56,9 @@ struct ParallelResult {
 // broadcast build holds all rows. The merge barrier scatters every slice
 // row to the position of its rank, without comparisons, so node outputs,
 // targets, reject tables, and therefore every observed statistic are
-// bit-identical to a serial run, for any worker or partition count. (One
-// caveat: a co-partitioned join always uses the hash kernel, so joins
-// explicitly planned as sort-merge gather instead of partitioning, keeping
-// even their row order exact.)
+// bit-identical to a serial run, for any worker or partition count. Right
+// rejects come from the same build-row hit marks (MarkHit) the serial
+// HashJoin sets.
 //
 // Execution: the partitioned chain runs node by node, one ParallelFor over
 // the partitions per node (plus the join's prefix-sum barrier). A node is

@@ -24,16 +24,4 @@ const char* OpKindName(OpKind kind) {
   return "Unknown";
 }
 
-const char* JoinAlgorithmName(JoinAlgorithm algorithm) {
-  switch (algorithm) {
-    case JoinAlgorithm::kAuto:
-      return "auto";
-    case JoinAlgorithm::kHash:
-      return "hash";
-    case JoinAlgorithm::kSortMerge:
-      return "sort-merge";
-  }
-  return "?";
-}
-
 }  // namespace etlopt

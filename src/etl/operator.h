@@ -44,13 +44,11 @@ struct AggregateSpec {
   AttrId count_attr = kInvalidAttr;
 };
 
-// Physical join implementation. kAuto lets the executor default to hash;
-// the cost-based optimizer sets an explicit choice per join when it
-// rewrites a plan (physical implementation selection in the spirit of
-// [Tziovara et al., DOLAP'07], which the paper's related work discusses).
-enum class JoinAlgorithm : uint8_t { kAuto = 0, kHash, kSortMerge };
-
-const char* JoinAlgorithmName(JoinAlgorithm algorithm);
+// Physical join implementation, as written in the plan. The engine has one
+// join kernel, the hash join, which both values run; the cost-based
+// optimizer records kHash on every join of a plan it rewrites, and the
+// workflow text writes it as ` hash`.
+enum class JoinAlgorithm : uint8_t { kAuto = 0, kHash };
 
 // Equi-join of two inputs on a shared attribute. `left_reject_link`
 // materializes the left rows that found no match (the diagnostics pattern of

@@ -144,9 +144,6 @@ std::string WriteWorkflowText(const Workflow& workflow, Status* status) {
         if (node.join.left_reject_link) out << " reject";
         if (node.join.fk_lookup) out << " fk";
         if (node.join.algorithm == JoinAlgorithm::kHash) out << " hash";
-        if (node.join.algorithm == JoinAlgorithm::kSortMerge) {
-          out << " sortmerge";
-        }
         break;
       case OpKind::kMaterialize:
         st = CheckToken(node.target_name, "materialize target");
@@ -431,10 +428,9 @@ Result<Workflow> ParseWorkflowText(const std::string& text) {
           options.reject_link = true;
         } else if (flag == "fk") {
           options.fk_lookup = true;
-        } else if (flag == "hash") {
+        } else if (flag == "hash" || flag == "sortmerge") {
+          // The old sort-merge flag reads as hash: one join kernel.
           algorithm = JoinAlgorithm::kHash;
-        } else if (flag == "sortmerge") {
-          algorithm = JoinAlgorithm::kSortMerge;
         } else {
           return Status::InvalidArgument("line " + std::to_string(lineno) +
                                          ": unknown join flag '" + flag +

@@ -384,9 +384,12 @@ SelectionResult GreedyCover(const SelectionProblem& problem, double budget,
     for (int s = 0; s < n; ++s) {
       if (observed[static_cast<size_t>(s)]) kept.push_back(s);
     }
+    // Ties in cost go to the lower statistic index, so the drop order does
+    // not rest on std::sort's unspecified order of equal elements.
     std::sort(kept.begin(), kept.end(), [&](int a, int b) {
-      return problem.cost[static_cast<size_t>(a)] >
-             problem.cost[static_cast<size_t>(b)];
+      const double ca = problem.cost[static_cast<size_t>(a)];
+      const double cb = problem.cost[static_cast<size_t>(b)];
+      return ca != cb ? ca > cb : a < b;
     });
     IncrementalClosure base(catalog);
     std::vector<int> tested;

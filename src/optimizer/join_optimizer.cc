@@ -31,19 +31,16 @@ Result<OptimizedPlan> OptimizeJoins(const BlockContext& ctx,
     for (const PlanAlt& plan : plan_space.plans(se)) {
       ETLOPT_ASSIGN_OR_RETURN(const int64_t left_rows, card(plan.left));
       ETLOPT_ASSIGN_OR_RETURN(const int64_t right_rows, card(plan.right));
-      // Orient the smaller input to the build side, then pick the cheaper
-      // physical implementation.
-      const int64_t probe_rows = std::max(left_rows, right_rows);
-      const int64_t build_rows = std::min(left_rows, right_rows);
-      const auto [algorithm, step] =
-          PickJoinAlgorithm(probe_rows, build_rows, out_rows, params);
+      // Orient the smaller input to the build side.
+      const double step =
+          JoinStepCost(std::max(left_rows, right_rows),
+                       std::min(left_rows, right_rows), out_rows, params);
       const double total = best.at(plan.left) + best.at(plan.right) + step;
       if (se_best < 0.0 || total < se_best) {
         se_best = total;
         se_choice.left = left_rows >= right_rows ? plan.left : plan.right;
         se_choice.right = left_rows >= right_rows ? plan.right : plan.left;
         se_choice.attr = plan.attr;
-        se_choice.algorithm = algorithm;
       }
     }
     if (se_best < 0.0) {
@@ -60,10 +57,8 @@ Result<OptimizedPlan> OptimizeJoins(const BlockContext& ctx,
     ETLOPT_ASSIGN_OR_RETURN(const int64_t left_rows, card(j.left));
     ETLOPT_ASSIGN_OR_RETURN(const int64_t right_rows, card(j.right));
     ETLOPT_ASSIGN_OR_RETURN(const int64_t out_rows, card(j.left | j.right));
-    initial += PickJoinAlgorithm(std::max(left_rows, right_rows),
-                                 std::min(left_rows, right_rows), out_rows,
-                                 params)
-                   .second;
+    initial += JoinStepCost(std::max(left_rows, right_rows),
+                            std::min(left_rows, right_rows), out_rows, params);
   }
   out.initial_cost = initial;
   return out;

@@ -13,7 +13,6 @@ struct JoinChoice {
   RelMask left = 0;
   RelMask right = 0;
   AttrId attr = kInvalidAttr;
-  JoinAlgorithm algorithm = JoinAlgorithm::kHash;
 };
 
 struct OptimizedPlan {

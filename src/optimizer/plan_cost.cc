@@ -1,7 +1,5 @@
 #include "optimizer/plan_cost.h"
 
-#include <cmath>
-
 namespace etlopt {
 
 double JoinStepCost(int64_t left_rows, int64_t right_rows, int64_t out_rows,
@@ -9,34 +7,6 @@ double JoinStepCost(int64_t left_rows, int64_t right_rows, int64_t out_rows,
   return params.probe * static_cast<double>(left_rows) +
          params.build * static_cast<double>(right_rows) +
          params.output * static_cast<double>(out_rows);
-}
-
-namespace {
-
-double SortCost(int64_t rows, const CostParams& params) {
-  if (rows <= 1) return 0.0;
-  return params.sort * static_cast<double>(rows) *
-         std::log2(static_cast<double>(rows));
-}
-
-}  // namespace
-
-double SortMergeStepCost(int64_t left_rows, int64_t right_rows,
-                         int64_t out_rows, const CostParams& params) {
-  return SortCost(left_rows, params) + SortCost(right_rows, params) +
-         params.merge * static_cast<double>(left_rows + right_rows) +
-         params.output * static_cast<double>(out_rows);
-}
-
-std::pair<JoinAlgorithm, double> PickJoinAlgorithm(int64_t left_rows,
-                                                   int64_t right_rows,
-                                                   int64_t out_rows,
-                                                   const CostParams& params) {
-  const double hash = JoinStepCost(left_rows, right_rows, out_rows, params);
-  const double merge =
-      SortMergeStepCost(left_rows, right_rows, out_rows, params);
-  if (merge < hash) return {JoinAlgorithm::kSortMerge, merge};
-  return {JoinAlgorithm::kHash, hash};
 }
 
 }  // namespace etlopt

@@ -1,10 +1,9 @@
 #ifndef ETLOPT_OPTIMIZER_PLAN_COST_H_
 #define ETLOPT_OPTIMIZER_PLAN_COST_H_
 
+#include <cstdint>
 #include <unordered_map>
-#include <utility>
 
-#include "etl/operator.h"
 #include "util/bitmask.h"
 
 namespace etlopt {
@@ -18,12 +17,6 @@ struct CostParams {
   double build = 2.0;   // per build-side row (hash table insert)
   double probe = 1.0;   // per probe-side row
   double output = 1.0;  // per produced row
-  // Sort-merge: per-row sort cost factor (multiplied by log2 of the side's
-  // rows) and per-row merge cost. With the defaults hash wins except on
-  // degenerate inputs; tune e.g. for memory-starved engines where hash
-  // tables are expensive.
-  double sort = 0.75;
-  double merge = 0.5;
 };
 
 using CardMap = std::unordered_map<RelMask, int64_t>;
@@ -32,16 +25,6 @@ using CardMap = std::unordered_map<RelMask, int64_t>;
 // (probe = left, build = right).
 double JoinStepCost(int64_t left_rows, int64_t right_rows, int64_t out_rows,
                     const CostParams& params);
-
-// Cost of the same join with sort-merge.
-double SortMergeStepCost(int64_t left_rows, int64_t right_rows,
-                         int64_t out_rows, const CostParams& params);
-
-// Picks the cheaper physical implementation; returns {algorithm, cost}.
-std::pair<JoinAlgorithm, double> PickJoinAlgorithm(int64_t left_rows,
-                                                   int64_t right_rows,
-                                                   int64_t out_rows,
-                                                   const CostParams& params);
 
 }  // namespace etlopt
 

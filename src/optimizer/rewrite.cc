@@ -65,7 +65,7 @@ Result<Workflow> PlanRewriter::Apply(
         join.name = "opt_join_" + std::to_string(se);
         join.inputs = {left, right};
         join.join.attr = choice.attr;
-        join.join.algorithm = choice.algorithm;
+        join.join.algorithm = JoinAlgorithm::kHash;
         const NodeId id = append(std::move(join));
         if (se_nodes != nullptr) {
           (*se_nodes)[plan_index][se] = id;

@@ -40,6 +40,61 @@ TEST(HashJoinTest, InnerJoinWithRejects) {
   EXPECT_EQ(rejects.at(0, 0), 3);
 }
 
+// Both reject sides of HashJoin against a nested loop over every pair: the
+// left rows equal to no right key, in probe order, and the right rows equal
+// to no left key, in build order.
+TEST(HashJoinTest, RejectsMatchNestedLoopOracle) {
+  Rng rng(27);
+  std::vector<Value> dup_left;
+  std::vector<Value> dup_right;
+  for (int i = 0; i < 300; ++i) dup_left.push_back(rng.NextInRange(1, 40));
+  for (int i = 0; i < 150; ++i) dup_right.push_back(rng.NextInRange(20, 60));
+  struct Case {
+    const char* name;
+    std::vector<Value> left_keys;
+    std::vector<Value> right_keys;
+  };
+  const std::vector<Case> cases = {
+      {"duplicate keys", dup_left, dup_right},
+      {"empty probe", {}, {3, 1, 3, 2}},
+      {"empty build", {2, 2, 5}, {}},
+      {"disjoint keys", {1, 3, 5, 3}, {2, 4, 6, 2}},
+  };
+  for (const Case& c : cases) {
+    Table left{Schema({0, 1})};
+    Table right{Schema({0, 2})};
+    for (size_t i = 0; i < c.left_keys.size(); ++i) {
+      left.AddRow({c.left_keys[i], static_cast<Value>(100 + i)});
+    }
+    for (size_t i = 0; i < c.right_keys.size(); ++i) {
+      right.AddRow({c.right_keys[i], static_cast<Value>(1000 + i)});
+    }
+    std::vector<std::vector<Value>> want_left;
+    std::vector<std::vector<Value>> want_right;
+    for (int64_t l = 0; l < left.num_rows(); ++l) {
+      bool hit = false;
+      for (int64_t r = 0; r < right.num_rows(); ++r) {
+        hit = hit || left.at(l, 0) == right.at(r, 0);
+      }
+      if (!hit) want_left.push_back(left.row(l));
+    }
+    for (int64_t r = 0; r < right.num_rows(); ++r) {
+      bool hit = false;
+      for (int64_t l = 0; l < left.num_rows(); ++l) {
+        hit = hit || left.at(l, 0) == right.at(r, 0);
+      }
+      if (!hit) want_right.push_back(right.row(r));
+    }
+    Table rejects;
+    Table right_rejects;
+    HashJoin(left, right, 0, &rejects, -1, &right_rejects);
+    EXPECT_TRUE(rejects.schema() == left.schema()) << c.name;
+    EXPECT_TRUE(right_rejects.schema() == right.schema()) << c.name;
+    EXPECT_EQ(rejects.MaterializeRows(), want_left) << c.name;
+    EXPECT_EQ(right_rejects.MaterializeRows(), want_right) << c.name;
+  }
+}
+
 class ExecutorTest : public ::testing::Test {
  protected:
   void SetUp() override { ex_ = testing_util::MakePaperExample(); }

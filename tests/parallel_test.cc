@@ -280,36 +280,6 @@ TEST(ParallelExecutorTest, AggregateGathersAndStaysBitIdentical) {
   ExpectExecutionsIdentical(serial, par.exec);
 }
 
-TEST(ParallelExecutorTest, SortMergeJoinWorkflowFallsBackToSerial) {
-  // Sort-merge joins never partition (their row order is the sorted one);
-  // a workflow where that's the only candidate chain runs serially.
-  WorkflowBuilder b("sm");
-  const AttrId k = b.DeclareAttr("k", 10);
-  const NodeId l = b.Source("L", {k});
-  const NodeId r = b.Source("R", {k});
-  const NodeId j = b.Join(l, r, k);
-  b.SetJoinAlgorithm(j, JoinAlgorithm::kSortMerge);
-  b.Sink(j, "out");
-  Workflow wf = std::move(b).Build().value();
-
-  SourceMap sources;
-  Table lt{Schema({k})};
-  Table rt{Schema({k})};
-  for (int i = 0; i < 50; ++i) {
-    lt.AddRow({(i % 10) + 1});
-    rt.AddRow({(i % 7) + 1});
-  }
-  sources["L"] = std::move(lt);
-  sources["R"] = std::move(rt);
-
-  const ExecutionResult serial = Executor(&wf).Execute(sources).value();
-  ParallelOptions opts;
-  opts.num_threads = 4;
-  const ParallelResult par =
-      ParallelExecutor(&wf, opts).Execute(sources).value();
-  ExpectExecutionsIdentical(serial, par.exec);
-}
-
 TEST(ParallelExecutorTest, RepeatedRunsWithPinnedPartitionsAreIdentical) {
   auto ex = testing_util::MakePaperExample();
   ParallelOptions opts;

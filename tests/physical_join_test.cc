@@ -1,5 +1,7 @@
-// Physical join implementation selection: sort-merge vs hash (the physical
-// ETL design dimension the paper's related work cites via Tziovara et al.).
+// Physical join implementation: the engine has one join kernel, the hash
+// join. The optimizer records it explicitly on the joins of a rewritten
+// plan, the workflow text writes it as ` hash`, and the old `sortmerge`
+// flag still parses, as a hash join.
 
 #include <gtest/gtest.h>
 
@@ -10,79 +12,19 @@
 namespace etlopt {
 namespace {
 
-TEST(SortMergeJoinTest, MatchesHashJoinOnRandomData) {
-  AttrCatalog catalog;
-  const AttrId k = catalog.Register("k", 25);
-  const AttrId x = catalog.Register("x", 9);
-  const AttrId y = catalog.Register("y", 7);
-  Rng rng(404);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Table left =
-        testing_util::RandomTable(catalog, {k, x}, 150 + trial * 20, rng);
-    const Table right =
-        testing_util::RandomTable(catalog, {k, y}, 60 + trial * 10, rng);
-    Table hash_rejects{left.schema()};
-    Table merge_rejects{left.schema()};
-    const Table hash = HashJoin(left, right, k, &hash_rejects);
-    const Table merge = SortMergeJoin(left, right, k, &merge_rejects);
-    ASSERT_EQ(hash.num_rows(), merge.num_rows()) << "trial " << trial;
-    const AttrMask mask = hash.schema().mask();
-    EXPECT_TRUE(hash.BuildHistogram(mask) == merge.BuildHistogram(mask));
-    // Rejects agree as multisets too.
-    EXPECT_TRUE(hash_rejects.BuildHistogram(left.schema().mask()) ==
-                merge_rejects.BuildHistogram(left.schema().mask()));
-  }
-}
-
-TEST(SortMergeJoinTest, EmptyAndDisjointInputs) {
-  AttrCatalog catalog;
-  const AttrId k = catalog.Register("k", 10);
-  Table left{Schema({k})};
-  Table right{Schema({k})};
-  left.AddRow({1});
-  left.AddRow({2});
-  // Empty right: everything rejected.
-  Table rejects{left.schema()};
-  EXPECT_EQ(SortMergeJoin(left, right, k, &rejects).num_rows(), 0);
-  EXPECT_EQ(rejects.num_rows(), 2);
-  // Disjoint keys.
-  right.AddRow({5});
-  Table rejects2{left.schema()};
-  EXPECT_EQ(SortMergeJoin(left, right, k, &rejects2).num_rows(), 0);
-  EXPECT_EQ(rejects2.num_rows(), 2);
-}
-
-TEST(PhysicalCostTest, PickPrefersCheaperAlgorithm) {
-  CostParams params;  // defaults: hash wins at scale
-  auto [alg1, cost1] = PickJoinAlgorithm(10000, 5000, 1000, params);
-  EXPECT_EQ(alg1, JoinAlgorithm::kHash);
-  EXPECT_DOUBLE_EQ(cost1, JoinStepCost(10000, 5000, 1000, params));
-  // Expensive hash build (memory-starved engine): sort-merge wins.
-  params.build = 500.0;
-  params.probe = 200.0;
-  auto [alg2, cost2] = PickJoinAlgorithm(10000, 5000, 1000, params);
-  EXPECT_EQ(alg2, JoinAlgorithm::kSortMerge);
-  EXPECT_DOUBLE_EQ(cost2, SortMergeStepCost(10000, 5000, 1000, params));
-}
-
 TEST(PhysicalCostTest, OptimizerRecordsAlgorithmAndExecutorHonorsIt) {
   auto ex = testing_util::MakePaperExample();
-  PipelineOptions options;
-  options.optimizer_cost.build = 500.0;  // force sort-merge everywhere
-  options.optimizer_cost.probe = 200.0;
-  Pipeline pipeline(options);
+  const Pipeline pipeline{PipelineOptions{}};
   const CycleOutcome cycle =
       pipeline.RunCycle(ex.workflow, ex.sources).value();
-  int sort_merge_joins = 0;
+  int hash_joins = 0;
   for (const WorkflowNode& node : cycle.opt.optimized.nodes()) {
-    if (node.kind == OpKind::kJoin &&
-        node.join.algorithm == JoinAlgorithm::kSortMerge) {
-      ++sort_merge_joins;
-    }
+    if (node.kind != OpKind::kJoin) continue;
+    EXPECT_EQ(node.join.algorithm, JoinAlgorithm::kHash) << node.name;
+    ++hash_joins;
   }
-  EXPECT_EQ(sort_merge_joins, 2);
-  // Executing the rewritten plan (now running sort-merge joins) produces
-  // the same result.
+  EXPECT_EQ(hash_joins, 2);
+  // Executing the rewritten plan produces the same result.
   const ExecutionResult again =
       Executor(&cycle.opt.optimized).Execute(ex.sources).value();
   const Table& before = cycle.run.exec.targets.at("warehouse.orders");
@@ -97,23 +39,33 @@ TEST(PhysicalCostTest, JoinAlgorithmSerializes) {
   const NodeId l = b.Source("L", {k});
   const NodeId r = b.Source("R", {k});
   const NodeId j = b.Join(l, r, k);
-  b.SetJoinAlgorithm(j, JoinAlgorithm::kSortMerge);
+  b.SetJoinAlgorithm(j, JoinAlgorithm::kHash);
   b.Sink(j, "out");
   const Workflow wf = std::move(b).Build().value();
   Status status;
   const std::string text = WriteWorkflowText(wf, &status);
   ASSERT_TRUE(status.ok());
-  EXPECT_NE(text.find("sortmerge"), std::string::npos);
-  const Result<Workflow> parsed = ParseWorkflowText(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  bool found = false;
-  for (const WorkflowNode& node : parsed->nodes()) {
-    if (node.kind == OpKind::kJoin) {
-      EXPECT_EQ(node.join.algorithm, JoinAlgorithm::kSortMerge);
-      found = true;
+  const size_t flag = text.find(" hash");
+  ASSERT_NE(flag, std::string::npos);
+
+  // The written flag, and the old sort-merge one in its place, both parse
+  // as a hash join and write back the same text.
+  std::string old_text = text;
+  old_text.replace(flag, 5, " sortmerge");
+  for (const std::string& input : {text, old_text}) {
+    const Result<Workflow> parsed = ParseWorkflowText(input);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    bool found = false;
+    for (const WorkflowNode& node : parsed->nodes()) {
+      if (node.kind == OpKind::kJoin) {
+        EXPECT_EQ(node.join.algorithm, JoinAlgorithm::kHash);
+        found = true;
+      }
     }
+    EXPECT_TRUE(found);
+    EXPECT_EQ(WriteWorkflowText(*parsed, &status), text);
+    EXPECT_TRUE(status.ok());
   }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

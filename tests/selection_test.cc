@@ -356,9 +356,10 @@ SelectionResult Cover(const SelectionProblem& problem, double budget,
     for (int s = 0; s < n; ++s) {
       if (observed[static_cast<size_t>(s)]) kept.push_back(s);
     }
+    // Most expensive first, ties by statistic index.
     std::sort(kept.begin(), kept.end(), [&](int a, int b) {
-      return problem.cost[static_cast<size_t>(a)] >
-             problem.cost[static_cast<size_t>(b)];
+      return std::tie(problem.cost[static_cast<size_t>(b)], a) <
+             std::tie(problem.cost[static_cast<size_t>(a)], b);
     });
     for (int s : kept) {
       if (forced(s)) continue;
