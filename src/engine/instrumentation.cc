@@ -1,6 +1,7 @@
 #include "engine/instrumentation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -544,6 +545,87 @@ Result<Table> MaterializeSubexpression(const BlockContext& ctx, RelMask rels,
 
 namespace {
 
+// The distinct fixed-width tuples of int64 values fed to Add, each with the
+// sum of the counts it was fed with: the tuples lie back to back in one buffer,
+// found through an open-addressing index of group numbers (int32, as in
+// Histogram). The index starts sized for `expected` groups, at most 4096.
+class TupleGroups {
+ public:
+  TupleGroups(size_t width, int64_t expected)
+      : width_(width),
+        index_(std::bit_ceil(static_cast<size_t>(
+                   2 * std::clamp<int64_t>(expected, 8, 4096))),
+               -1) {}
+
+  void Add(const int64_t* tuple, int64_t count) {
+    const size_t mask = index_.size() - 1;
+    for (size_t i = Hash(tuple) & mask;; i = (i + 1) & mask) {
+      const int32_t g = index_[i];
+      if (g < 0) {
+        index_[i] = static_cast<int32_t>(size());
+        tuples_.insert(tuples_.end(), tuple, tuple + width_);
+        counts_.push_back(count);
+        if (2 * counts_.size() > index_.size()) Grow();
+        return;
+      }
+      if (std::equal(tuple, tuple + width_, Tuple(g))) {
+        counts_[static_cast<size_t>(g)] += count;
+        return;
+      }
+    }
+  }
+
+  int64_t size() const { return static_cast<int64_t>(counts_.size()); }
+  const int64_t* Tuple(int64_t g) const {
+    return tuples_.data() + static_cast<size_t>(g) * width_;
+  }
+  int64_t Count(int64_t g) const { return counts_[static_cast<size_t>(g)]; }
+
+ private:
+  uint64_t Hash(const int64_t* tuple) const {
+    uint64_t h = 0;
+    for (size_t i = 0; i < width_; ++i) {
+      h = (h ^ static_cast<uint64_t>(tuple[i])) * 0x9e3779b97f4a7c15ULL;
+    }
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    return h ^ (h >> 33);
+  }
+
+  void Grow() {
+    index_.assign(index_.size() * 2, -1);
+    const size_t mask = index_.size() - 1;
+    for (int64_t g = 0; g < size(); ++g) {
+      size_t i = Hash(Tuple(g)) & mask;
+      while (index_[i] >= 0) i = (i + 1) & mask;
+      index_[i] = static_cast<int32_t>(g);
+    }
+  }
+
+  size_t width_;
+  std::vector<int64_t> tuples_;
+  std::vector<int64_t> counts_;
+  std::vector<int32_t> index_;  // group number per slot, -1 when empty
+};
+
+// Multiplies factor(0) .. factor(n - 1) into `product`; false when the
+// product overflows int64. A zero factor (no join partner) makes the product
+// 0 even when the factors before it overflowed.
+template <typename Factor>
+bool FactorProduct(size_t n, Factor&& factor, int64_t& product) {
+  product = 1;
+  bool wrapped = false;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t m = factor(i);
+    if (m == 0) {
+      product = 0;
+      return true;
+    }
+    wrapped |= __builtin_mul_overflow(product, m, &product);
+  }
+  return !wrapped;
+}
+
 // Counts SE cardinalities without materializing any join (Yannakakis-style
 // message passing over the join forest). An SE rooted at its lowest
 // relation has as many rows as the sum, over the root top's rows, of the
@@ -552,32 +634,109 @@ namespace {
 // edge attribute: per key, how many rows of the child's side of the SE join
 // to a parent row carrying that key. A message depends only on (child,
 // parent, child-side sub-mask), so the SEs of one plan space share them.
+//
+// The SEs of one root are counted together in one pass over the root's
+// top. Each distinct (key column, message) pair they read is a slot; the
+// pass looks every slot's message up once per row (once per distinct key
+// where all slots read one key column) and groups the rows by their tuple
+// of slot values. An SE's count is then the sum, over the groups, of the
+// group's row count times the product of the SE's own slot values.
+// Messages from foreign-key lookups take few values, so a star centre's
+// rows fall into few groups even where their key tuples are all distinct.
 class TruthCounter {
  public:
   TruthCounter(const BlockContext& ctx, const ExecutionResult& exec)
       : ctx_(ctx), exec_(exec) {}
 
-  Result<int64_t> Count(RelMask se) {
-    if (!ctx_.graph().IsConnected(se)) {
-      return Status::InvalidArgument("SE is not connected");
+  // Counts every SE of `ses` (each connected, with `root` its lowest
+  // relation) into `cards`.
+  Status CountRoot(int root, const std::vector<RelMask>& ses,
+                   std::unordered_map<RelMask, int64_t>& cards) {
+    ETLOPT_ASSIGN_OR_RETURN(const Table* top, Top(root));
+    // The slots, and per SE the slots it reads (se_slots[first[i]..
+    // first[i + 1])).
+    std::vector<Incoming> slots;
+    std::vector<size_t> se_slots;
+    std::vector<size_t> first = {0};
+    for (RelMask se : ses) {
+      ETLOPT_RETURN_IF_ERROR(
+          ForEachIncoming(root, se, se, [&](const Incoming& in) {
+            const auto it = std::find(slots.begin(), slots.end(), in);
+            se_slots.push_back(static_cast<size_t>(it - slots.begin()));
+            if (it == slots.end()) slots.push_back(in);
+          }));
+      first.push_back(se_slots.size());
     }
-    int64_t total = 0;
-    ETLOPT_RETURN_IF_ERROR(ForEachWeightedRow(
-        LowestBit(se), se, se, [&total](int64_t, int64_t weight) {
-          return !__builtin_add_overflow(total, weight, &total);
-        }));
-    return total;
+
+    TupleGroups groups(slots.size(), top->num_rows());
+    std::vector<int64_t> values(slots.size());
+    const bool one_column =
+        !slots.empty() &&
+        std::all_of(slots.begin(), slots.end(), [&](const Incoming& in) {
+          return in.keys == slots[0].keys;
+        });
+    if (one_column) {
+      // A chain end: every slot reads one key column, so a row's values
+      // follow from its key. Group the rows by key first and look the
+      // slots up once per distinct key.
+      TupleGroups keys(1, top->num_rows());
+      for (int64_t row = 0; row < top->num_rows(); ++row) {
+        keys.Add(&slots[0].keys[row], 1);
+      }
+      for (int64_t g = 0; g < keys.size(); ++g) {
+        for (size_t s = 0; s < slots.size(); ++s) {
+          values[s] = slots[s].message->Get1(keys.Tuple(g)[0]);
+        }
+        groups.Add(values.data(), keys.Count(g));
+      }
+    } else {
+      for (int64_t row = 0; row < top->num_rows(); ++row) {
+        for (size_t s = 0; s < slots.size(); ++s) {
+          values[s] = slots[s].message->Get1(slots[s].keys[row]);
+        }
+        groups.Add(values.data(), 1);
+      }
+    }
+    num_groups_ += groups.size();
+
+    for (size_t i = 0; i < ses.size(); ++i) {
+      int64_t total = 0;
+      const size_t* own = se_slots.data() + first[i];
+      for (int64_t g = 0; g < groups.size(); ++g) {
+        const int64_t* tuple = groups.Tuple(g);
+        int64_t product = 0;
+        int64_t weight = 0;
+        if (!FactorProduct(
+                first[i + 1] - first[i],
+                [&](size_t k) { return tuple[own[k]]; }, product) ||
+            __builtin_mul_overflow(groups.Count(g), product, &weight) ||
+            __builtin_add_overflow(total, weight, &total)) {
+          return Overflow(ses[i]);
+        }
+      }
+      cards[ses[i]] = total;
+    }
+    return Status::OK();
   }
 
   int64_t num_messages() const {
     return static_cast<int64_t>(messages_.size());
   }
+  // The groups of all CountRoot passes so far.
+  int64_t num_groups() const { return num_groups_; }
 
  private:
   struct Incoming {
     const Value* keys = nullptr;  // the receiving top's edge key column
     const Histogram* message = nullptr;
+
+    bool operator==(const Incoming&) const = default;
   };
+
+  static Status Overflow(RelMask se) {
+    return Status::OutOfRange("ground-truth count of SE " +
+                              std::to_string(se) + " overflows int64");
+  }
 
   Result<const Table*> Top(int rel) const {
     auto it = exec_.node_outputs.find(ctx_.TopNode(rel));
@@ -595,16 +754,12 @@ class TruthCounter {
     return top.column_data(index);
   }
 
-  // Calls emit(row, weight) for every row of `rel`'s top that joins to
-  // `weight` > 0 rows of the rest of `sub` (the product of the messages
-  // `rel`'s neighbours in `sub` send it, at the row's keys). `emit` returns
-  // false on overflow; so does a product too large for int64. Either way
-  // the count of `se` fails with OutOfRange.
-  template <typename Emit>
-  Status ForEachWeightedRow(int rel, RelMask sub, RelMask se, Emit&& emit) {
+  // Calls visit(incoming) for each message `rel`'s neighbours in `sub`
+  // send it, with `rel`'s key column on their edge.
+  template <typename Visit>
+  Status ForEachIncoming(int rel, RelMask sub, RelMask se, Visit&& visit) {
     ETLOPT_ASSIGN_OR_RETURN(const Table* top, Top(rel));
     const RelMask rest = sub & ~(RelMask{1} << rel);
-    std::vector<Incoming> incoming;
     for (int ei : ctx_.graph().edges_of(rel)) {
       const JoinEdge& edge = ctx_.graph().edges()[static_cast<size_t>(ei)];
       const int child = edge.a == rel ? edge.b : edge.a;
@@ -615,31 +770,16 @@ class TruthCounter {
           in.message,
           Message(child, rel, edge.attr,
                   ctx_.graph().Component(child, rest), se));
-      incoming.push_back(in);
-    }
-    for (int64_t row = 0; row < top->num_rows(); ++row) {
-      int64_t weight = 1;
-      bool wrapped = false;
-      for (const Incoming& in : incoming) {
-        const int64_t m = in.message->Get1(in.keys[row]);
-        if (m == 0) {  // no join partner: the product is 0, wrapped or not
-          weight = 0;
-          wrapped = false;
-          break;
-        }
-        wrapped |= __builtin_mul_overflow(weight, m, &weight);
-      }
-      if (!wrapped && weight == 0) continue;
-      if (wrapped || !emit(row, weight)) {
-        return Status::OutOfRange("ground-truth count of SE " +
-                                  std::to_string(se) + " overflows int64");
-      }
+      visit(in);
     }
     return Status::OK();
   }
 
   // The message `child` sends `parent` over their edge on `attr`, where
-  // `sub` is the child's side of the SE being counted.
+  // `sub` is the child's side of the SE being counted: per row of the
+  // child's top, the product of the messages the child's own neighbours in
+  // `sub` send it, summed per key. A product or total beyond int64 fails
+  // the count of `se` with OutOfRange.
   Result<const Histogram*> Message(int child, int parent, AttrId attr,
                                    RelMask sub, RelMask se) {
     const auto key = std::make_tuple(child, parent, sub);
@@ -648,21 +788,34 @@ class TruthCounter {
     }
     ETLOPT_ASSIGN_OR_RETURN(const Table* top, Top(child));
     ETLOPT_ASSIGN_OR_RETURN(const Value* keys, KeyColumn(*top, attr));
+    std::vector<Incoming> incoming;
+    ETLOPT_RETURN_IF_ERROR(ForEachIncoming(
+        child, sub, se, [&incoming](const Incoming& in) {
+          incoming.push_back(in);
+        }));
     Histogram message(AttrMask{1} << attr);
     // The message's total bounds each bucket, so checking it suffices.
     int64_t total = 0;
-    ETLOPT_RETURN_IF_ERROR(ForEachWeightedRow(
-        child, sub, se, [&](int64_t row, int64_t weight) {
-          if (__builtin_add_overflow(total, weight, &total)) return false;
-          message.Add1(keys[row], weight);
-          return true;
-        }));
+    for (int64_t row = 0; row < top->num_rows(); ++row) {
+      int64_t weight = 0;
+      if (!FactorProduct(
+              incoming.size(),
+              [&](size_t i) {
+                return incoming[i].message->Get1(incoming[i].keys[row]);
+              },
+              weight) ||
+          __builtin_add_overflow(total, weight, &total)) {
+        return Overflow(se);
+      }
+      message.Add1(keys[row], weight);  // a weight of 0 adds no bucket
+    }
     return &messages_.emplace(key, std::move(message)).first->second;
   }
 
   const BlockContext& ctx_;
   const ExecutionResult& exec_;
   std::map<std::tuple<int, int, RelMask>, Histogram> messages_;
+  int64_t num_groups_ = 0;
 };
 
 }  // namespace
@@ -671,14 +824,22 @@ Result<std::unordered_map<RelMask, int64_t>> ComputeGroundTruthCards(
     const BlockContext& ctx, const std::vector<RelMask>& subexpressions,
     const ExecutionResult& exec) {
   obs::ScopedSpan span("engine.ground_truth");
+  std::map<int, std::vector<RelMask>> by_root;
+  for (RelMask se : subexpressions) {
+    if (!ctx.graph().IsConnected(se)) {
+      return Status::InvalidArgument("SE is not connected");
+    }
+    by_root[LowestBit(se)].push_back(se);
+  }
   TruthCounter counter(ctx, exec);
   std::unordered_map<RelMask, int64_t> cards;
-  for (RelMask se : subexpressions) {
-    ETLOPT_ASSIGN_OR_RETURN(cards[se], counter.Count(se));
+  for (const auto& [root, ses] : by_root) {
+    ETLOPT_RETURN_IF_ERROR(counter.CountRoot(root, ses, cards));
   }
   if (span.active()) {
     span.Arg("subexpressions", static_cast<int64_t>(subexpressions.size()));
     span.Arg("messages", counter.num_messages());
+    span.Arg("groups", counter.num_groups());
   }
   return cards;
 }

@@ -106,9 +106,11 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
 // SE in the plan space, counted over the block's chain-top tables without
 // materializing any join. Each SE is rooted at its lowest relation; every
 // other relation sends its parent a per-key count of the rows its side of
-// the SE joins to (messages shared across SEs), so the cost is O(rows of
-// the tops) per message. A missing top is Internal, a disconnected SE
-// InvalidArgument, and a count beyond int64 OutOfRange.
+// the SE joins to (messages shared across SEs). The SEs of one root are
+// counted in one pass over the root's top that groups its rows by their
+// tuple of incoming message values. The cost is O(rows of the tops) per
+// message and per root, plus O(SEs × groups). A missing top is Internal, a
+// disconnected SE InvalidArgument, and a count beyond int64 OutOfRange.
 Result<std::unordered_map<RelMask, int64_t>> ComputeGroundTruthCards(
     const BlockContext& ctx, const std::vector<RelMask>& subexpressions,
     const ExecutionResult& exec);
