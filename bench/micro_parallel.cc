@@ -1,7 +1,9 @@
 // Partitioned-executor micro-benchmarks: the worker scaling curve of a
 // 1e6-row filter+join workload at 1/2/4/8 workers, the same workload under
 // worst-case partition skew (every row hashes to one partition, so one
-// worker does all the work while the rest idle at the barrier). Every run
+// worker does all the work while the rest idle at the barrier), and a suite
+// workflow's designed plan as a production run, serial and on a reused
+// pool (BM_ProductionRun/12/N: the wf12 snowflake at scale 0.02). Every run
 // reports the fan-out and skew it actually measured as benchmark counters,
 // and the executor's merge-barrier time is surfaced as merge_ms so gather
 // cost is never hidden inside the scaling numbers. The JSON context carries
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "datagen/workload_suite.h"
 #include "engine/parallel/parallel_executor.h"
 #include "engine/parallel/partition.h"
 #include "etl/workflow_builder.h"
@@ -110,6 +113,41 @@ void BM_ParallelExecuteSkewWorstCase(benchmark::State& state) {
 BENCHMARK(BM_ParallelExecuteSkewWorstCase)
     ->Arg(1)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+
+// Suite workflow N's designed plan at scale 0.02 as a production run (no
+// taps, no retained outputs; a join builds reject tables only for a
+// designed reject link) at `threads` workers, one pool reused across
+// iterations as a long-lived service would. Args: workload index, threads.
+void BM_ProductionRun(benchmark::State& state) {
+  const WorkloadSpec spec = BuildWorkload(static_cast<int>(state.range(0)));
+  const SourceMap sources = GenerateSources(spec, /*seed=*/3, 0.02);
+  const int threads = static_cast<int>(state.range(1));
+  parallel::ParallelOptions opts;
+  opts.num_threads = threads;
+  const parallel::ParallelExecutor exec(&spec.workflow, opts);
+  ThreadPool pool(threads);
+  int64_t merge_ns = 0;
+  int64_t rows = 0;
+  for (auto _ : state) {
+    auto result = exec.Execute(sources, &pool);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    merge_ns = result->exec.merge_ns;
+    rows = result->exec.rows_processed;
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.counters["workers"] = threads;
+  state.counters["merge_ms"] = static_cast<double>(merge_ns) / 1e6;
+}
+BENCHMARK(BM_ProductionRun)
+    ->Args({12, 1})
+    ->Args({12, 2})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -361,8 +361,17 @@ Result<RunOutcome> Pipeline::RunAndObserve(
   // designed plan's pipeline points. Off-mode runs (and first runs, which
   // have no history) execute with an empty monitor map — the seed path.
   ExecutorOptions exec_options = options_.executor;
-  // The taps (and salvage after an abort) read every pipeline point.
+  // The taps (and salvage after an abort) read every pipeline point, and
+  // of the join reject tables only those the selected reject-join taps
+  // read.
   exec_options.retain_node_outputs = true;
+  std::vector<std::vector<StatKey>> block_keys;
+  block_keys.reserve(analysis.blocks.size());
+  for (const auto& ba : analysis.blocks) {
+    block_keys.push_back(ba->selection.ObservedKeys(ba->catalog));
+    AddRejectTableDemand(ba->ctx, block_keys.back(),
+                         &exec_options.reject_sides);
+  }
   if (options_.guard.mode != obs::GuardMode::kOff) {
     const obs::RunRecord* last_clean = LastCleanRecord(history);
     if (last_clean != nullptr) {
@@ -408,9 +417,9 @@ Result<RunOutcome> Pipeline::RunAndObserve(
   }
 
   int64_t observed = 0;
-  for (const auto& ba : analysis.blocks) {
-    const std::vector<StatKey> keys =
-        ba->selection.ObservedKeys(ba->catalog);
+  for (size_t b = 0; b < analysis.blocks.size(); ++b) {
+    const BlockAnalysis* ba = analysis.blocks[b].get();
+    const std::vector<StatKey>& keys = block_keys[b];
     observed += static_cast<int64_t>(keys.size());
     if (writer != nullptr) {
       taps.on_checkpoint = [&](const StatStore& in_progress) {

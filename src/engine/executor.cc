@@ -393,9 +393,12 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
           build_hint = hint_it->second;
         }
       }
+      const RejectSides sides = JoinRejectSides(*ctx.options, node);
       out = HashJoin(left, right, node.join.attr,
-                     &result.join_rejects[node.id], build_hint,
-                     &result.join_rejects_right[node.id]);
+                     sides.left ? &result.join_rejects[node.id] : nullptr,
+                     build_hint,
+                     sides.right ? &result.join_rejects_right[node.id]
+                                 : nullptr);
       result.rows_processed += left.num_rows() + right.num_rows();
       break;
     }
@@ -515,6 +518,14 @@ Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node) {
     ctx.result->node_outputs[node.id] = std::move(out);
   }
   return Status::OK();
+}
+
+RejectSides JoinRejectSides(const ExecutorOptions& options,
+                            const WorkflowNode& join) {
+  const auto it = options.reject_sides.find(join.id);
+  const RejectSides named =
+      it != options.reject_sides.end() ? it->second : RejectSides{};
+  return RejectSides{join.join.left_reject_link || named.left, named.right};
 }
 
 std::unordered_map<NodeId, int64_t> BuildSideCardHints(

@@ -48,6 +48,13 @@ struct PlanMonitor {
   RelMask se = 0;
 };
 
+// Which of a join's reject tables (ExecutionResult::join_rejects*) a run
+// builds.
+struct RejectSides {
+  bool left = false;   // probe rows without a match
+  bool right = false;  // build rows no probe row hit
+};
+
 // Robustness knobs of one Executor. The defaults reproduce the seed
 // behavior exactly when no fault injector is installed.
 struct ExecutorOptions {
@@ -87,6 +94,17 @@ struct ExecutorOptions {
   // statistics taps, salvage, tests inspecting intermediates) set it.
   bool retain_node_outputs = false;
 
+  // Join reject tables to build beyond the designed ones, by join node.
+  // Every run builds the left rejects of a join whose plan declares
+  // JoinSpec::left_reject_link; an entry here adds the sides it names.
+  // Empty (a production run), no other reject table is built and no join
+  // builds right rejects. Pipeline::RunAndObserve names the sides its
+  // selected reject-join taps read (AddRejectTableDemand); a test that
+  // reads every reject table names every join. A reject table costs a scan
+  // of one join side and, on the partitioned path, a merge barrier, so a
+  // table nobody reads is not built. Independent of retain_node_outputs.
+  std::unordered_map<NodeId, RejectSides> reject_sides;
+
   // Defaults overridden by ETLOPT_MAX_ERROR_RATE.
   static ExecutorOptions FromEnv();
 };
@@ -122,9 +140,11 @@ const char* AbortKindName(AbortKind kind);
 // sink, materialized targets, and nodes without consumers.
 struct ExecutionResult {
   std::unordered_map<NodeId, Table> node_outputs;
-  // Rows that found no match, per join node and side, captured for every
-  // join so reject links — designed or instrumentation-added — are
-  // available. Left rejects are the probe rows without a match, in probe
+  // Rows that found no match, per join node and side, for the sides the
+  // run built (JoinRejectSides): a designed reject link's left rejects on
+  // every run, plus on the instrumented run the sides the selected
+  // reject-join taps read (ExecutorOptions::reject_sides). A join side not
+  // built has no entry. Left rejects are the probe rows without a match, in probe
   // order; right rejects are the build rows no probe row hit, in build
   // order. Both come out of the join's one hash probe (HashJoin, and the
   // partitioned join's shared hit marks).
@@ -308,6 +328,12 @@ Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node);
 Table HashJoin(const Table& left, const Table& right, AttrId attr,
                Table* rejects, int64_t build_rows_hint = -1,
                Table* right_rejects = nullptr);
+
+// The reject tables `join` builds under `options`: its designed reject
+// link's left side, plus the sides ExecutorOptions::reject_sides names.
+// Both executors ask it, so they build the same tables.
+RejectSides JoinRejectSides(const ExecutorOptions& options,
+                            const WorkflowNode& join);
 
 // Derives ExecutorOptions::build_rows_hints from armed plan monitors: for
 // every join node whose build (right) input carries an expected

@@ -86,14 +86,17 @@ struct RejectJoinInputs {
   AttrId attr = kInvalidAttr;
 };
 
-Result<RejectJoinInputs> FindRejectJoinInputs(const BlockContext& ctx,
-                                              const ExecutionResult& exec,
-                                              const StatKey& key) {
+// The reject table a reject-join key's tap reads: the designed join of L
+// with k, and whether L is its build (right) side there.
+struct RejectTableRef {
+  NodeId join = kInvalidNode;
+  bool right = false;
+};
+
+Result<RejectTableRef> RejectTableOf(const BlockContext& ctx,
+                                     const StatKey& key) {
   const RelMask l = key.reject_left;
   const RelMask k_mask = RelMask{1} << key.reject_k;
-  const RelMask r = key.rels;
-
-  // The designed join of L with k.
   auto join_it = ctx.on_path().find(l | k_mask);
   if (join_it == ctx.on_path().end()) {
     return Status::InvalidArgument("L⋈k not on-path for " + key.ToString());
@@ -107,18 +110,29 @@ Result<RejectJoinInputs> FindRejectJoinInputs(const BlockContext& ctx,
     }
   }
   if (bj == nullptr) return Status::Internal("designed join not found");
-
-  RejectJoinInputs inputs;
   if (bj->left == l && bj->right == k_mask) {
-    auto it = exec.join_rejects.find(join_node);
-    if (it != exec.join_rejects.end()) inputs.rejects = &it->second;
-  } else if (bj->left == k_mask && bj->right == l) {
-    auto it = exec.join_rejects_right.find(join_node);
-    if (it != exec.join_rejects_right.end()) inputs.rejects = &it->second;
+    return RejectTableRef{join_node, false};
   }
-  if (inputs.rejects == nullptr) {
+  if (bj->left == k_mask && bj->right == l) {
+    return RejectTableRef{join_node, true};
+  }
+  return Status::Internal("reject rows unavailable for " + key.ToString());
+}
+
+Result<RejectJoinInputs> FindRejectJoinInputs(const BlockContext& ctx,
+                                              const ExecutionResult& exec,
+                                              const StatKey& key) {
+  const RelMask l = key.reject_left;
+  const RelMask r = key.rels;
+  ETLOPT_ASSIGN_OR_RETURN(const RejectTableRef ref, RejectTableOf(ctx, key));
+  const std::unordered_map<NodeId, Table>& tables =
+      ref.right ? exec.join_rejects_right : exec.join_rejects;
+  const auto rejects_it = tables.find(ref.join);
+  if (rejects_it == tables.end()) {
     return Status::Internal("reject rows unavailable for " + key.ToString());
   }
+  RejectJoinInputs inputs;
+  inputs.rejects = &rejects_it->second;
 
   // Side join with the on-path R table on the edge connecting L and R.
   const int edge = ctx.graph().CrossingEdge(l, r);
@@ -312,6 +326,18 @@ int64_t TappedRows(const BlockContext& ctx, const ExecutionResult& exec,
 }
 
 }  // namespace
+
+void AddRejectTableDemand(const BlockContext& ctx,
+                          const std::vector<StatKey>& keys,
+                          std::unordered_map<NodeId, RejectSides>* sides) {
+  for (const StatKey& key : keys) {
+    if (!key.is_reject()) continue;
+    const Result<RejectTableRef> ref = RejectTableOf(ctx, key);
+    if (!ref.ok()) continue;
+    RejectSides& join = (*sides)[ref->join];
+    (ref->right ? join.right : join.left) = true;
+  }
+}
 
 TapOptions TapOptions::FromEnv() {
   TapOptions options;

@@ -2,6 +2,7 @@
 #define ETLOPT_ENGINE_INSTRUMENTATION_H_
 
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/executor.h"
@@ -83,8 +84,9 @@ struct TapReport {
 // its pipeline point, so serial and partitioned runs observe identical
 // statistics. Counters and histograms read the cached node outputs;
 // reject-join statistics attach to the designed join of L with k (adding
-// the reject link the paper describes for Fig. 5) and stream the reject
-// rows against an R-side hash table over the on-path R table, never
+// the reject link the paper describes for Fig. 5: the run must have built
+// that reject table, see AddRejectTableDemand) and stream the reject rows
+// against an R-side hash table over the on-path R table, never
 // materializing the side join.
 //
 // On an aborted run (exec.aborted()) the observation salvages: keys whose
@@ -101,6 +103,15 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
                                     const std::vector<StatKey>& keys,
                                     const TapOptions& taps = {},
                                     TapReport* report = nullptr);
+
+// Adds to `sides` the join reject tables the reject-join taps among `keys`
+// read: the designed join of L with k, on the side L takes there. This is
+// what Pipeline::RunAndObserve names in ExecutorOptions::reject_sides, so
+// the instrumented run builds no reject table its taps do not read. A key
+// whose designed join is not on-path adds nothing; observing it fails.
+void AddRejectTableDemand(const BlockContext& ctx,
+                          const std::vector<StatKey>& keys,
+                          std::unordered_map<NodeId, RejectSides>* sides);
 
 // Ground truth for testing and experiments: the exact cardinality of every
 // SE in the plan space, counted over the block's chain-top tables without

@@ -158,8 +158,9 @@ struct NodeRun {
   int64_t rows = 0;               // summed over the published slices
   int64_t self_ns = 0;            // summed over the workers (profiling)
   std::optional<Table> gathered;  // serial-order output, when needed
-  Table rejects;                   // joins: left-side rejects, gathered
-  Table rrejects;                  // joins: right-side rejects, gathered
+  // Joins: the reject tables the run builds (JoinRejectSides), gathered.
+  std::optional<Table> rejects;   // left side
+  std::optional<Table> rrejects;  // right side
 };
 
 Slice ApplyProjectSlice(const WorkflowNode& node, const Schema& out_schema,
@@ -290,6 +291,16 @@ Status GatherByRank(const Schema& schema, const std::vector<Slice>& slices,
       }));
   *out = Table::FromColumns(schema, std::move(cols), total);
   return Status::OK();
+}
+
+// Moves the reject tables a partitioned join built into the result.
+void PublishRejects(NodeId id, NodeRun* run, ExecutionResult* result) {
+  if (run->rejects.has_value()) {
+    result->join_rejects[id] = std::move(*run->rejects);
+  }
+  if (run->rrejects.has_value()) {
+    result->join_rejects_right[id] = std::move(*run->rrejects);
+  }
 }
 
 // The serial executor's in-switch rows_processed bookkeeping for a
@@ -463,8 +474,11 @@ class PartitionPhase {
   // offset[probe rank] + j: the serial emission order (probe order x
   // build-insertion order), exact because a co-partitioned build holds all
   // of a key's rows in one partition and a broadcast build holds all rows.
+  // A reject side nobody reads (JoinRejectSides) costs nothing: no hit
+  // marks, no reject scan, no merge barrier.
   Status RunJoin(const WorkflowNode& node) {
     const size_t num_parts = static_cast<size_t>(num_partitions_);
+    const RejectSides sides = JoinRejectSides(*ctx_->options, node);
     NodeRun& r = run(node.id);
     const NodeRun& left = run(node.inputs[0]);
     const NodeRun* right = partitioned(node.inputs[1])
@@ -486,15 +500,19 @@ class PartitionPhase {
       ns.fetch_add(Now() - start, std::memory_order_relaxed);
     };
 
-    // Every running partition probes and emits. One that crashed earlier
-    // still marks the build rows its published probe slice hits: broadcast
-    // right rejects are taken against every probe row the barrier holds.
+    // Every running partition probes and emits. When the right rejects are
+    // built, one that crashed earlier still marks the build rows its
+    // published probe slice hits: broadcast right rejects are taken against
+    // every probe row the barrier holds.
     std::vector<char> emits(num_parts, 0);
     std::vector<Morsel> morsels;
     for (size_t p = 0; p < num_parts; ++p) {
       const Slice& ls = left.slices[p];
       emits[p] = completed(static_cast<int>(p));
-      if (ls.rank == nullptr || (right != nullptr && emits[p] == 0)) continue;
+      if (ls.rank == nullptr ||
+          (emits[p] == 0 && (right != nullptr || !sides.right))) {
+        continue;
+      }
       const int64_t n = ls.table.num_rows();
       for (int64_t lo = 0; lo < n; lo += kMorselRows) {
         morsels.push_back(
@@ -515,7 +533,7 @@ class PartitionPhase {
             const int64_t task_start = Now();
             const Table& rt = build_side(sp);
             tables[sp].emplace(rt.column_data(rkey), rt.num_rows());
-            hit[sp] = MakeRowBits(rt.num_rows());
+            if (sides.right) hit[sp] = MakeRowBits(rt.num_rows());
             timed(task_start);
             return Status::OK();
           }));
@@ -524,7 +542,7 @@ class PartitionPhase {
       tables[0].emplace(
           broadcast->column_data(rkey), broadcast->num_rows(),
           hint != ctx_->options->build_rows_hints.end() ? hint->second : -1);
-      hit[0] = MakeRowBits(broadcast->num_rows());
+      if (sides.right) hit[0] = MakeRowBits(broadcast->num_rows());
       timed(start);
     }
 
@@ -541,7 +559,7 @@ class PartitionPhase {
           for (int64_t l = m.begin; l < m.end; ++l) {
             const JoinHashTable::RowRange range = tables[t]->Lookup(lkeys[l]);
             if (range.empty()) continue;
-            MarkHit(range, &hit[t]);
+            if (sides.right) MarkHit(range, &hit[t]);
             if (emits[sp] == 0) continue;
             offsets[static_cast<size_t>(lrank[static_cast<size_t>(l)])] =
                 range.size();
@@ -565,28 +583,35 @@ class PartitionPhase {
     // Rejects, per surviving partition: left rows without a match keep
     // their probe ranks; build rows of a co-partitioned join whose key no
     // probe row hit keep their build ranks.
+    const bool slice_rrejects = sides.right && right != nullptr;
     std::vector<Slice> rejects(num_parts);
     std::vector<Slice> rrejects(num_parts);
-    ETLOPT_RETURN_IF_ERROR(
-        pool_->ParallelFor(num_partitions_, [&](int p) -> Status {
-          const size_t sp = static_cast<size_t>(p);
-          if (emits[sp] == 0) return Status::OK();
-          const int64_t task_start = Now();
-          const Slice& ls = left.slices[sp];
-          SelVector unmatched;
-          for (int64_t l = 0; l < ls.table.num_rows(); ++l) {
-            const int64_t rank = (*ls.rank)[static_cast<size_t>(l)];
-            if (offsets[static_cast<size_t>(rank)] == 0) unmatched.push_back(l);
-          }
-          rejects[sp] = SelectRows(ls, unmatched);
-          if (right != nullptr) {
-            const Slice& rs = right->slices[sp];
-            rrejects[sp] =
-                SelectRows(rs, ClearRows(hit[sp], rs.table.num_rows()));
-          }
-          timed(task_start);
-          return Status::OK();
-        }));
+    if (sides.left || slice_rrejects) {
+      ETLOPT_RETURN_IF_ERROR(
+          pool_->ParallelFor(num_partitions_, [&](int p) -> Status {
+            const size_t sp = static_cast<size_t>(p);
+            if (emits[sp] == 0) return Status::OK();
+            const int64_t task_start = Now();
+            if (sides.left) {
+              const Slice& ls = left.slices[sp];
+              SelVector unmatched;
+              for (int64_t l = 0; l < ls.table.num_rows(); ++l) {
+                const int64_t rank = (*ls.rank)[static_cast<size_t>(l)];
+                if (offsets[static_cast<size_t>(rank)] == 0) {
+                  unmatched.push_back(l);
+                }
+              }
+              rejects[sp] = SelectRows(ls, unmatched);
+            }
+            if (slice_rrejects) {
+              const Slice& rs = right->slices[sp];
+              rrejects[sp] =
+                  SelectRows(rs, ClearRows(hit[sp], rs.table.num_rows()));
+            }
+            timed(task_start);
+            return Status::OK();
+          }));
+    }
 
     // Offsets, and each surviving partition's output laid out morsel by
     // morsel, its columns (and ranks) allocated in parallel.
@@ -675,11 +700,14 @@ class PartitionPhase {
                                              out_rows[p]),
                           std::move(cols[(p + 1) * num_cols - 1])};
     }
-    ETLOPT_RETURN_IF_ERROR(
-        Gather(left_schema, rejects, left.rank_space, &r.rejects));
+    if (sides.left) {
+      ETLOPT_RETURN_IF_ERROR(Gather(left_schema, rejects, left.rank_space,
+                                    &r.rejects.emplace()));
+    }
+    if (!sides.right) return Status::OK();
     if (right != nullptr) {
       return Gather(wf_->output_schema(node.inputs[1]), rrejects,
-                    right->rank_space, &r.rrejects);
+                    right->rank_space, &r.rrejects.emplace());
     }
     // Broadcast: the build rows no partition's probe keys hit, in build
     // order.
@@ -925,10 +953,7 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
       }
       NodeRun& run = phase.run(node.id);
       if (!result.aborted()) {
-        if (node.kind == OpKind::kJoin) {
-          result.join_rejects[node.id] = std::move(run.rejects);
-          result.join_rejects_right[node.id] = std::move(run.rrejects);
-        }
+        PublishRejects(node.id, &run, &result);
         if (node.kind == OpKind::kMaterialize || node.kind == OpKind::kSink) {
           result.targets[node.target_name] = *run.gathered;
         }
@@ -944,10 +969,7 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
         if (run.gathered.has_value()) {
           result.node_outputs[node.id] = std::move(*run.gathered);
         }
-        if (node.kind == OpKind::kJoin) {
-          result.join_rejects[node.id] = std::move(run.rejects);
-          result.join_rejects_right[node.id] = std::move(run.rrejects);
-        }
+        PublishRejects(node.id, &run, &result);
         ++result.nodes_partial;
       }
     }

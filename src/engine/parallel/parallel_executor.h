@@ -58,7 +58,9 @@ struct ParallelResult {
 // targets, reject tables, and therefore every observed statistic are
 // bit-identical to a serial run, for any worker or partition count. Right
 // rejects come from the same build-row hit marks (MarkHit) the serial
-// HashJoin sets.
+// HashJoin sets. A join builds only the reject sides JoinRejectSides names
+// (ExecutorOptions::reject_sides), as the serial executor does: a side
+// nobody reads costs no hit marks, no reject scan and no merge barrier.
 //
 // Execution: the partitioned chain runs node by node, one ParallelFor over
 // the partitions per node (plus the join's prefix-sum barrier). A node is

@@ -102,7 +102,8 @@ class ExecutorTest : public ::testing::Test {
 };
 
 TEST_F(ExecutorTest, RunsPaperExample) {
-  Executor executor(&ex_.workflow, testing_util::RetainOutputs());
+  Executor executor(&ex_.workflow,
+                    testing_util::RetainOutputsAndRejects(ex_.workflow));
   Result<ExecutionResult> result = executor.Execute(ex_.sources);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // The sink output exists and matches the final join node output.
@@ -111,7 +112,7 @@ TEST_F(ExecutorTest, RunsPaperExample) {
   // Every node produced an output.
   EXPECT_EQ(static_cast<int>(result->node_outputs.size()),
             ex_.workflow.num_nodes());
-  // Join rejects recorded for both joins (both sides).
+  // Join rejects recorded for both joins (both sides, as asked).
   EXPECT_EQ(result->join_rejects.size(), 2u);
   EXPECT_EQ(result->join_rejects_right.size(), 2u);
 }

@@ -18,7 +18,10 @@ class EstimatorFixture : public ::testing::Test {
     ctx_ = BlockContext::Build(&ex_.workflow, blocks[0]).value();
     ps_ = PlanSpace::Build(ctx_).value();
     catalog_ = GenerateCss(ctx_, ps_, {});
-    Executor executor(&ex_.workflow, testing_util::RetainOutputs());
+    // Every reject side: the union-division tests observe reject-join
+    // statistics over this run.
+    Executor executor(&ex_.workflow,
+                      testing_util::RetainOutputsAndRejects(ex_.workflow));
     exec_ = executor.Execute(ex_.sources).value();
     truth_ =
         ComputeGroundTruthCards(ctx_, ps_.subexpressions(), exec_).value();

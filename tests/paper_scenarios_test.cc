@@ -128,7 +128,9 @@ TEST_F(Fig5, EstimationThroughRejectLinkIsExact) {
   sources["T2"] = std::move(t2);
 
   const ExecutionResult exec =
-      Executor(&wf, testing_util::RetainOutputs()).Execute(sources).value();
+      Executor(&wf, testing_util::RetainOutputsAndRejects(wf))
+          .Execute(sources)
+          .value();
   // Make sure rejects actually occur.
   ASSERT_GT(exec.join_rejects.at(ctx.on_path().at(0b011)).num_rows(), 0);
 

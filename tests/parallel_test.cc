@@ -3,6 +3,7 @@
 // bit-identical serial-vs-parallel execution and observed statistics,
 // streaming reject-join taps against a materialized oracle, mergeable
 // sketch states, and partition-scoped crash salvage.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "datagen/workload_suite.h"
 #include "engine/instrumentation.h"
 #include "engine/parallel/parallel_executor.h"
 #include "engine/parallel/partition.h"
@@ -159,11 +161,42 @@ void ExpectTablesIdentical(const Table& a, const Table& b,
       << what << ": row content or order differs";
 }
 
+// The reject tables a clean run of `wf` under `asked` must hold: the named
+// sides, or on a production run the designed reject links' left rejects.
+void ExpectRejectTablesAsAsked(const Workflow& wf,
+                               const ExecutorOptions& asked,
+                               const ExecutionResult& exec) {
+  size_t left = 0;
+  size_t right = 0;
+  for (const WorkflowNode& node : wf.nodes()) {
+    if (node.kind != OpKind::kJoin) continue;
+    RejectSides want{node.join.left_reject_link, false};
+    const auto it = asked.reject_sides.find(node.id);
+    if (it != asked.reject_sides.end()) {
+      want.left = want.left || it->second.left;
+      want.right = it->second.right;
+    }
+    EXPECT_EQ(exec.join_rejects.count(node.id), want.left ? 1u : 0u)
+        << "left rejects of join " << node.id;
+    EXPECT_EQ(exec.join_rejects_right.count(node.id), want.right ? 1u : 0u)
+        << "right rejects of join " << node.id;
+    left += want.left ? 1 : 0;
+    right += want.right ? 1 : 0;
+  }
+  EXPECT_EQ(exec.join_rejects.size(), left);
+  EXPECT_EQ(exec.join_rejects_right.size(), right);
+}
+
 // Bit-identical equivalence of everything downstream consumers read:
-// cached node outputs, join rejects (both sides), targets, and the row /
-// byte accounting the plan-cost comparison uses.
-void ExpectExecutionsIdentical(const ExecutionResult& serial,
+// cached node outputs, the join rejects `asked` names (both runs must hold
+// exactly those), targets, and the row / byte accounting the plan-cost
+// comparison uses.
+void ExpectExecutionsIdentical(const Workflow& wf,
+                               const ExecutorOptions& asked,
+                               const ExecutionResult& serial,
                                const ExecutionResult& par) {
+  ExpectRejectTablesAsAsked(wf, asked, serial);
+  ExpectRejectTablesAsAsked(wf, asked, par);
   ASSERT_EQ(serial.node_outputs.size(), par.node_outputs.size());
   for (const auto& [id, table] : serial.node_outputs) {
     const auto it = par.node_outputs.find(id);
@@ -190,25 +223,81 @@ void ExpectExecutionsIdentical(const ExecutionResult& serial,
 
 TEST(ParallelExecutorTest, PaperExampleBitIdenticalAcrossWorkerCounts) {
   auto ex = testing_util::MakePaperExample();
+  const ExecutorOptions every =
+      testing_util::RetainOutputsAndRejects(ex.workflow);
   const ExecutionResult serial =
-      Executor(&ex.workflow, testing_util::RetainOutputs())
-          .Execute(ex.sources)
-          .value();
+      Executor(&ex.workflow, every).Execute(ex.sources).value();
   for (int threads : {2, 3, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ParallelOptions opts;
     opts.num_threads = threads;
-    opts.executor = testing_util::RetainOutputs();
+    opts.executor = every;
     const ParallelResult par =
         ParallelExecutor(&ex.workflow, opts).Execute(ex.sources).value();
     EXPECT_TRUE(par.used_parallel_path);
     EXPECT_EQ(par.exec.num_workers, threads);
     EXPECT_GT(par.exec.partitions_total, 0);
-    ExpectExecutionsIdentical(serial, par.exec);
+    ExpectExecutionsIdentical(ex.workflow, every, serial, par.exec);
   }
 }
 
-TEST(ParallelExecutorTest, FilterTransformChainBitIdentical) {
+// The failures `check` reports, intercepted instead of failing the test.
+template <typename Check>
+std::vector<std::string> FailuresOf(Check&& check) {
+  ::testing::TestPartResultArray results;
+  {
+    const ::testing::ScopedFakeTestPartResultReporter reporter(
+        ::testing::ScopedFakeTestPartResultReporter::
+            INTERCEPT_ONLY_CURRENT_THREAD,
+        &results);
+    check();
+  }
+  std::vector<std::string> messages;
+  for (int i = 0; i < results.size(); ++i) {
+    messages.push_back(results.GetTestPartResult(i).message());
+  }
+  return messages;
+}
+
+// When every side was asked for, runs without reject tables must not pass
+// as identical, even to each other.
+TEST(ParallelExecutorTest, IdenticalCheckRejectsMissingRejectTables) {
+  auto ex = testing_util::MakePaperExample();
+  const ExecutorOptions every =
+      testing_util::RetainOutputsAndRejects(ex.workflow);
+  const ExecutionResult built =
+      Executor(&ex.workflow, every).Execute(ex.sources).value();
+  const ExecutionResult missing = [&] {
+    ExecutionResult cleared = built;
+    cleared.join_rejects.clear();
+    cleared.join_rejects_right.clear();
+    return cleared;
+  }();
+  EXPECT_TRUE(FailuresOf([&] {
+                ExpectExecutionsIdentical(ex.workflow, every, built, built);
+              }).empty());
+  for (const ExecutionResult* serial : {&built, &missing}) {
+    const std::vector<std::string> failures = FailuresOf([&] {
+      ExpectExecutionsIdentical(ex.workflow, every, *serial, missing);
+    });
+    EXPECT_FALSE(failures.empty());
+    bool names_rejects = false;
+    for (const std::string& f : failures) {
+      names_rejects |= f.find("rejects of join") != std::string::npos;
+    }
+    EXPECT_TRUE(names_rejects);
+  }
+}
+
+// Fact(k, v) -> filter -> transform -> join Dim(k) with a designed reject
+// link -> project -> sink.
+struct RejectLinkChain {
+  Workflow workflow;
+  SourceMap sources;
+  NodeId join = kInvalidNode;
+};
+
+RejectLinkChain MakeRejectLinkChain() {
   WorkflowBuilder b("chain");
   const AttrId k = b.DeclareAttr("k", 60);
   const AttrId v = b.DeclareAttr("v", 20);
@@ -219,30 +308,74 @@ TEST(ParallelExecutorTest, FilterTransformChainBitIdentical) {
   const NodeId j = b.Join(t, dim, k, {/*reject_link=*/true});
   const NodeId p = b.Project(j, {k});
   b.Sink(p, "out");
-  Workflow wf = std::move(b).Build().value();
+  RejectLinkChain chain;
+  chain.workflow = std::move(b).Build().value();
+  chain.join = j;
 
   Rng rng(3);
-  SourceMap sources;
   Table fact{Schema({k, v})};
   for (int i = 0; i < 1000; ++i) {
     fact.AddRow({rng.NextInRange(1, 60), rng.NextInRange(1, 20)});
   }
   Table dim_t{Schema({k})};
   for (int i = 0; i < 45; ++i) dim_t.AddRow({rng.NextInRange(1, 60)});
-  sources["Fact"] = std::move(fact);
-  sources["Dim"] = std::move(dim_t);
+  chain.sources["Fact"] = std::move(fact);
+  chain.sources["Dim"] = std::move(dim_t);
+  return chain;
+}
 
+TEST(ParallelExecutorTest, FilterTransformChainBitIdentical) {
+  const RejectLinkChain chain = MakeRejectLinkChain();
+  const ExecutorOptions every =
+      testing_util::RetainOutputsAndRejects(chain.workflow);
   const ExecutionResult serial =
-      Executor(&wf, testing_util::RetainOutputs())
-          .Execute(sources)
-          .value();
+      Executor(&chain.workflow, every).Execute(chain.sources).value();
   ParallelOptions opts;
   opts.num_threads = 4;
-  opts.executor = testing_util::RetainOutputs();
+  opts.executor = every;
   const ParallelResult par =
-      ParallelExecutor(&wf, opts).Execute(sources).value();
+      ParallelExecutor(&chain.workflow, opts).Execute(chain.sources).value();
   EXPECT_TRUE(par.used_parallel_path);
-  ExpectExecutionsIdentical(serial, par.exec);
+  ExpectExecutionsIdentical(chain.workflow, every, serial, par.exec);
+}
+
+// A production run (no reject sides named) builds the designed link's left
+// rejects and nothing else, identical to those of a run that builds every
+// side, at any worker count.
+TEST(ParallelExecutorTest, ProductionRunBuildsOnlyDesignedRejectLink) {
+  const RejectLinkChain chain = MakeRejectLinkChain();
+  const ExecutionResult every =
+      Executor(&chain.workflow,
+               testing_util::RetainOutputsAndRejects(chain.workflow))
+          .Execute(chain.sources)
+          .value();
+  const Table& link = every.join_rejects.at(chain.join);
+  ASSERT_GT(link.num_rows(), 0);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ParallelOptions opts;
+    opts.num_threads = threads;
+    const ParallelResult par =
+        ParallelExecutor(&chain.workflow, opts).Execute(chain.sources).value();
+    EXPECT_EQ(par.used_parallel_path, threads > 1);
+    ASSERT_EQ(par.exec.join_rejects.size(), 1u);
+    ExpectTablesIdentical(link, par.exec.join_rejects.at(chain.join),
+                          "designed reject link");
+    EXPECT_TRUE(par.exec.join_rejects_right.empty());
+    ExpectTablesIdentical(every.targets.at("out"), par.exec.targets.at("out"),
+                          "target out");
+
+    // Naming the link join's right side adds it; the designed left side
+    // stays.
+    opts.executor.reject_sides[chain.join] = RejectSides{false, true};
+    const ParallelResult named =
+        ParallelExecutor(&chain.workflow, opts).Execute(chain.sources).value();
+    ExpectTablesIdentical(link, named.exec.join_rejects.at(chain.join),
+                          "designed reject link, right side named");
+    ExpectTablesIdentical(every.join_rejects_right.at(chain.join),
+                          named.exec.join_rejects_right.at(chain.join),
+                          "named right rejects");
+  }
 }
 
 TEST(ParallelExecutorTest, AggregateGathersAndStaysBitIdentical) {
@@ -267,24 +400,23 @@ TEST(ParallelExecutorTest, AggregateGathersAndStaysBitIdentical) {
   sources["Fact"] = std::move(fact);
   sources["Dim"] = std::move(dim_t);
 
+  const ExecutorOptions every = testing_util::RetainOutputsAndRejects(wf);
   const ExecutionResult serial =
-      Executor(&wf, testing_util::RetainOutputs())
-          .Execute(sources)
-          .value();
+      Executor(&wf, every).Execute(sources).value();
   ParallelOptions opts;
   opts.num_threads = 4;
-  opts.executor = testing_util::RetainOutputs();
+  opts.executor = every;
   const ParallelResult par =
       ParallelExecutor(&wf, opts).Execute(sources).value();
   EXPECT_TRUE(par.used_parallel_path);
-  ExpectExecutionsIdentical(serial, par.exec);
+  ExpectExecutionsIdentical(wf, every, serial, par.exec);
 }
 
 TEST(ParallelExecutorTest, RepeatedRunsWithPinnedPartitionsAreIdentical) {
   auto ex = testing_util::MakePaperExample();
   ParallelOptions opts;
   opts.num_threads = 4;
-  opts.executor = testing_util::RetainOutputs();
+  opts.executor = testing_util::RetainOutputsAndRejects(ex.workflow);
   opts.num_partitions = 8;
   ThreadPool pool(4);
   const ParallelExecutor exec(&ex.workflow, opts);
@@ -295,13 +427,12 @@ TEST(ParallelExecutorTest, RepeatedRunsWithPinnedPartitionsAreIdentical) {
   EXPECT_EQ(first.exec.partitions_total, 8);
   EXPECT_EQ(first.partition_attr, second.partition_attr);
   EXPECT_EQ(first.exec.partition_rows, second.exec.partition_rows);
-  ExpectExecutionsIdentical(first.exec, second.exec);
+  ExpectExecutionsIdentical(ex.workflow, opts.executor, first.exec,
+                            second.exec);
   // And both match the serial run.
   const ExecutionResult serial =
-      Executor(&ex.workflow, testing_util::RetainOutputs())
-          .Execute(ex.sources)
-          .value();
-  ExpectExecutionsIdentical(serial, first.exec);
+      Executor(&ex.workflow, opts.executor).Execute(ex.sources).value();
+  ExpectExecutionsIdentical(ex.workflow, opts.executor, serial, first.exec);
 }
 
 // ---- randomized serial ≡ partitioned ------------------------------------
@@ -415,29 +546,41 @@ RandomCase MakeRandomCase(uint64_t seed, bool allow_key_rewrite) {
   return rc;
 }
 
+// Both retention settings, each as a production run (only the designed
+// reject links' left rejects) and as a run that builds every reject side,
+// at 1-16 partitions and 2 and 4 workers.
 TEST(ParallelRandomTest, RandomChainsMatchSerial) {
   int partitioned_runs = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     const RandomCase rc = MakeRandomCase(seed, /*allow_key_rewrite=*/true);
-    for (bool retain : {false, true}) {
-      ExecutorOptions exec_options;
-      exec_options.retain_node_outputs = retain;
-      const ExecutionResult serial =
-          Executor(&rc.workflow, exec_options).Execute(rc.sources).value();
-      for (int partitions : {1, 2, 3, 7, 16}) {
-        for (int threads : {2, 4}) {
-          SCOPED_TRACE("seed=" + std::to_string(seed) +
-                       " retain=" + std::to_string(retain) +
-                       " partitions=" + std::to_string(partitions) +
-                       " threads=" + std::to_string(threads));
-          ParallelOptions opts;
-          opts.num_threads = threads;
-          opts.num_partitions = partitions;
-          opts.executor = exec_options;
-          const ParallelResult par =
-              ParallelExecutor(&rc.workflow, opts).Execute(rc.sources).value();
-          partitioned_runs += par.used_parallel_path ? 1 : 0;
-          ExpectExecutionsIdentical(serial, par.exec);
+    for (bool every_side : {false, true}) {
+      for (bool retain : {false, true}) {
+        ExecutorOptions exec_options;
+        exec_options.retain_node_outputs = retain;
+        if (every_side) {
+          exec_options.reject_sides =
+              testing_util::EveryRejectSide(rc.workflow);
+        }
+        const ExecutionResult serial =
+            Executor(&rc.workflow, exec_options).Execute(rc.sources).value();
+        for (int partitions : {1, 2, 3, 7, 16}) {
+          for (int threads : {2, 4}) {
+            SCOPED_TRACE("seed=" + std::to_string(seed) +
+                         " every_side=" + std::to_string(every_side) +
+                         " retain=" + std::to_string(retain) +
+                         " partitions=" + std::to_string(partitions) +
+                         " threads=" + std::to_string(threads));
+            ParallelOptions opts;
+            opts.num_threads = threads;
+            opts.num_partitions = partitions;
+            opts.executor = exec_options;
+            const ParallelResult par = ParallelExecutor(&rc.workflow, opts)
+                                           .Execute(rc.sources)
+                                           .value();
+            partitioned_runs += par.used_parallel_path ? 1 : 0;
+            ExpectExecutionsIdentical(rc.workflow, exec_options, serial,
+                                      par.exec);
+          }
         }
       }
     }
@@ -519,6 +662,90 @@ TEST(ParallelPipelineTest, SketchTapsMergeToSingleStreamStatistics) {
   EXPECT_EQ(BlockStatsText(sc.run), BlockStatsText(pc.run));
 }
 
+// The instrumented run builds exactly the reject tables its selected
+// reject-join taps read, and they observe the statistics of a run that
+// builds every side. wf3 and wf7 read left sides; wf18's
+// Hrej({R1} wrt R0 >< {R2}) reads the right side of R0 ⋈ R1. wf3's reject
+// table is empty; wf7's and wf18's are not.
+TEST(ParallelPipelineTest, InstrumentedRunBuildsOnlyDemandedRejectTables) {
+  int64_t reject_rows = 0;
+  for (int index : {3, 7, 18}) {
+    const WorkloadSpec spec = BuildWorkload(index);
+    const SourceMap sources = GenerateSources(spec, /*seed=*/7, 0.002);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("wf" + std::to_string(index) +
+                   " threads=" + std::to_string(threads));
+      PipelineOptions popts;
+      popts.num_threads = threads;
+      const Result<CycleOutcome> run =
+          Pipeline(popts).RunCycle(spec.workflow, sources);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const CycleOutcome& cycle = *run;
+      const Analysis& analysis = *cycle.analysis;
+
+      // (join, reads the right side) per selected reject-join key.
+      std::set<std::pair<NodeId, bool>> demanded;
+      std::vector<std::vector<StatKey>> block_keys;
+      for (const auto& ba : analysis.blocks) {
+        block_keys.push_back(ba->selection.ObservedKeys(ba->catalog));
+        for (const StatKey& key : block_keys.back()) {
+          if (!key.is_reject()) continue;
+          const NodeId join = ba->ctx.on_path().at(
+              key.reject_left | (RelMask{1} << key.reject_k));
+          for (const BlockJoin& j : ba->block.joins) {
+            if (j.node == join) {
+              demanded.insert({join, j.right == key.reject_left});
+            }
+          }
+        }
+      }
+      // Designed reject links are built on every run.
+      for (const WorkflowNode& node : analysis.workflow->nodes()) {
+        if (node.kind == OpKind::kJoin && node.join.left_reject_link) {
+          demanded.insert({node.id, false});
+        }
+      }
+      std::set<std::pair<NodeId, bool>> built;
+      for (const auto& [id, table] : cycle.run.exec.join_rejects) {
+        built.insert({id, false});
+      }
+      for (const auto& [id, table] : cycle.run.exec.join_rejects_right) {
+        built.insert({id, true});
+      }
+      EXPECT_FALSE(demanded.empty());
+      EXPECT_EQ(built, demanded);
+      for (const auto& [id, table] : cycle.run.exec.join_rejects) {
+        reject_rows += table.num_rows();
+      }
+      for (const auto& [id, table] : cycle.run.exec.join_rejects_right) {
+        reject_rows += table.num_rows();
+      }
+      if (index == 18) {
+        EXPECT_FALSE(cycle.run.exec.join_rejects_right.empty());
+      }
+
+      ParallelOptions every;
+      every.num_threads = threads;
+      every.executor = testing_util::RetainOutputsAndRejects(*analysis.workflow);
+      const ParallelResult full =
+          ParallelExecutor(analysis.workflow.get(), every)
+              .Execute(sources)
+              .value();
+      ASSERT_EQ(block_keys.size(), cycle.run.block_stats.size());
+      for (size_t b = 0; b < block_keys.size(); ++b) {
+        const StatStore observed =
+            ObserveStatistics(analysis.blocks[b]->ctx, full.exec,
+                              block_keys[b])
+                .value();
+        EXPECT_EQ(WriteStatStoreText(observed),
+                  WriteStatStoreText(cycle.run.block_stats[b]))
+            << "block " << b;
+      }
+    }
+  }
+  EXPECT_GT(reject_rows, 0);
+}
+
 // ---- reject-join taps ---------------------------------------------------
 
 // A histogram's buckets in insertion order.
@@ -553,7 +780,7 @@ TEST(ParallelTapTest, RejectJoinTapsMatchMaterializedOracle) {
   for (int threads : {1, 4}) {
     ParallelOptions opts;
     opts.num_threads = threads;
-    opts.executor = testing_util::RetainOutputs();
+    opts.executor = testing_util::RetainOutputsAndRejects(ex.workflow);
     const ParallelResult par =
         ParallelExecutor(&ex.workflow, opts).Execute(ex.sources).value();
     EXPECT_EQ(par.used_parallel_path, threads > 1);
@@ -683,10 +910,10 @@ TEST_F(ParallelFaultTest, RandomPartitionCrashSalvagesRankOrderSubset) {
   int crashed_runs = 0;
   for (uint64_t seed = 101; seed <= 112; ++seed) {
     const RandomCase rc = MakeRandomCase(seed, /*allow_key_rewrite=*/false);
+    const ExecutorOptions every =
+        testing_util::RetainOutputsAndRejects(rc.workflow);
     const ExecutionResult serial =
-        Executor(&rc.workflow, testing_util::RetainOutputs())
-            .Execute(rc.sources)
-            .value();
+        Executor(&rc.workflow, every).Execute(rc.sources).value();
     const int partitions = static_cast<int>(pick.NextInRange(2, 7));
     const int crashed = static_cast<int>(pick.NextBounded(partitions));
     const int64_t after_rows = pick.NextInRange(1, 200);
@@ -700,12 +927,12 @@ TEST_F(ParallelFaultTest, RandomPartitionCrashSalvagesRankOrderSubset) {
     ParallelOptions opts;
     opts.num_threads = 3;
     opts.num_partitions = partitions;
-    opts.executor = testing_util::RetainOutputs();
+    opts.executor = every;
     const ParallelResult par =
         ParallelExecutor(&rc.workflow, opts).Execute(rc.sources).value();
     ASSERT_TRUE(FaultInjector::InstallGlobal("").ok());
     if (!par.exec.aborted()) {
-      ExpectExecutionsIdentical(serial, par.exec);
+      ExpectExecutionsIdentical(rc.workflow, every, serial, par.exec);
       continue;
     }
     ++crashed_runs;

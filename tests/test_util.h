@@ -23,6 +23,24 @@ inline ExecutorOptions RetainOutputs() {
   return options;
 }
 
+// Both reject sides of every join in `wf`, for tests that read reject
+// tables a production run does not build.
+inline std::unordered_map<NodeId, RejectSides> EveryRejectSide(
+    const Workflow& wf) {
+  std::unordered_map<NodeId, RejectSides> sides;
+  for (const WorkflowNode& node : wf.nodes()) {
+    if (node.kind == OpKind::kJoin) sides[node.id] = RejectSides{true, true};
+  }
+  return sides;
+}
+
+// RetainOutputs, and every join builds both reject tables.
+inline ExecutorOptions RetainOutputsAndRejects(const Workflow& wf) {
+  ExecutorOptions options = RetainOutputs();
+  options.reject_sides = EveryRejectSide(wf);
+  return options;
+}
+
 // A 3-relation star fixture mirroring the paper's running example
 // (Figure 1): Orders(prod_id, cust_id) ⋈ Product(prod_id) ⋈
 // Customer(cust_id), designed as (Orders ⋈ Product) ⋈ Customer.

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/column.h"
 #include "engine/executor.h"
+#include "engine/parallel/parallel_executor.h"
 #include "engine/table.h"
 #include "sketch/sketch.h"
 #include "sketch/tap.h"
@@ -146,7 +148,15 @@ TEST(TableCowTest, EqualityComparesContentNotSharing) {
 
 // ---- kernels against pinned and reference results -----------------------
 
-TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
+// Fact(k, v) -> filter -> derive d -> join Dim(k) with a designed reject
+// link -> project -> aggregate -> sink.
+struct OperatorChain {
+  Workflow workflow;
+  SourceMap sources;
+  NodeId join = kInvalidNode;
+};
+
+OperatorChain MakeOperatorChain() {
   WorkflowBuilder b("chain");
   const AttrId k = b.DeclareAttr("k", 60);
   const AttrId v = b.DeclareAttr("v", 20);
@@ -159,23 +169,31 @@ TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
   const NodeId p = b.Project(j, {k, d});
   const NodeId g = b.Aggregate(p, {k});
   b.Sink(g, "out");
-  Workflow wf = std::move(b).Build().value();
+  OperatorChain chain;
+  chain.workflow = std::move(b).Build().value();
+  chain.join = j;
 
   Rng rng(13);
-  SourceMap sources;
   Table fact{Schema({k, v})};
   for (int i = 0; i < 2000; ++i) {
     fact.AddRow({rng.NextInRange(1, 60), rng.NextInRange(1, 20)});
   }
   Table dim_t{Schema({k})};
   for (int i = 0; i < 40; ++i) dim_t.AddRow({rng.NextInRange(1, 60)});
-  sources["Fact"] = std::move(fact);
-  sources["Dim"] = std::move(dim_t);
+  chain.sources["Fact"] = std::move(fact);
+  chain.sources["Dim"] = std::move(dim_t);
+  return chain;
+}
 
+TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
+  const OperatorChain chain = MakeOperatorChain();
   // Every node output, both reject sides and the work counters, as the
   // row-at-a-time engine produced them before it was retired.
   const ExecutionResult result =
-      Executor(&wf, testing_util::RetainOutputs()).Execute(sources).value();
+      Executor(&chain.workflow,
+               testing_util::RetainOutputsAndRejects(chain.workflow))
+          .Execute(chain.sources)
+          .value();
   EXPECT_EQ(testing_util::TablesDigest(result.node_outputs),
             "876343c24b5a7ed1");
   EXPECT_EQ(testing_util::TablesDigest(result.join_rejects),
@@ -184,6 +202,29 @@ TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
             "24d940732df00cd0");
   EXPECT_EQ(result.rows_processed, 6649);
   EXPECT_EQ(result.bytes_processed, 124176);
+}
+
+// A production run builds the designed reject link's left rejects (the
+// pinned digest) and no right rejects, serially and partitioned, with the
+// same target and work counters.
+TEST(KernelEquivalenceTest, ProductionRunBuildsOnlyDesignedRejectLink) {
+  const OperatorChain chain = MakeOperatorChain();
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::ParallelOptions opts;
+    opts.num_threads = threads;
+    const parallel::ParallelResult par =
+        parallel::ParallelExecutor(&chain.workflow, opts)
+            .Execute(chain.sources)
+            .value();
+    ASSERT_EQ(par.exec.join_rejects.size(), 1u);
+    ASSERT_EQ(par.exec.join_rejects.count(chain.join), 1u);
+    EXPECT_EQ(testing_util::TablesDigest(par.exec.join_rejects),
+              "5e14c0e1e60c1693");
+    EXPECT_TRUE(par.exec.join_rejects_right.empty());
+    EXPECT_EQ(par.exec.rows_processed, 6649);
+    EXPECT_EQ(par.exec.bytes_processed, 124176);
+  }
 }
 
 TEST(KernelEquivalenceTest, HashJoinWithDuplicatesAndHint) {
