@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -13,6 +14,7 @@
 #include "obs/checkpoint.h"
 #include "obs/drift.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -224,29 +226,16 @@ Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
         TapOptions::FromEnv().memory_budget_bytes;
   }
   if (options_.checkpoint_every_rows <= 0) {
-    const char* value = std::getenv("ETLOPT_CHECKPOINT_EVERY");
-    if (value != nullptr && *value != '\0') {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(value, &end, 10);
-      if (end != value && parsed > 0) options_.checkpoint_every_rows = parsed;
-    }
-    if (options_.checkpoint_every_rows <= 0) {
-      options_.checkpoint_every_rows = 100000;
-    }
+    options_.checkpoint_every_rows =
+        EnvInt64("ETLOPT_CHECKPOINT_EVERY", 1,
+                 std::numeric_limits<int64_t>::max(), 100000);
   }
   if (options_.calibration.empty()) {
     options_.calibration = obs::CostCalibration::FromEnv();
   }
   if (options_.num_threads <= 0) {
-    options_.num_threads = 1;
-    const char* value = std::getenv("ETLOPT_THREADS");
-    if (value != nullptr && *value != '\0') {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(value, &end, 10);
-      if (end != value && parsed > 0) {
-        options_.num_threads = static_cast<int>(parsed);
-      }
-    }
+    options_.num_threads = static_cast<int>(EnvInt64(
+        "ETLOPT_THREADS", 1, std::numeric_limits<int>::max(), 1));
   }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
@@ -379,10 +368,6 @@ Result<RunOutcome> Pipeline::RunAndObserve(
       exec_options.monitor_qerror_bound = options_.guard.monitor_qerror;
       exec_options.monitor_abort =
           options_.guard.mode == obs::GuardMode::kStrict;
-      // The same per-SE estimates size hash-join build tables: a join whose
-      // build input carries an expected cardinality reserves from it.
-      exec_options.build_rows_hints =
-          BuildSideCardHints(*analysis.workflow, exec_options.monitors);
     }
   }
   if (options_.num_threads > 1) {

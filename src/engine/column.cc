@@ -68,14 +68,10 @@ void MapColumn(const std::function<Value(Value)>& fn, const Value* in,
   }
 }
 
-JoinHashTable::JoinHashTable(const Value* keys, int64_t n,
-                             int64_t capacity_hint) {
-  // Slot directory sized for ~50% max load over the larger of the actual
-  // row count and the predicted cardinality (the hint can only grow it;
-  // correctness never depends on the prediction).
-  const int64_t target = capacity_hint > n ? capacity_hint : n;
+JoinHashTable::JoinHashTable(const Value* keys, int64_t n) {
+  // Slot directory sized for ~50% max load over the build rows.
   uint64_t cap = 16;
-  while (cap < 2 * static_cast<uint64_t>(target > 0 ? target : 1)) cap <<= 1;
+  while (cap < 2 * static_cast<uint64_t>(n > 0 ? n : 1)) cap <<= 1;
   mask_ = cap - 1;
   slot_group_.assign(cap, -1);
 

@@ -57,10 +57,9 @@ void MapColumn(const std::function<Value(Value)>& fn, const Value* in,
 // order* — the emission-order invariant the bit-identical contract needs.
 class JoinHashTable {
  public:
-  // Builds over keys[0..n). `capacity_hint` is the estimator's predicted
-  // build cardinality when a plan annotation is present; <= 0 falls back to
-  // the row count (the slot directory is sized for the larger of the two).
-  JoinHashTable(const Value* keys, int64_t n, int64_t capacity_hint = -1);
+  // Builds over keys[0..n); the slot directory is sized from n, which is
+  // exact: both executors build over a fully materialized build side.
+  JoinHashTable(const Value* keys, int64_t n);
 
   struct RowRange {
     const int64_t* begin = nullptr;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -14,6 +14,7 @@
 #endif
 
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -29,14 +30,6 @@ int64_t ElapsedNs(const Timer& timer) {
   return ns <= 0.0 ? 0 : static_cast<int64_t>(ns);
 }
 
-double EnvDoubleOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return end != value ? parsed : fallback;
-}
-
 // Backoff before retry `attempt` (1-based): exponential with deterministic
 // jitter, capped. Returns the delay actually slept, for telemetry.
 double BackoffAndSleep(const RetryPolicy& policy, int attempt, Rng& rng) {
@@ -48,8 +41,10 @@ double BackoffAndSleep(const RetryPolicy& policy, int attempt, Rng& rng) {
     delay *= 1.0 + policy.jitter_fraction * (2.0 * rng.NextDouble() - 1.0);
   }
   if (delay > 0.0) {
+    // Capped below int64's end, so any finite policy converts.
+    const double micros = std::min(delay * 1000.0, 9e18);
     std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<int64_t>(delay * 1000.0)));
+        std::chrono::microseconds(static_cast<int64_t>(micros)));
   }
   return delay;
 }
@@ -66,13 +61,16 @@ std::string OpFaultName(const WorkflowNode& node) {
 
 RetryPolicy RetryPolicy::FromEnv() {
   RetryPolicy policy;
+  // Read as a double so "1e3" means 1000; kept only where an int holds it.
   const double attempts =
-      EnvDoubleOr("ETLOPT_RETRY_MAX_ATTEMPTS", policy.max_attempts);
-  if (attempts >= 1.0) policy.max_attempts = static_cast<int>(attempts);
+      EnvDouble("ETLOPT_RETRY_MAX_ATTEMPTS", policy.max_attempts);
+  if (attempts >= 1.0 && attempts <= std::numeric_limits<int>::max()) {
+    policy.max_attempts = static_cast<int>(attempts);
+  }
   policy.initial_backoff_ms =
-      EnvDoubleOr("ETLOPT_RETRY_BACKOFF_MS", policy.initial_backoff_ms);
+      EnvDouble("ETLOPT_RETRY_BACKOFF_MS", policy.initial_backoff_ms);
   policy.max_backoff_ms =
-      EnvDoubleOr("ETLOPT_RETRY_MAX_BACKOFF_MS", policy.max_backoff_ms);
+      EnvDouble("ETLOPT_RETRY_MAX_BACKOFF_MS", policy.max_backoff_ms);
   return policy;
 }
 
@@ -80,7 +78,7 @@ ExecutorOptions ExecutorOptions::FromEnv() {
   ExecutorOptions options;
   options.retry = RetryPolicy::FromEnv();
   const double rate =
-      EnvDoubleOr("ETLOPT_MAX_ERROR_RATE", options.max_error_rate);
+      EnvDouble("ETLOPT_MAX_ERROR_RATE", options.max_error_rate);
   if (rate >= 0.0 && rate <= 1.0) options.max_error_rate = rate;
   return options;
 }
@@ -126,7 +124,7 @@ Schema JoinOutputSchema(const Table& left, const Table& right, AttrId attr,
 }  // namespace
 
 Table HashJoin(const Table& left, const Table& right, AttrId attr,
-               Table* rejects, int64_t build_rows_hint, Table* right_rejects) {
+               Table* rejects, Table* right_rejects) {
   const int lkey = left.schema().IndexOf(attr);
   const int rkey = right.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
@@ -141,8 +139,7 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
   // build-insertion order per key. Right rejects are the build rows no
   // probe row hit, in build order.
   Timer phase;
-  const JoinHashTable ht(right.column_data(rkey), right.num_rows(),
-                         build_rows_hint);
+  const JoinHashTable ht(right.column_data(rkey), right.num_rows());
   const int64_t build_ns = ElapsedNs(phase);
 
   phase.Restart();
@@ -199,6 +196,28 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
   return out;
 }
 
+NodeStepContext::NodeStepContext(const Workflow* workflow,
+                                 const SourceMap* source_map,
+                                 const ExecutorOptions* run_options,
+                                 ExecutionResult* run_result)
+    : wf(workflow),
+      sources(source_map),
+      options(run_options),
+      // One pointer load when no spec is installed — the entire robustness
+      // layer costs the un-faulted hot path a single null check per
+      // operator.
+      inj(fault::FaultInjector::Global()),
+      // Hoisted once per run: the disabled profiler costs each operator a
+      // branch on this cached bool, nothing more (benched in
+      // bench/micro_obs.cc).
+      profiling(obs::ProfilerEnabled()),
+      // Deterministic backoff jitter (and nothing else) comes from this
+      // stream.
+      backoff_rng(inj != nullptr ? inj->seed() : 0x5eedULL),
+      result(run_result) {
+  result->nodes_total = static_cast<int>(wf->nodes().size());
+}
+
 void AbortRun(const NodeStepContext& ctx, AbortKind kind, std::string reason,
               const WorkflowNode& node) {
   ExecutionResult& result = *ctx.result;
@@ -209,11 +228,66 @@ void AbortRun(const NodeStepContext& ctx, AbortKind kind, std::string reason,
                       << OpFaultName(node) << ": " << result.abort_reason;
 }
 
+Table ApplyRowOperator(const WorkflowNode& node, const Schema& out_schema,
+                       const Table& in, SelVector* sel) {
+  switch (node.kind) {
+    case OpKind::kFilter:
+      // One comparison loop over the predicate column builds the
+      // selection, every output column is a gather.
+      BuildSelection(node.predicate,
+                     in.column_data(in.schema().IndexOf(node.predicate.attr)),
+                     in.num_rows(), sel);
+      return Table::Gather(in, *sel);
+    case OpKind::kProject: {
+      // Copy-free: the kept columns are shared by pointer; downstream
+      // mutation clones them on write.
+      std::vector<ColumnPtr> kept;
+      kept.reserve(node.keep.size());
+      for (AttrId a : node.keep) {
+        kept.push_back(in.shared_column(in.schema().IndexOf(a)));
+      }
+      return Table::FromColumns(out_schema, std::move(kept), in.num_rows());
+    }
+    case OpKind::kTransform: {
+      // Batched UDF: untouched columns are shared, the transformed (or
+      // derived) column is one fn-application loop over the input array.
+      const TransformSpec& t = node.transform;
+      const int col = in.schema().IndexOf(t.input_attr);
+      const bool in_place = t.output_attr == t.input_attr;
+      auto mapped = std::make_shared<Column>();
+      MapColumn(t.fn, in.column_data(col), in.num_rows(), mapped.get());
+      std::vector<ColumnPtr> cols;
+      cols.reserve(static_cast<size_t>(out_schema.size()));
+      for (int c = 0; c < in.schema().size(); ++c) {
+        cols.push_back(in_place && c == col ? mapped : in.shared_column(c));
+      }
+      if (!in_place) cols.push_back(std::move(mapped));
+      return Table::FromColumns(out_schema, std::move(cols), in.num_rows());
+    }
+    case OpKind::kMaterialize:
+    case OpKind::kSink:
+      return in;
+    case OpKind::kSource:
+    case OpKind::kAggregate:
+    case OpKind::kJoin:
+      break;
+  }
+  ETLOPT_CHECK_MSG(false, "not a row operator");
+  return in;
+}
+
+namespace {
+
+// Runs the operator itself: reads inputs from result->node_outputs and
+// fills `product`; a source read also records its retries, quarantine and
+// watermark. Configuration errors come back as a non-OK Status; runtime
+// aborts land in result->abort_*.
 Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
-                         Table* out_table) {
+                         NodeProduct* product) {
   ExecutionResult& result = *ctx.result;
   fault::FaultInjector* inj = ctx.inj;
-  Table out{ctx.wf->output_schema(node.id)};
+  const Schema& out_schema = ctx.wf->output_schema(node.id);
+  Table out{out_schema};
   auto input = [&](int i) -> const Table& {
     return result.node_outputs.at(node.inputs[static_cast<size_t>(i)]);
   };
@@ -256,7 +330,7 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
         }
         ++result.source_retries[name];
         const double slept =
-            BackoffAndSleep(ctx.options->retry, attempt, *ctx.backoff_rng);
+            BackoffAndSleep(ctx.options->retry, attempt, ctx.backoff_rng);
         ETLOPT_LOG(Info) << "source '" << name << "' " << fault::KindName(fk)
                          << ", retrying (attempt " << attempt + 1 << "/"
                          << ctx.options->retry.max_attempts << ") after "
@@ -293,65 +367,26 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
       }
       break;
     }
-    case OpKind::kFilter: {
-      const Table& in = input(0);
-      const int col = in.schema().IndexOf(node.predicate.attr);
-      // One comparison loop over the predicate column builds the
-      // selection, every output column is a gather.
+    case OpKind::kFilter:
+    case OpKind::kProject:
+    case OpKind::kTransform:
+    case OpKind::kMaterialize:
+    case OpKind::kSink: {
       SelVector sel;
-      sel.reserve(static_cast<size_t>(in.num_rows()));
-      BuildSelection(node.predicate, in.column_data(col), in.num_rows(),
-                     &sel);
-      out = Table::Gather(in, sel);
-      result.rows_processed += in.num_rows();
-      break;
-    }
-    case OpKind::kProject: {
-      const Table& in = input(0);
-      std::vector<int> cols;
-      for (AttrId a : node.keep) cols.push_back(in.schema().IndexOf(a));
-      // Copy-free: the kept columns are shared by pointer; downstream
-      // mutation clones them on write.
-      std::vector<ColumnPtr> kept;
-      kept.reserve(cols.size());
-      for (int c : cols) kept.push_back(in.shared_column(c));
-      out = Table::FromColumns(out.schema(), std::move(kept), in.num_rows());
-      result.rows_processed += in.num_rows();
-      break;
-    }
-    case OpKind::kTransform: {
-      const Table& in = input(0);
-      const TransformSpec& t = node.transform;
-      const int col = in.schema().IndexOf(t.input_attr);
-      // Batched UDF: untouched columns are shared, the transformed (or
-      // derived) column is one fn-application loop over the input array.
-      auto mapped = std::make_shared<Column>();
-      MapColumn(t.fn, in.column_data(col), in.num_rows(), mapped.get());
-      const Column& values = *mapped;
-      std::vector<ColumnPtr> out_cols;
-      out_cols.reserve(static_cast<size_t>(out.schema().size()));
-      const bool in_place = t.output_attr == t.input_attr;
-      for (int c = 0; c < in.schema().size(); ++c) {
-        out_cols.push_back(in_place && c == col ? mapped
-                                                : in.shared_column(c));
-      }
-      if (!in_place) out_cols.push_back(std::move(mapped));
-      out = Table::FromColumns(out.schema(), std::move(out_cols),
-                               in.num_rows());
-      if (t.is_aggregate) {
+      out = ApplyRowOperator(node, out_schema, input(0), &sel);
+      if (node.kind == OpKind::kTransform && node.transform.is_aggregate) {
         // Black-box aggregate UDF (a deterministic blocking reduction):
         // keeps the first row of each distinct transformed value, in input
         // order.
+        const Value* values =
+            out.column_data(out_schema.IndexOf(node.transform.output_attr));
         std::unordered_set<Value> seen;
         SelVector first;
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          if (seen.insert(values[static_cast<size_t>(r)]).second) {
-            first.push_back(r);
-          }
+        for (int64_t r = 0; r < out.num_rows(); ++r) {
+          if (seen.insert(values[r]).second) first.push_back(r);
         }
         out = Table::Gather(out, first);
       }
-      result.rows_processed += in.num_rows();
       break;
     }
     case OpKind::kAggregate: {
@@ -379,59 +414,57 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
         if (with_count) row.push_back(count);
         out.AddRow(std::move(row));
       }
-      result.rows_processed += in.num_rows();
       break;
     }
     case OpKind::kJoin: {
-      const Table& left = input(0);
-      const Table& right = input(1);
-      // Estimator-predicted build cardinality, when the plan carries one.
-      int64_t build_hint = -1;
-      if (!ctx.options->build_rows_hints.empty()) {
-        const auto hint_it = ctx.options->build_rows_hints.find(node.id);
-        if (hint_it != ctx.options->build_rows_hints.end()) {
-          build_hint = hint_it->second;
-        }
-      }
       const RejectSides sides = JoinRejectSides(*ctx.options, node);
-      out = HashJoin(left, right, node.join.attr,
-                     sides.left ? &result.join_rejects[node.id] : nullptr,
-                     build_hint,
-                     sides.right ? &result.join_rejects_right[node.id]
+      out = HashJoin(input(0), input(1), node.join.attr,
+                     sides.left ? &product->rejects.emplace() : nullptr,
+                     sides.right ? &product->right_rejects.emplace()
                                  : nullptr);
-      result.rows_processed += left.num_rows() + right.num_rows();
-      break;
-    }
-    case OpKind::kMaterialize:
-    case OpKind::kSink: {
-      out = input(0);
-      result.rows_processed += out.num_rows();
-      result.targets[node.target_name] = out;
       break;
     }
   }
-  *out_table = std::move(out);
+  product->output = std::move(out);
   return Status::OK();
 }
 
-bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
-                    NodeInputSize in, int64_t rows_out, int64_t self_ns) {
+}  // namespace
+
+void PublishNodeProduct(const WorkflowNode& node, NodeProduct* product,
+                        ExecutionResult* result) {
+  if (product->rejects.has_value()) {
+    result->join_rejects[node.id] = std::move(*product->rejects);
+  }
+  if (product->right_rejects.has_value()) {
+    result->join_rejects_right[node.id] = std::move(*product->right_rejects);
+  }
+  if (!product->output.has_value()) return;
+  if (node.kind == OpKind::kMaterialize || node.kind == OpKind::kSink) {
+    result->targets[node.target_name] = *product->output;
+  }
+  result->node_outputs[node.id] = std::move(*product->output);
+}
+
+void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
+                    NodeInputSize in, int64_t rows_out, int64_t self_ns,
+                    NodeProduct* product) {
   ExecutionResult& result = *ctx.result;
-  const int64_t rows_in = in.rows;
+  // Rows entering the operator: none for a source, both inputs of a join,
+  // the rows a target passes through. An operator that crashes below has
+  // still processed them.
+  result.rows_processed += in.rows;
   // Crash points fire after the operator ran but before its output is
   // published — the salvage surface is exactly the completed prefix.
   if (!result.aborted() && ctx.inj != nullptr) {
-    const int64_t weight = rows_in > 0 ? rows_in : rows_out;
+    const int64_t weight = in.rows > 0 ? in.rows : rows_out;
     if (ctx.inj->OnOperator(OpFaultName(node), weight) ==
         fault::Kind::kCrash) {
-      result.join_rejects.erase(node.id);
-      result.join_rejects_right.erase(node.id);
-      result.targets.erase(node.target_name);
       AbortRun(ctx, AbortKind::kCrash,
                "injected crash fault at " + OpFaultName(node), node);
     }
   }
-  if (result.aborted()) return false;
+  if (result.aborted()) return;
   // Plan-regression monitors: one branch on an empty map when the guard is
   // disabled (benched by BM_GuardMonitorDisabled). Partitioned nodes reach
   // here with their gathered output, so the observed cardinality — and the
@@ -458,37 +491,33 @@ bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
             << " (q-error " << qerror << " > "
             << ctx.options->monitor_qerror_bound << ")";
         if (ctx.options->monitor_abort) {
-          result.join_rejects.erase(node.id);
-          result.join_rejects_right.erase(node.id);
-          result.targets.erase(node.target_name);
           AbortRun(ctx, AbortKind::kGuard,
                    "estimate monitor q-error " + std::to_string(qerror) +
                        " at " + OpFaultName(node),
                    node);
-          return false;
+          return;
         }
       }
     }
   }
-  // Bytes entering the operator: mirrors rows_processed (sources read no
-  // upstream node output, so they contribute none).
-  const int64_t op_bytes = in.bytes;
-  result.bytes_processed += op_bytes;
+  // Bytes entering the operator, like rows_processed; counted only for an
+  // operator that completed.
+  result.bytes_processed += in.bytes;
   if (ctx.profiling) {
     obs::OpProfile op;
     op.node = static_cast<int>(node.id);
     op.op = OpKindName(node.kind);
     op.label = OpFaultName(node);
     op.inputs.reserve(node.inputs.size());
-    for (NodeId in : node.inputs) op.inputs.push_back(static_cast<int>(in));
+    for (NodeId id : node.inputs) op.inputs.push_back(static_cast<int>(id));
     op.self_ns = self_ns;
-    op.rows_in = rows_in;
+    op.rows_in = in.rows;
     op.rows_out = rows_out;
-    op.bytes = op_bytes;
+    op.bytes = in.bytes;
     result.profile.ops.push_back(std::move(op));
   }
   ++result.nodes_completed;
-  return true;
+  PublishNodeProduct(node, product, &result);
 }
 
 Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node) {
@@ -499,25 +528,41 @@ Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node) {
     in.rows += t.num_rows();
     in.bytes += t.num_rows() * 8 * t.schema().size();
   }
-  Table out;
+  NodeProduct product;
   int64_t op_start_ns = 0;
   if (ctx.profiling) op_start_ns = obs::ProfileNowNs();
-  ETLOPT_RETURN_IF_ERROR(ComputeNodeOutput(ctx, node, &out));
+  ETLOPT_RETURN_IF_ERROR(ComputeNodeOutput(ctx, node, &product));
   // Self time stops here: fault bookkeeping, byte accounting, and the
   // profile entry in FinishNodeStep are harness cost, not operator cost.
   int64_t self_ns = 0;
   if (ctx.profiling) self_ns = obs::ProfileNowNs() - op_start_ns;
   if (ctx.result->aborted()) return Status::OK();  // stopped inside the read
-  const int64_t rows_out = out.num_rows();
+  const int64_t rows_out = product.output->num_rows();
   if (op_span.active()) {
     op_span.Arg("node", static_cast<int64_t>(node.id));
     op_span.Arg("rows_in", in.rows);
     op_span.Arg("rows_out", rows_out);
   }
-  if (FinishNodeStep(ctx, node, in, rows_out, self_ns)) {
-    ctx.result->node_outputs[node.id] = std::move(out);
-  }
+  FinishNodeStep(ctx, node, in, rows_out, self_ns, &product);
   return Status::OK();
+}
+
+OutputRelease::OutputRelease(const Workflow& wf, bool retain) : wf_(wf) {
+  if (retain) return;
+  pending_.assign(wf.nodes().size(), 0);
+  for (const WorkflowNode& node : wf.nodes()) {
+    for (NodeId in : node.inputs) ++pending_[static_cast<size_t>(in)];
+  }
+}
+
+void OutputRelease::After(const WorkflowNode& node, ExecutionResult* result) {
+  if (pending_.empty()) return;
+  for (NodeId in : node.inputs) {
+    if (--pending_[static_cast<size_t>(in)] == 0 &&
+        wf_.node(in).target_name.empty()) {
+      result->node_outputs.erase(in);
+    }
+  }
 }
 
 RejectSides JoinRejectSides(const ExecutorOptions& options,
@@ -526,21 +571,6 @@ RejectSides JoinRejectSides(const ExecutorOptions& options,
   const RejectSides named =
       it != options.reject_sides.end() ? it->second : RejectSides{};
   return RejectSides{join.join.left_reject_link || named.left, named.right};
-}
-
-std::unordered_map<NodeId, int64_t> BuildSideCardHints(
-    const Workflow& wf,
-    const std::unordered_map<NodeId, PlanMonitor>& monitors) {
-  std::unordered_map<NodeId, int64_t> hints;
-  if (monitors.empty()) return hints;
-  for (const WorkflowNode& node : wf.nodes()) {
-    if (node.kind != OpKind::kJoin || node.inputs.size() < 2) continue;
-    const auto it = monitors.find(node.inputs[1]);
-    if (it == monitors.end() || it->second.expected_rows < 0.0) continue;
-    hints[node.id] =
-        static_cast<int64_t>(it->second.expected_rows + 0.5);
-  }
-  return hints;
 }
 
 void PinAllocatorThresholds() {
@@ -560,43 +590,12 @@ Result<ExecutionResult> Executor::Execute(const SourceMap& sources) const {
   obs::ScopedSpan exec_span("engine.execute");
   exec_span.Arg("workflow", wf_->name());
   exec_span.Arg("nodes", static_cast<int64_t>(wf_->nodes().size()));
-  result.nodes_total = static_cast<int>(wf_->nodes().size());
-  // One pointer load when no spec is installed — the entire robustness layer
-  // costs the un-faulted hot path a single null check per operator.
-  fault::FaultInjector* inj = fault::FaultInjector::Global();
-  // Deterministic backoff jitter (and nothing else) comes from this stream.
-  Rng backoff_rng(inj != nullptr ? inj->seed() : 0x5eedULL);
-
-  NodeStepContext ctx;
-  ctx.wf = wf_;
-  ctx.sources = &sources;
-  ctx.options = &options_;
-  ctx.inj = inj;
-  // Hoisted once per run: the disabled profiler costs each operator a branch
-  // on this cached bool, nothing more (benched in bench/micro_obs.cc).
-  ctx.profiling = obs::ProfilerEnabled();
-  ctx.backoff_rng = &backoff_rng;
-  ctx.result = &result;
-
-  // Consumers still to run per node; a non-target output is released when
-  // its count reaches zero (unless the caller retains every output).
-  std::vector<int> pending_reads;
-  if (!options_.retain_node_outputs) {
-    pending_reads.assign(wf_->nodes().size(), 0);
-    for (const WorkflowNode& node : wf_->nodes()) {
-      for (NodeId in : node.inputs) ++pending_reads[static_cast<size_t>(in)];
-    }
-  }
+  const NodeStepContext ctx(wf_, &sources, &options_, &result);
+  OutputRelease release(*wf_, options_.retain_node_outputs);
   for (const WorkflowNode& node : wf_->nodes()) {
     ETLOPT_RETURN_IF_ERROR(ExecuteNodeStep(ctx, node));
     if (result.aborted()) break;
-    if (pending_reads.empty()) continue;
-    for (NodeId in : node.inputs) {
-      if (--pending_reads[static_cast<size_t>(in)] == 0 &&
-          wf_->node(in).target_name.empty()) {
-        result.node_outputs.erase(in);
-      }
-    }
+    release.After(node, &result);
   }
   if (result.aborted() && exec_span.active()) {
     exec_span.Arg("abort", AbortKindName(result.abort_kind));

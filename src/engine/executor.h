@@ -1,6 +1,7 @@
 #ifndef ETLOPT_ENGINE_EXECUTOR_H_
 #define ETLOPT_ENGINE_EXECUTOR_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "etl/workflow.h"
 #include "obs/profile.h"
 #include "util/bitmask.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace etlopt {
@@ -16,7 +18,6 @@ namespace etlopt {
 namespace fault {
 class FaultInjector;
 }  // namespace fault
-class Rng;
 
 // Source bindings: table name -> data.
 using SourceMap = std::unordered_map<std::string, Table>;
@@ -55,8 +56,11 @@ struct RejectSides {
   bool right = false;  // build rows no probe row hit
 };
 
-// Robustness knobs of one Executor. The defaults reproduce the seed
-// behavior exactly when no fault injector is installed.
+// How one run of either executor goes beyond computing the plan: retry
+// and quarantine limits, plan monitors, output retention, and the reject
+// tables it builds. Executor reads it directly, parallel::ParallelExecutor
+// through ParallelOptions::executor. No option changes the rows a node
+// produces.
 struct ExecutorOptions {
   RetryPolicy retry;
   // Fraction of a source's rows allowed to divert to the quarantine sink
@@ -79,13 +83,6 @@ struct ExecutorOptions {
   // Strict guard: the first violation aborts the run (kGuard) through the
   // salvage path instead of merely recording it.
   bool monitor_abort = false;
-
-  // Per-join build-side cardinality hints (node id -> predicted build
-  // rows), derived from the same ledger estimates that arm the monitors:
-  // the hash join sizes its table from the prediction instead of the row
-  // count when an annotation is present (see BuildSideCardHints). Purely a
-  // performance hint — outputs never depend on it.
-  std::unordered_map<NodeId, int64_t> build_rows_hints;
 
   // Keep every node's output in ExecutionResult::node_outputs. Off by
   // default: Execute drops a non-target node's output once its last
@@ -263,37 +260,63 @@ class Executor {
 };
 
 // ---- shared per-node execution steps ----------------------------------
-// The serial loop body, split in two so the partitioned executor
-// (engine/parallel/) runs the exact same semantics: kPre/kPost nodes go
-// through the full step, while partitioned nodes compute their output on
-// the worker pool and re-join the serial bookkeeping at the merge barrier
-// via FinishNodeStep. Everything an operator touches travels through the
-// context, so a step never reaches for globals the caller didn't choose.
+// What an operator does and what finishing a node means live here only.
+// The serial executor runs ExecuteNodeStep for every node. The partitioned
+// executor (engine/parallel/) runs it for its serial nodes, runs
+// ApplyRowOperator per partition slice, and brings each partitioned node's
+// gathered product back through FinishNodeStep at the merge barrier.
+// Everything a step touches travels through the context, so a step never
+// reaches for globals the caller didn't choose.
 
 // The fault-injection identity of an operator: lowercased OpKindName +
 // node id ("join5"), shared by fault specs and profile frame labels.
 std::string OpFaultName(const WorkflowNode& node);
 
+// One run's step context. The constructor is the run setup both executors
+// share: it reads the installed fault injector and the profiler switch
+// once, seeds the retry-jitter stream, and sets result->nodes_total.
 struct NodeStepContext {
-  const Workflow* wf = nullptr;
-  const SourceMap* sources = nullptr;
-  const ExecutorOptions* options = nullptr;
-  fault::FaultInjector* inj = nullptr;  // null = fault layer disabled
-  bool profiling = false;
-  Rng* backoff_rng = nullptr;  // deterministic retry jitter
-  ExecutionResult* result = nullptr;
+  NodeStepContext(const Workflow* wf, const SourceMap* sources,
+                  const ExecutorOptions* options, ExecutionResult* result);
+  NodeStepContext(const NodeStepContext&) = delete;
+  NodeStepContext& operator=(const NodeStepContext&) = delete;
+
+  const Workflow* wf;
+  const SourceMap* sources;
+  const ExecutorOptions* options;
+  fault::FaultInjector* inj;  // null = fault layer disabled
+  bool profiling;
+  mutable Rng backoff_rng;  // deterministic retry jitter
+  ExecutionResult* result;
 };
 
 // Records an early stop on ctx.result (abort kind/reason/node) and logs it.
 void AbortRun(const NodeStepContext& ctx, AbortKind kind, std::string reason,
               const WorkflowNode& node);
 
-// Runs the operator itself: reads inputs from result->node_outputs, fills
-// `out`, and does the in-switch bookkeeping (rows_processed, targets,
-// join rejects, source retry/quarantine). Configuration errors come back
-// as a non-OK Status; runtime aborts land in result->abort_*.
-Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
-                         Table* out);
+// The row operators: filter, project, transform and target pass-through,
+// applied to `in` (a whole input or one partition's slice of it). A filter
+// leaves the input rows it keeps in `sel`; every other operator keeps all
+// rows and leaves `sel` alone. A transform maps its column; an aggregate
+// UDF's reduction of the mapped rows is the caller's.
+Table ApplyRowOperator(const WorkflowNode& node, const Schema& out_schema,
+                       const Table& in, SelVector* sel);
+
+// What one node step leaves for publication: its output (absent for a
+// partitioned node nothing reads in serial order) and the join reject
+// tables it built (JoinRejectSides).
+struct NodeProduct {
+  std::optional<Table> output;
+  std::optional<Table> rejects;        // left side
+  std::optional<Table> right_rejects;  // right side
+};
+
+// Moves `product` into the result: the output into node_outputs and, for
+// a target, into targets; the reject tables into join_rejects*. Called by
+// FinishNodeStep once a node passed its checks, and by partition salvage
+// for the partial products of the completed partitions.
+void PublishNodeProduct(const WorkflowNode& node, NodeProduct* product,
+                        ExecutionResult* result);
 
 // What entered an operator: its inputs' rows, and the bytes they occupy
 // (8 bytes per value).
@@ -302,46 +325,55 @@ struct NodeInputSize {
   int64_t bytes = 0;
 };
 
-// The post-operator half: crash-fault consult, plan monitor, byte
-// accounting and profile op. `in` and `rows_out` size the
-// operator (a partitioned node sums its partitions); `self_ns` is its
-// measured self time (summed across workers when the node ran
-// partitioned). Returns whether the output may be published: false when the
-// run aborted, before or inside this step. The caller publishes it into
-// result->node_outputs.
-bool FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
-                    NodeInputSize in, int64_t rows_out, int64_t self_ns);
+// Finishing a node, the same on both paths: adds `in.rows` to
+// rows_processed, consults the crash fault, checks the plan monitor, adds
+// `in.bytes` to bytes_processed, records the profile op, and publishes
+// `product` (PublishNodeProduct). `in` and `rows_out` size the operator (a
+// partitioned node sums its partitions); `self_ns` is its measured self
+// time (summed across workers when the node ran partitioned). A run that
+// aborts here, or had aborted before, publishes nothing: the salvage
+// surface is the completed prefix.
+void FinishNodeStep(const NodeStepContext& ctx, const WorkflowNode& node,
+                    NodeInputSize in, int64_t rows_out, int64_t self_ns,
+                    NodeProduct* product);
 
-// ComputeNodeOutput + self-time measurement + FinishNodeStep, under the
-// operator's trace span: one full serial node step.
+// Runs the operator on its inputs in result->node_outputs, measures its
+// self time and finishes it (FinishNodeStep), under the operator's trace
+// span: one full serial node step. Configuration errors (unbound source,
+// schema mismatch) come back as a non-OK Status; runtime aborts land in
+// result->abort_*.
 Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node);
 
+// The last-consumer release rule: unless the run retains every output
+// (ExecutorOptions::retain_node_outputs), a non-target node's output
+// leaves node_outputs once its last consumer ran.
+class OutputRelease {
+ public:
+  OutputRelease(const Workflow& wf, bool retain);
+
+  // `node` completed: drops the inputs it was the last consumer of.
+  void After(const WorkflowNode& node, ExecutionResult* result);
+
+ private:
+  const Workflow& wf_;
+  std::vector<int> pending_;  // consumers still to run; empty = retain all
+};
+
 // Executes a join of two tables on a shared attribute (hash join; build on
-// the right input), the engine's one join kernel. When `rejects` is
+// the right input), the serial executor's join kernel. When `rejects` is
 // non-null it receives the left rows with no match, in probe order; when
 // `right_rejects` is non-null it receives the right rows no left row hit,
-// in build order (from the build rows' hit marks, MarkHit). Exposed for the
-// instrumentation side-joins of the union-division statistics.
-// `build_rows_hint` > 0 presizes the build table from the estimator's
-// predicted build cardinality (ExecutorOptions::build_rows_hints); <= 0
-// falls back to the row count.
+// in build order (from the build rows' hit marks, MarkHit). Outside the
+// executor, MaterializeSubexpression joins the chain of a subexpression
+// with it.
 Table HashJoin(const Table& left, const Table& right, AttrId attr,
-               Table* rejects, int64_t build_rows_hint = -1,
-               Table* right_rejects = nullptr);
+               Table* rejects, Table* right_rejects = nullptr);
 
 // The reject tables `join` builds under `options`: its designed reject
 // link's left side, plus the sides ExecutorOptions::reject_sides names.
 // Both executors ask it, so they build the same tables.
 RejectSides JoinRejectSides(const ExecutorOptions& options,
                             const WorkflowNode& join);
-
-// Derives ExecutorOptions::build_rows_hints from armed plan monitors: for
-// every join node whose build (right) input carries an expected
-// cardinality, the hash join reserves from the prediction instead of
-// discovering the size row by row.
-std::unordered_map<NodeId, int64_t> BuildSideCardHints(
-    const Workflow& wf,
-    const std::unordered_map<NodeId, PlanMonitor>& monitors);
 
 }  // namespace etlopt
 

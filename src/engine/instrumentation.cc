@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
@@ -13,6 +13,7 @@
 #include "planspace/observability.h"
 #include "sketch/tap.h"
 #include "util/bitmask.h"
+#include "util/env.h"
 #include "util/fault.h"
 #include "util/logging.h"
 
@@ -341,14 +342,9 @@ void AddRejectTableDemand(const BlockContext& ctx,
 
 TapOptions TapOptions::FromEnv() {
   TapOptions options;
-  const char* value = std::getenv("ETLOPT_TAP_BUDGET");
-  if (value != nullptr && *value != '\0') {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(value, &end, 10);
-    if (end != value && parsed > 0) {
-      options.memory_budget_bytes = parsed;
-    }
-  }
+  options.memory_budget_bytes =
+      EnvInt64("ETLOPT_TAP_BUDGET", 1, std::numeric_limits<int64_t>::max(),
+               options.memory_budget_bytes);
   return options;
 }
 

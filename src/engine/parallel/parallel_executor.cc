@@ -15,7 +15,6 @@
 #include "util/common.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace etlopt {
 namespace parallel {
@@ -155,52 +154,23 @@ struct NodeRun {
   // Ranks lie in [0, rank_space). Sources and joins emit dense ranks;
   // filters keep their parent's, which leaves gaps.
   int64_t rank_space = 0;
-  int64_t rows = 0;               // summed over the published slices
-  int64_t self_ns = 0;            // summed over the workers (profiling)
-  std::optional<Table> gathered;  // serial-order output, when needed
-  // Joins: the reject tables the run builds (JoinRejectSides), gathered.
-  std::optional<Table> rejects;   // left side
-  std::optional<Table> rrejects;  // right side
+  int64_t rows = 0;     // summed over the published slices
+  int64_t self_ns = 0;  // summed over the workers (profiling)
+  // The serial-order output, when something reads it that way, and a
+  // join's reject tables (JoinRejectSides), gathered at the barrier.
+  NodeProduct product;
 };
 
-Slice ApplyProjectSlice(const WorkflowNode& node, const Schema& out_schema,
-                        const Slice& in) {
-  // Copy-free: the kept columns are shared, not duplicated.
-  std::vector<ColumnPtr> kept;
-  kept.reserve(node.keep.size());
-  for (AttrId a : node.keep) {
-    kept.push_back(in.table.shared_column(in.table.schema().IndexOf(a)));
-  }
-  return Slice{
-      Table::FromColumns(out_schema, std::move(kept), in.table.num_rows()),
-      in.rank};
-}
-
-Slice ApplyTransformSlice(const WorkflowNode& node, const Schema& out_schema,
-                          const Slice& in) {
-  const TransformSpec& t = node.transform;
-  const int col = in.table.schema().IndexOf(t.input_attr);
-  const bool in_place = t.output_attr == t.input_attr;
-  auto mapped = std::make_shared<Column>();
-  MapColumn(t.fn, in.table.column_data(col), in.table.num_rows(),
-            mapped.get());
-  std::vector<ColumnPtr> cols;
-  cols.reserve(static_cast<size_t>(in.table.num_columns()) +
-               (in_place ? 0 : 1));
-  for (int c = 0; c < in.table.num_columns(); ++c) {
-    cols.push_back(in_place && c == col ? mapped : in.table.shared_column(c));
-  }
-  if (!in_place) cols.push_back(std::move(mapped));
-  return Slice{
-      Table::FromColumns(out_schema, std::move(cols), in.table.num_rows()),
-      in.rank};
+// The ranks of the rows `sel` of a slice.
+Ranks SelectRanks(const Ranks& rank, const SelVector& sel) {
+  auto selected = std::make_shared<std::vector<int64_t>>();
+  GatherColumn(*rank, sel, selected.get());
+  return selected;
 }
 
 // The rows `sel` of a slice, with their ranks.
 Slice SelectRows(const Slice& in, const SelVector& sel) {
-  auto rank = std::make_shared<std::vector<int64_t>>();
-  GatherColumn(*in.rank, sel, rank.get());
-  return Slice{Table::Gather(in.table, sel), std::move(rank)};
+  return Slice{Table::Gather(in.table, sel), SelectRanks(in.rank, sel)};
 }
 
 // A run of one partition's probe rows, probed as one task, so a partition
@@ -291,42 +261,6 @@ Status GatherByRank(const Schema& schema, const std::vector<Slice>& slices,
       }));
   *out = Table::FromColumns(schema, std::move(cols), total);
   return Status::OK();
-}
-
-// Moves the reject tables a partitioned join built into the result.
-void PublishRejects(NodeId id, NodeRun* run, ExecutionResult* result) {
-  if (run->rejects.has_value()) {
-    result->join_rejects[id] = std::move(*run->rejects);
-  }
-  if (run->rrejects.has_value()) {
-    result->join_rejects_right[id] = std::move(*run->rrejects);
-  }
-}
-
-// The serial executor's in-switch rows_processed bookkeeping for a
-// partitioned node, from row counts (FinishNodeStep covers everything
-// after the switch).
-void AccountRowsProcessed(const WorkflowNode& node,
-                          const std::vector<int64_t>& rows, int64_t rows_out,
-                          ExecutionResult* result) {
-  switch (node.kind) {
-    case OpKind::kFilter:
-    case OpKind::kProject:
-    case OpKind::kTransform:
-    case OpKind::kAggregate:
-      result->rows_processed += rows[static_cast<size_t>(node.inputs[0])];
-      break;
-    case OpKind::kJoin:
-      result->rows_processed += rows[static_cast<size_t>(node.inputs[0])] +
-                                rows[static_cast<size_t>(node.inputs[1])];
-      break;
-    case OpKind::kMaterialize:
-    case OpKind::kSink:
-      result->rows_processed += rows_out;
-      break;
-    case OpKind::kSource:
-      break;
-  }
 }
 
 // The partitioned chain, run node by node across the partitions: one
@@ -425,32 +359,14 @@ class PartitionPhase {
           const Slice& in = in_run.slices[sp];
           obs::ScopedSpan op_span(OpKindName(node.kind));
           const int64_t start = Now();
-          Slice out;
-          switch (node.kind) {
-            case OpKind::kFilter: {
-              SelVector sel;
-              BuildSelection(node.predicate,
-                             in.table.column_data(in.table.schema().IndexOf(
-                                 node.predicate.attr)),
-                             in.table.num_rows(), &sel);
-              out = SelectRows(in, sel);
-              break;
-            }
-            case OpKind::kProject:
-              out = ApplyProjectSlice(node, out_schema, in);
-              break;
-            case OpKind::kTransform:
-              out = ApplyTransformSlice(node, out_schema, in);
-              break;
-            case OpKind::kMaterialize:
-            case OpKind::kSink:
-              out = in;
-              break;
-            case OpKind::kSource:
-            case OpKind::kJoin:
-            case OpKind::kAggregate:
-              ETLOPT_CHECK_MSG(false, "node kind cannot run partitioned");
-              break;
+          // The serial kernel on the slice: a filter's kept rows take
+          // their ranks along, every other row operator keeps all rows and
+          // shares its parent's ranks.
+          SelVector sel;
+          Slice out{ApplyRowOperator(node, out_schema, in.table, &sel),
+                    in.rank};
+          if (node.kind == OpKind::kFilter) {
+            out.rank = SelectRanks(in.rank, sel);
           }
           ns.fetch_add(Now() - start, std::memory_order_relaxed);
           if (op_span.active()) {
@@ -538,10 +454,7 @@ class PartitionPhase {
             return Status::OK();
           }));
     } else {
-      const auto hint = ctx_->options->build_rows_hints.find(node.id);
-      tables[0].emplace(
-          broadcast->column_data(rkey), broadcast->num_rows(),
-          hint != ctx_->options->build_rows_hints.end() ? hint->second : -1);
+      tables[0].emplace(broadcast->column_data(rkey), broadcast->num_rows());
       if (sides.right) hit[0] = MakeRowBits(broadcast->num_rows());
       timed(start);
     }
@@ -702,16 +615,16 @@ class PartitionPhase {
     }
     if (sides.left) {
       ETLOPT_RETURN_IF_ERROR(Gather(left_schema, rejects, left.rank_space,
-                                    &r.rejects.emplace()));
+                                    &r.product.rejects.emplace()));
     }
     if (!sides.right) return Status::OK();
     if (right != nullptr) {
       return Gather(wf_->output_schema(node.inputs[1]), rrejects,
-                    right->rank_space, &r.rrejects.emplace());
+                    right->rank_space, &r.product.right_rejects.emplace());
     }
     // Broadcast: the build rows no partition's probe keys hit, in build
     // order.
-    r.rrejects =
+    r.product.right_rejects =
         Table::Gather(*broadcast, ClearRows(hit[0], broadcast->num_rows()));
     return Status::OK();
   }
@@ -759,20 +672,9 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   exec_span.Arg("nodes", static_cast<int64_t>(wf_->nodes().size()));
   exec_span.Arg("workers", static_cast<int64_t>(threads));
   exec_span.Arg("partitions", static_cast<int64_t>(num_partitions));
-  result.nodes_total = static_cast<int>(wf_->nodes().size());
   result.num_workers = threads;
   result.partitions_total = num_partitions;
-
-  fault::FaultInjector* inj = fault::FaultInjector::Global();
-  Rng backoff_rng(inj != nullptr ? inj->seed() : 0x5eedULL);
-  NodeStepContext ctx;
-  ctx.wf = wf_;
-  ctx.sources = &sources;
-  ctx.options = &options_.executor;
-  ctx.inj = inj;
-  ctx.profiling = obs::ProfilerEnabled();
-  ctx.backoff_rng = &backoff_rng;
-  ctx.result = &result;
+  const NodeStepContext ctx(wf_, &sources, &options_.executor, &result);
 
   auto cls = [&](NodeId id) -> const NodeClass& {
     return classes[static_cast<size_t>(id)];
@@ -785,18 +687,19 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   // Output retention. A node's slices go once its last partition-local
   // consumer ran (a node without one, once gathered). Unless the caller
   // retains every output, a node's output leaves node_outputs once its last
-  // consumer ran (the serial rule), and a partitioned node is gathered only
-  // when something reads it in serial order: a target, a post-phase
-  // consumer, or the caller (no consumer).
+  // consumer ran (the serial rule, OutputRelease), and a partitioned node
+  // is gathered only when something reads it in serial order: a target, a
+  // post-phase consumer, or the caller (no consumer).
   const bool retain = options_.executor.retain_node_outputs;
+  OutputRelease release(*wf_, retain);
   const size_t num_nodes = wf_->nodes().size();
-  std::vector<int> pending_reads(num_nodes, 0);
   std::vector<int> local_reads(num_nodes, 0);
+  std::vector<char> consumed(num_nodes, 0);
   std::vector<char> serial_read(num_nodes, 0);
   for (const WorkflowNode& node : wf_->nodes()) {
     for (NodeId in : node.inputs) {
       const size_t si = static_cast<size_t>(in);
-      ++pending_reads[si];
+      consumed[si] = 1;
       if (cls(node.id).mode == Mode::kPartitioned) ++local_reads[si];
       if (cls(node.id).mode == Mode::kPost) serial_read[si] = 1;
     }
@@ -804,16 +707,7 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   auto needs_gather = [&](const WorkflowNode& node) {
     const size_t si = static_cast<size_t>(node.id);
     return retain || !node.target_name.empty() || serial_read[si] != 0 ||
-           pending_reads[si] == 0;
-  };
-  auto release_inputs = [&](const WorkflowNode& node) {
-    if (retain) return;
-    for (NodeId in : node.inputs) {
-      if (--pending_reads[static_cast<size_t>(in)] == 0 &&
-          wf_->node(in).target_name.empty()) {
-        result.node_outputs.erase(in);
-      }
-    }
+           consumed[si] == 0;
   };
   // Rows of every node's (serial) output, for the row and byte accounting
   // of partitioned nodes, whose inputs need not be gathered.
@@ -838,7 +732,7 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
       if (result.aborted()) break;
       rows[static_cast<size_t>(node.id)] =
           result.node_outputs.at(node.id).num_rows();
-      release_inputs(node);
+      release.After(node, &result);
     }
   }
 
@@ -883,15 +777,14 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
         const NodeRun& in_run = phase.run(node.inputs[0]);
         if ((node.kind == OpKind::kSink ||
              node.kind == OpKind::kMaterialize) &&
-            in_run.gathered.has_value() && in_run.rows == run.rows) {
+            in_run.product.output.has_value() && in_run.rows == run.rows) {
           // A target holds its input's rows: share the gathered columns,
           // as the serial executor does.
-          run.gathered = *in_run.gathered;
+          run.product.output = *in_run.product.output;
         } else {
-          run.gathered.emplace();
-          ETLOPT_RETURN_IF_ERROR(phase.Gather(wf_->output_schema(node.id),
-                                              run.slices, run.rank_space,
-                                              &*run.gathered));
+          ETLOPT_RETURN_IF_ERROR(phase.Gather(
+              wf_->output_schema(node.id), run.slices, run.rank_space,
+              &run.product.output.emplace()));
         }
       }
       for (NodeId in : node.inputs) {
@@ -900,10 +793,10 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
         }
       }
       if (local_reads[static_cast<size_t>(node.id)] == 0 &&
-          run.gathered.has_value()) {
+          run.product.output.has_value()) {
         run.slices = {};
       }
-      release_inputs(node);
+      release.After(node, &result);
     }
   }
 
@@ -948,28 +841,17 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
         if (result.aborted()) continue;
         rows[static_cast<size_t>(node.id)] =
             result.node_outputs.at(node.id).num_rows();
-        release_inputs(node);
+        release.After(node, &result);
         continue;
       }
       NodeRun& run = phase.run(node.id);
       if (!result.aborted()) {
-        PublishRejects(node.id, &run, &result);
-        if (node.kind == OpKind::kMaterialize || node.kind == OpKind::kSink) {
-          result.targets[node.target_name] = *run.gathered;
-        }
-        AccountRowsProcessed(node, rows, run.rows, &result);
-        if (FinishNodeStep(ctx, node, input_size(node), run.rows,
-                           run.self_ns) &&
-            run.gathered.has_value()) {
-          result.node_outputs[node.id] = std::move(*run.gathered);
-        }
+        FinishNodeStep(ctx, node, input_size(node), run.rows, run.self_ns,
+                       &run.product);
       } else if (partition_crashed) {
         // Salvage: publish what the completed partitions produced — the
         // partition-granular analog of the serial completed-prefix rule.
-        if (run.gathered.has_value()) {
-          result.node_outputs[node.id] = std::move(*run.gathered);
-        }
-        PublishRejects(node.id, &run, &result);
+        PublishNodeProduct(node, &run.product, &result);
         ++result.nodes_partial;
       }
     }

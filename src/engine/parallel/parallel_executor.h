@@ -73,9 +73,17 @@ struct ParallelResult {
 // Failure semantics mirror the serial executor, partition-granular: a
 // partition-scoped crash ("partition:1:crash") drops that partition from
 // its failure node onward, the merge barrier gathers the completed
-// partitions into partial node outputs (nodes_partial / partition_rows
-// watermarks record the salvage surface), and the run aborts with kCrash
-// before any downstream serial node runs.
+// partitions into partial node outputs, targets and reject tables
+// (PublishNodeProduct; nodes_partial / partition_rows watermarks record the
+// salvage surface), and the run aborts with kCrash before any downstream
+// serial node runs.
+//
+// Operator semantics are the serial executor's (engine/executor.h): serial
+// nodes run ExecuteNodeStep, partitioned row operators run ApplyRowOperator
+// on each slice, and a partitioned node is finished and published by
+// FinishNodeStep at the barrier. This executor owns only the partitioning:
+// the attribute choice, ranked slices, the morsel join, the barrier and
+// partition salvage.
 class ParallelExecutor {
  public:
   explicit ParallelExecutor(const Workflow* workflow,

@@ -2,23 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/accuracy.h"
+#include "util/env.h"
 #include "util/string_util.h"
 
 namespace etlopt {
 namespace obs {
 namespace {
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return (end != value && std::isfinite(parsed)) ? parsed : fallback;
-}
 
 // Deterministic ordering for report output.
 bool KeyLess(const StatKey& a, const StatKey& b) {

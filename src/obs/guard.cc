@@ -7,23 +7,11 @@
 
 #include "obs/calibrate.h"
 #include "obs/profile.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace etlopt {
 namespace obs {
-namespace {
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || !std::isfinite(parsed)) return fallback;
-  return parsed;
-}
-
-}  // namespace
-
 const char* GuardModeName(GuardMode mode) {
   switch (mode) {
     case GuardMode::kOff:

@@ -195,17 +195,21 @@ TEST(EngineGolden, WorkloadSuitePartitionedMatchesDigests) {
 }
 
 // The salvaged prefix of the pinned crash spec on the paper's running
-// example: abort bookkeeping, the partial statistics, and every retained
-// node output.
+// example: abort bookkeeping, the run's accounting, the partial statistics,
+// and every retained node output. The crashed join counts the rows it
+// read but not their bytes, and no completed operator read any: the
+// three sources have no inputs.
 struct CrashDigests {
   bool aborted;
   int nodes_completed;
   int salvage_skipped;
+  int64_t rows_processed;
+  int64_t bytes_processed;
   const char* stats;
   const char* node_outputs;
 };
 
-constexpr CrashDigests kPinnedCrash = {true, 3, 2, "144cb0901e136029",
+constexpr CrashDigests kPinnedCrash = {true, 3, 2, 440, 0, "144cb0901e136029",
                                        "2dd5cd95d850993a"};
 
 class EngineGoldenFault : public ::testing::Test {
@@ -239,12 +243,16 @@ TEST_F(EngineGoldenFault, PinnedCrashSpecMatchesDigests) {
     EXPECT_EQ(cycle->aborted(), kPinnedCrash.aborted);
     EXPECT_EQ(run.exec.nodes_completed, kPinnedCrash.nodes_completed);
     EXPECT_EQ(run.tap_report.salvage_skipped, kPinnedCrash.salvage_skipped);
+    EXPECT_EQ(run.exec.rows_processed, kPinnedCrash.rows_processed);
+    EXPECT_EQ(run.exec.bytes_processed, kPinnedCrash.bytes_processed);
     EXPECT_EQ(stats, kPinnedCrash.stats);
     EXPECT_EQ(node_outputs, kPinnedCrash.node_outputs);
     if (HasFailure()) {
       ADD_FAILURE() << "new row: {" << (cycle->aborted() ? "true" : "false")
                     << ", " << run.exec.nodes_completed << ", "
-                    << run.tap_report.salvage_skipped << ", \"" << stats
+                    << run.tap_report.salvage_skipped << ", "
+                    << run.exec.rows_processed << ", "
+                    << run.exec.bytes_processed << ", \"" << stats
                     << "\", \"" << node_outputs << "\"}";
     }
   }

@@ -87,7 +87,7 @@ TEST(HashJoinTest, RejectsMatchNestedLoopOracle) {
     }
     Table rejects;
     Table right_rejects;
-    HashJoin(left, right, 0, &rejects, -1, &right_rejects);
+    HashJoin(left, right, 0, &rejects, &right_rejects);
     EXPECT_TRUE(rejects.schema() == left.schema()) << c.name;
     EXPECT_TRUE(right_rejects.schema() == right.schema()) << c.name;
     EXPECT_EQ(rejects.MaterializeRows(), want_left) << c.name;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 
+#include "engine/executor.h"
 #include "util/bitmask.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -127,6 +131,109 @@ TEST(StringUtilTest, Padding) {
   EXPECT_EQ(PadLeft("7", 3), "  7");
   EXPECT_EQ(PadRight("7", 3), "7  ");
   EXPECT_EQ(PadLeft("1234", 3), "1234");
+}
+
+// ---------------------------------------------------------------------------
+// Environment settings
+// ---------------------------------------------------------------------------
+
+// Sets one environment variable for a scope; null unsets it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (value == nullptr) {
+      ::unsetenv(name);
+    } else {
+      ::setenv(name, value, 1);
+    }
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+
+ private:
+  const char* name_;
+};
+
+constexpr char kVar[] = "ETLOPT_UTIL_TEST_SETTING";
+
+int64_t Int64From(const char* value, int64_t lo, int64_t hi) {
+  const ScopedEnv env(kVar, value);
+  return EnvInt64(kVar, lo, hi, -7);
+}
+
+double DoubleFrom(const char* value) {
+  const ScopedEnv env(kVar, value);
+  return EnvDouble(kVar, 2.5);
+}
+
+TEST(EnvTest, Int64KeepsTheFallbackUnlessInRange) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(Int64From(nullptr, 1, kMax), -7);
+  EXPECT_EQ(Int64From("", 1, kMax), -7);
+  EXPECT_EQ(Int64From("garbage", 1, kMax), -7);
+  EXPECT_EQ(Int64From("inf", 1, kMax), -7);
+  EXPECT_EQ(Int64From("nan", 1, kMax), -7);
+  EXPECT_EQ(Int64From("-3", 1, kMax), -7);
+  EXPECT_EQ(Int64From("0", 1, kMax), -7);
+  EXPECT_EQ(Int64From("99999999999999999999", 1, kMax), -7);  // overflows
+  EXPECT_EQ(Int64From("-99999999999999999999", -kMax, kMax), -7);
+  EXPECT_EQ(Int64From("12", 1, kMax), 12);
+  EXPECT_EQ(Int64From("  12", 1, kMax), 12);
+  EXPECT_EQ(Int64From("12rows", 1, kMax), 12);  // the leading number
+  EXPECT_EQ(Int64From("1e300", 1, kMax), 1);    // an integer stops at 'e'
+  EXPECT_EQ(Int64From("-3", -5, 5), -3);
+  EXPECT_EQ(Int64From("9223372036854775807", 1, kMax), kMax);
+}
+
+// ETLOPT_THREADS is read with this bound: a count no int holds keeps the
+// default instead of wrapping (4294967297 would wrap to 1 thread).
+TEST(EnvTest, ThreadCountBoundIsTheIntRange) {
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  EXPECT_EQ(Int64From("2147483647", 1, kIntMax), kIntMax);
+  EXPECT_EQ(Int64From("2147483648", 1, kIntMax), -7);
+  EXPECT_EQ(Int64From("4294967297", 1, kIntMax), -7);
+}
+
+TEST(EnvTest, DoubleKeepsTheFallbackUnlessFinite) {
+  EXPECT_EQ(DoubleFrom(nullptr), 2.5);
+  EXPECT_EQ(DoubleFrom(""), 2.5);
+  EXPECT_EQ(DoubleFrom("garbage"), 2.5);
+  EXPECT_EQ(DoubleFrom("inf"), 2.5);
+  EXPECT_EQ(DoubleFrom("-inf"), 2.5);
+  EXPECT_EQ(DoubleFrom("nan"), 2.5);
+  EXPECT_EQ(DoubleFrom("1e400"), 2.5);  // beyond double's range
+  EXPECT_EQ(DoubleFrom("1e300"), 1e300);
+  EXPECT_EQ(DoubleFrom("-0.25"), -0.25);
+  EXPECT_EQ(DoubleFrom("0.5ms"), 0.5);
+}
+
+TEST(EnvTest, RetryPolicyFromEnvKeepsDefaultsForUnusableValues) {
+  const RetryPolicy defaults;
+  for (const char* bad : {"", "garbage", "inf", "nan", "1e300", "-2", "0"}) {
+    SCOPED_TRACE(std::string("value '") + bad + "'");
+    const ScopedEnv attempts("ETLOPT_RETRY_MAX_ATTEMPTS", bad);
+    EXPECT_EQ(RetryPolicy::FromEnv().max_attempts, defaults.max_attempts);
+  }
+  for (const char* bad : {"", "garbage", "inf", "-inf", "nan"}) {
+    SCOPED_TRACE(std::string("value '") + bad + "'");
+    const ScopedEnv initial("ETLOPT_RETRY_BACKOFF_MS", bad);
+    const ScopedEnv cap("ETLOPT_RETRY_MAX_BACKOFF_MS", bad);
+    const RetryPolicy policy = RetryPolicy::FromEnv();
+    EXPECT_EQ(policy.initial_backoff_ms, defaults.initial_backoff_ms);
+    EXPECT_EQ(policy.max_backoff_ms, defaults.max_backoff_ms);
+  }
+  {
+    const ScopedEnv attempts("ETLOPT_RETRY_MAX_ATTEMPTS", "1e3");
+    const ScopedEnv initial("ETLOPT_RETRY_BACKOFF_MS", "-1");
+    const ScopedEnv cap("ETLOPT_RETRY_MAX_BACKOFF_MS", "1e300");
+    const RetryPolicy policy = RetryPolicy::FromEnv();
+    EXPECT_EQ(policy.max_attempts, 1000);
+    EXPECT_EQ(policy.initial_backoff_ms, -1.0);
+    EXPECT_EQ(policy.max_backoff_ms, 1e300);
+  }
+  {
+    const ScopedEnv attempts("ETLOPT_RETRY_MAX_ATTEMPTS", "2.9");
+    EXPECT_EQ(RetryPolicy::FromEnv().max_attempts, 2);
+  }
 }
 
 // ---------------------------------------------------------------------------

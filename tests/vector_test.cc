@@ -77,26 +77,6 @@ TEST(JoinHashTableTest, LookupReturnsBuildOrderGroups) {
   EXPECT_TRUE(ht.Lookup(8).empty());
 }
 
-TEST(JoinHashTableTest, CapacityHintOnlyGrowsTheDirectory) {
-  Rng rng(9);
-  Column keys;
-  for (int i = 0; i < 300; ++i) keys.push_back(rng.NextInRange(1, 50));
-  const JoinHashTable plain(keys.data(), 300);
-  const JoinHashTable hinted(keys.data(), 300, /*capacity_hint=*/5000);
-  EXPECT_GT(hinted.capacity(), plain.capacity());
-  // Results are identical either way: the hint is purely a sizing input.
-  for (Value v = 1; v <= 50; ++v) {
-    const JoinHashTable::RowRange a = plain.Lookup(v);
-    const JoinHashTable::RowRange b = hinted.Lookup(v);
-    EXPECT_EQ(std::vector<int64_t>(a.begin, a.end),
-              std::vector<int64_t>(b.begin, b.end))
-        << "key " << v;
-  }
-  // An undersized hint falls back to the row count.
-  const JoinHashTable lowballed(keys.data(), 300, /*capacity_hint=*/1);
-  EXPECT_EQ(lowballed.capacity(), plain.capacity());
-}
-
 TEST(JoinHashTableTest, EmptyBuildSide) {
   const JoinHashTable ht(nullptr, 0);
   EXPECT_EQ(ht.num_keys(), 0);
@@ -227,7 +207,7 @@ TEST(KernelEquivalenceTest, ProductionRunBuildsOnlyDesignedRejectLink) {
   }
 }
 
-TEST(KernelEquivalenceTest, HashJoinWithDuplicatesAndHint) {
+TEST(KernelEquivalenceTest, HashJoinWithDuplicates) {
   // Duplicate-heavy keys on both sides: per-key fan-out is where emission
   // order could drift. The contract is probe order x build order.
   Schema ls({0, 1});
@@ -257,12 +237,10 @@ TEST(KernelEquivalenceTest, HashJoinWithDuplicatesAndHint) {
     if (!matched) expected_rejects.push_back(left.row(l));
   }
   ASSERT_FALSE(expected_rejects.empty());  // keys 16..18 never match
-  for (int64_t hint : {-1, 10, 100000}) {
-    Table rejects{ls};
-    const Table out = HashJoin(left, right, 0, &rejects, hint);
-    EXPECT_EQ(out.MaterializeRows(), expected) << "hint " << hint;
-    EXPECT_EQ(rejects.MaterializeRows(), expected_rejects) << "hint " << hint;
-  }
+  Table rejects{ls};
+  const Table out = HashJoin(left, right, 0, &rejects);
+  EXPECT_EQ(out.MaterializeRows(), expected);
+  EXPECT_EQ(rejects.MaterializeRows(), expected_rejects);
 }
 
 TEST(KernelEquivalenceTest, TapColumnarFeedBitIdentical) {
