@@ -45,6 +45,9 @@ void BM_ExecuteWorkflow(benchmark::State& state) {
 BENCHMARK(BM_ExecuteWorkflow)->Arg(3)->Arg(5)->Arg(12)->Arg(21)
     ->Unit(benchmark::kMillisecond);
 
+// Repeated cycles on one Pipeline: from the second on, each reuses the
+// first cycle's analysis (blocks, CSS, selection), as a long-lived Pipeline
+// does for an unchanged workflow.
 void BM_FullPipelineCycle(benchmark::State& state) {
   const WorkloadSpec spec = BuildWorkload(static_cast<int>(state.range(0)));
   const SourceMap sources = GenerateSources(spec, 3, 0.02);

@@ -147,7 +147,8 @@ BENCHMARK(BM_RecordParse);
 
 // The full record path: cycle + ground truth + MakeRunRecord. The record is
 // made on every run whatever the obs kill-switch says (it gates only spans
-// and the profiler), so one variant covers it.
+// and the profiler), so one variant covers it. The cycles after the first
+// reuse the Pipeline's analysis.
 void BM_CycleWithRecord(benchmark::State& state) {
   const StarFixture ex = MakeStar();
   Pipeline pipeline;

@@ -1,10 +1,12 @@
-// Micro-benchmarks for the statistics selectors (Section 5) and the
-// computability closure.
+// Micro-benchmarks for the statistics selectors (Section 5), the
+// computability closure, and the whole analysis (steps 1-4) with and without
+// reuse across calls.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "core/pipeline.h"
 #include "css/generator.h"
 #include "datagen/workload_suite.h"
 #include "obs/build_info.h"
@@ -115,6 +117,33 @@ void BM_IlpSelectSmall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IlpSelectSmall)->Arg(3)->Arg(22)->Unit(benchmark::kMillisecond);
+
+// Pipeline::Analyze of workload N (blocks, plan spaces, CSS, selection):
+// /N/0 on a fresh Pipeline per call, /N/1 on one Pipeline whose previous
+// analysis of the unchanged workflow is reused.
+void BM_Analyze(benchmark::State& state) {
+  const WorkloadSpec spec = BuildWorkload(static_cast<int>(state.range(0)));
+  const bool reuse = state.range(1) == 1;
+  PipelineOptions options;
+  options.executor = ExecutorOptions{};
+  options.guard = obs::GuardOptions{};
+  options.num_threads = 1;
+  const Pipeline shared(options);
+  if (reuse && !shared.Analyze(spec.workflow).ok()) {
+    state.SkipWithError("analysis failed");
+    return;
+  }
+  for (auto _ : state) {
+    Result<std::unique_ptr<Analysis>> analysis =
+        reuse ? shared.Analyze(spec.workflow)
+              : Pipeline(options).Analyze(spec.workflow);
+    benchmark::DoNotOptimize(analysis);
+  }
+}
+BENCHMARK(BM_Analyze)
+    ->Args({21, 0})
+    ->Args({21, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace etlopt

@@ -113,6 +113,52 @@ std::vector<CardMap> PartialRunFeedback(
   return feedback;
 }
 
+// The selection cost model's options: the configured ones, with the
+// per-statistic memory charge capped by the tap budget and the CPU charge
+// calibrated when the options say so.
+CostModelOptions SelectionCostOptions(const PipelineOptions& options) {
+  CostModelOptions cost_options = options.cost;
+  if (options.tap_memory_budget_bytes > 0 &&
+      cost_options.sketch_memory_cap <= 0) {
+    // A sketch bounded by the tap budget replaces an exact collector, so
+    // no single distinct/histogram statistic can cost the selector more
+    // than the budget (cost units are integers, 8 bytes each).
+    cost_options.sketch_memory_cap =
+        std::max<int64_t>(1, options.tap_memory_budget_bytes / 8);
+  }
+  if (!options.calibration.empty() && cost_options.cpu_ns_per_row <= 0.0) {
+    // Calibrated tap cost: the CPU charge per observed tuple becomes
+    // measured nanoseconds instead of the paper's abstract unit cost.
+    cost_options.cpu_ns_per_row = options.calibration.NsPerRow("tap");
+  }
+  return cost_options;
+}
+
+// The exact key of a workflow's analysis: its text, which determines the
+// blocks, plan spaces and CSS catalogs, followed by the node names, which
+// the text leaves out but the block labels and the adopted plan carry.
+// Empty when the workflow cannot be written (an unregistered transform).
+std::string WorkflowKey(const Workflow& workflow) {
+  Status status;
+  std::string key = WriteWorkflowText(workflow, &status);
+  if (!status.ok()) return "";
+  for (const WorkflowNode& node : workflow.nodes()) {
+    key += '\0';
+    key += node.name;
+  }
+  return key;
+}
+
+// What the selection reads besides the block structures and the Pipeline's
+// fixed options: the key of a reused selection, compared exactly.
+struct SelectionInputs {
+  std::vector<StatKey> force_observe;  // options' plus the last violations
+  std::vector<CardMap> partial_feedback;
+  std::vector<CardMap> size_feedback;
+
+  bool operator==(const SelectionInputs&) const = default;
+};
+
 // A run's counters by metric name. The names are the ledger's `metrics`
 // keys and the --metrics-out series; a per-source count carries its source
 // as a {source="..."} label suffix.
@@ -129,6 +175,8 @@ void AddAnalysisCounters(const Analysis& analysis, Counters* counters) {
     c["etlopt.lp.simplex.pivots"] += ba->selection.simplex_pivots;
   }
   c["etlopt.core.partial_feedback_keys"] += analysis.partial_feedback_keys;
+  c["etlopt.core.analysis_reused"] += analysis.analysis_reused ? 1 : 0;
+  c["etlopt.opt.selection_reused"] += analysis.selection_reused ? 1 : 0;
 }
 
 void AddCycleCounters(const CycleOutcome& cycle, Counters* counters) {
@@ -205,6 +253,14 @@ std::vector<std::pair<std::string, int64_t>> NonZero(
 
 }  // namespace
 
+struct Pipeline::AnalysisCache {
+  std::string workflow_key;  // WorkflowKey of the analyzed workflow
+  std::shared_ptr<const WorkflowAnalysis> shared;
+  SelectionInputs inputs;
+  std::vector<SelectionProblem> problems;  // per block
+  std::vector<SelectionResult> selections;
+};
+
 std::vector<std::pair<std::string, int64_t>> AnalysisCounters(
     const Analysis& analysis) {
   Counters counters;
@@ -247,95 +303,147 @@ Result<std::unique_ptr<Analysis>> Pipeline::Analyze(
     const std::vector<obs::RunRecord>* history) const {
   obs::ScopedSpan span("pipeline.analyze");
   span.Arg("workflow", workflow.name());
+  const std::string key = WorkflowKey(workflow);
+  std::shared_ptr<const AnalysisCache> cached;
+  if (!key.empty()) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (cache_ != nullptr && cache_->workflow_key == key) cached = cache_;
+  }
   auto analysis = std::make_unique<Analysis>();
-  analysis->workflow = std::make_unique<Workflow>(workflow);
+  // Set only when the block structures are built here rather than reused.
+  std::shared_ptr<WorkflowAnalysis> built;
+  std::shared_ptr<const WorkflowAnalysis> shared;
+  if (cached != nullptr) {
+    shared = cached->shared;
+    analysis->analysis_reused = true;
+  } else {
+    built = std::make_shared<WorkflowAnalysis>();
+    built->workflow = std::make_unique<Workflow>(workflow);
+    for (const Block& block : PartitionBlocks(*built->workflow)) {
+      built->blocks.push_back(std::make_unique<BlockStructure>());
+      built->blocks.back()->block = block;
+    }
+    shared = built;
+  }
+  analysis->workflow =
+      std::shared_ptr<const Workflow>(shared, shared->workflow.get());
+  span.Arg("blocks", static_cast<int64_t>(shared->blocks.size()));
 
-  const std::vector<Block> blocks = PartitionBlocks(*analysis->workflow);
-  span.Arg("blocks", static_cast<int64_t>(blocks.size()));
   // Ledger history as selection inputs: the SEs whose estimates the last
   // run's monitors caught out are re-observed directly, and a partial last
   // record's salvage seeds the cost model so selection is not cold-started.
-  std::vector<StatKey> force_observe = options_.force_observe;
+  SelectionInputs inputs;
+  inputs.force_observe = options_.force_observe;
   if (history != nullptr && !history->empty()) {
     for (const obs::GuardRecord::Monitor& m :
          history->back().guard.violations) {
-      force_observe.push_back(StatKey::Card(m.se));
+      inputs.force_observe.push_back(StatKey::Card(m.se));
     }
   }
-  const std::vector<CardMap> partial_feedback = PartialRunFeedback(
-      history, blocks.size(), &analysis->partial_feedback_keys);
-  size_t block_index = 0;
-  for (const Block& block : blocks) {
-    auto ba = std::make_unique<BlockAnalysis>();
-    ba->block = block;
-    ETLOPT_ASSIGN_OR_RETURN(
-        ba->ctx, BlockContext::Build(analysis->workflow.get(), block));
+  inputs.partial_feedback = PartialRunFeedback(
+      history, shared->blocks.size(), &analysis->partial_feedback_keys);
+  if (size_feedback != nullptr) inputs.size_feedback = *size_feedback;
+  analysis->selection_reused = cached != nullptr && cached->inputs == inputs;
+
+  for (size_t b = 0; b < shared->blocks.size(); ++b) {
+    const BlockStructure& structure = *shared->blocks[b];
+    const int64_t block_id = structure.block.id;
+    // Filled in place when built here; read-only when reused.
+    BlockStructure* fresh =
+        built != nullptr ? built->blocks[b].get() : nullptr;
+    if (fresh != nullptr) {
+      ETLOPT_ASSIGN_OR_RETURN(
+          fresh->ctx, BlockContext::Build(built->workflow.get(), fresh->block));
+    }
     {
       obs::ScopedSpan ps_span("pipeline.plan_space");
-      ps_span.Arg("block", static_cast<int64_t>(block.id));
-      ETLOPT_ASSIGN_OR_RETURN(ba->plan_space,
-                              PlanSpace::Build(ba->ctx, options_.plan_space));
-      ps_span.Arg("ses", static_cast<int64_t>(ba->plan_space.num_ses()));
-      ps_span.Arg("plans", static_cast<int64_t>(ba->plan_space.num_plans()));
+      ps_span.Arg("block", block_id);
+      if (fresh != nullptr) {
+        ETLOPT_ASSIGN_OR_RETURN(
+            fresh->plan_space,
+            PlanSpace::Build(fresh->ctx, options_.plan_space));
+      } else {
+        ps_span.Arg("reused", int64_t{1});
+      }
+      ps_span.Arg("ses", static_cast<int64_t>(structure.plan_space.num_ses()));
+      ps_span.Arg("plans",
+                  static_cast<int64_t>(structure.plan_space.num_plans()));
     }
     {
       obs::ScopedSpan css_span("pipeline.css_generation");
-      css_span.Arg("block", static_cast<int64_t>(block.id));
-      ba->catalog = GenerateCss(ba->ctx, ba->plan_space, options_.css);
-      css_span.Arg("stats", static_cast<int64_t>(ba->catalog.num_stats()));
-      css_span.Arg("css", static_cast<int64_t>(ba->catalog.num_css()));
-    }
-
-    CostModelOptions cost_options = options_.cost;
-    if (options_.tap_memory_budget_bytes > 0 &&
-        cost_options.sketch_memory_cap <= 0) {
-      // A sketch bounded by the tap budget replaces an exact collector, so
-      // no single distinct/histogram statistic can cost the selector more
-      // than the budget (cost units are integers, 8 bytes each).
-      cost_options.sketch_memory_cap =
-          std::max<int64_t>(1, options_.tap_memory_budget_bytes / 8);
-    }
-    if (!options_.calibration.empty() && cost_options.cpu_ns_per_row <= 0.0) {
-      // Calibrated tap cost: the CPU charge per observed tuple becomes
-      // measured nanoseconds instead of the paper's abstract unit cost.
-      cost_options.cpu_ns_per_row = options_.calibration.NsPerRow("tap");
-    }
-    CostModel cost_model(&analysis->workflow->catalog(), cost_options);
-    for (const std::vector<CardMap>* feedback :
-         {&partial_feedback, size_feedback}) {
-      if (feedback == nullptr || block_index >= feedback->size()) continue;
-      for (const auto& [se, rows] : (*feedback)[block_index]) {
-        cost_model.SetSeSize(se, rows);
+      css_span.Arg("block", block_id);
+      if (fresh != nullptr) {
+        fresh->catalog =
+            GenerateCss(fresh->ctx, fresh->plan_space, options_.css);
+      } else {
+        css_span.Arg("reused", int64_t{1});
       }
+      css_span.Arg("stats",
+                   static_cast<int64_t>(structure.catalog.num_stats()));
+      css_span.Arg("css", static_cast<int64_t>(structure.catalog.num_css()));
     }
-    SelectionOptions sel_options;
-    sel_options.free_source_stats = options_.free_source_stats;
-    sel_options.force_observe = force_observe;
-    ba->problem = BuildSelectionProblem(ba->ctx, ba->plan_space, ba->catalog,
-                                        cost_model, sel_options);
-    ba->problem.catalog = &ba->catalog;  // ensure self-reference is stable
 
+    auto ba = std::make_unique<BlockAnalysis>(structure);
+    if (analysis->selection_reused) {
+      ba->problem = cached->problems[b];
+      ba->selection = cached->selections[b];
+    } else {
+      CostModel cost_model(&shared->workflow->catalog(),
+                           SelectionCostOptions(options_));
+      for (const std::vector<CardMap>* feedback :
+           {&inputs.partial_feedback, &inputs.size_feedback}) {
+        if (b >= feedback->size()) continue;
+        for (const auto& [se, rows] : (*feedback)[b]) {
+          cost_model.SetSeSize(se, rows);
+        }
+      }
+      SelectionOptions sel_options;
+      sel_options.free_source_stats = options_.free_source_stats;
+      sel_options.force_observe = inputs.force_observe;
+      ba->problem = BuildSelectionProblem(ba->ctx, ba->plan_space, ba->catalog,
+                                          cost_model, sel_options);
+      ba->problem.catalog = &ba->catalog;  // the shared, stable catalog
+    }
     {
       obs::ScopedSpan sel_span("pipeline.selection");
-      sel_span.Arg("block", static_cast<int64_t>(block.id));
-      switch (options_.selector) {
-        case SelectorKind::kGreedy:
-          ba->selection = SelectGreedy(ba->problem);
-          break;
-        case SelectorKind::kIlp:
-          ba->selection = SelectIlp(ba->problem, options_.ilp);
-          break;
+      sel_span.Arg("block", block_id);
+      if (analysis->selection_reused) {
+        sel_span.Arg("reused", int64_t{1});
+      } else {
+        switch (options_.selector) {
+          case SelectorKind::kGreedy:
+            ba->selection = SelectGreedy(ba->problem);
+            break;
+          case SelectorKind::kIlp:
+            ba->selection = SelectIlp(ba->problem, options_.ilp);
+            break;
+        }
       }
       sel_span.Arg("method", ba->selection.method);
-      sel_span.Arg("observed", static_cast<int64_t>(ba->selection.observed.size()));
+      sel_span.Arg("observed",
+                   static_cast<int64_t>(ba->selection.observed.size()));
       sel_span.Arg("cost", ba->selection.total_cost);
     }
     if (!ba->selection.feasible) {
       return Status::Internal("statistics selection infeasible for block " +
-                              std::to_string(block.id));
+                              std::to_string(block_id));
     }
     analysis->blocks.push_back(std::move(ba));
-    ++block_index;
+  }
+
+  // Remember what was built for the next call; an Analysis handed out
+  // earlier keeps its own reference to the structures it reads.
+  if (!key.empty() && !analysis->selection_reused) {
+    auto entry = std::make_shared<AnalysisCache>();
+    entry->workflow_key = key;
+    entry->shared = std::move(shared);
+    entry->inputs = std::move(inputs);
+    for (const auto& ba : analysis->blocks) {
+      entry->problems.push_back(ba->problem);
+      entry->selections.push_back(ba->selection);
+    }
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    cache_ = std::move(entry);
   }
   return analysis;
 }

@@ -2,6 +2,8 @@
 #define ETLOPT_CORE_PIPELINE_H_
 
 #include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "css/generator.h"
@@ -79,24 +81,57 @@ struct PipelineOptions {
   obs::GuardOptions guard = obs::GuardOptions::FromEnv();
 };
 
-// Per-block analysis artifacts (steps 1-4 of Fig. 2).
-struct BlockAnalysis {
+// History-free artifacts of one block (steps 1-3 of Fig. 2): they depend on
+// the workflow alone.
+struct BlockStructure {
   Block block;
   BlockContext ctx;
   PlanSpace plan_space;
   CssCatalog catalog;
+};
+
+// The history-free part of an analysis. Immutable once built and shared
+// (std::shared_ptr<const WorkflowAnalysis>) by every Analysis of the same
+// workflow. Owns a stable copy of the workflow that the block contexts
+// point into.
+struct WorkflowAnalysis {
+  std::unique_ptr<Workflow> workflow;
+  std::vector<std::unique_ptr<BlockStructure>> blocks;
+};
+
+// Per-block analysis artifacts (steps 1-4 of Fig. 2): references into the
+// shared BlockStructure, plus this cycle's selection problem and result.
+struct BlockAnalysis {
+  explicit BlockAnalysis(const BlockStructure& structure)
+      : block(structure.block),
+        ctx(structure.ctx),
+        plan_space(structure.plan_space),
+        catalog(structure.catalog) {}
+
+  const Block& block;
+  const BlockContext& ctx;
+  const PlanSpace& plan_space;
+  const CssCatalog& catalog;
   SelectionProblem problem;  // references `catalog`
   SelectionResult selection;
 };
 
-// Whole-workflow analysis. Owns a stable copy of the workflow that the
-// block contexts point into.
+// Whole-workflow analysis of one cycle.
 struct Analysis {
-  std::unique_ptr<Workflow> workflow;
+  // The workflow copy the block contexts point into. It shares ownership of
+  // the WorkflowAnalysis that holds it, so the block structures `blocks`
+  // reference live as long as this analysis does, whatever the Pipeline
+  // that built it analyzes next.
+  std::shared_ptr<const Workflow> workflow;
   std::vector<std::unique_ptr<BlockAnalysis>> blocks;
   // SE sizes salvaged from a partial last history record that seeded the
   // selection cost model (0 when the last record was clean or absent).
   int64_t partial_feedback_keys = 0;
+  // Whether Analyze took the block structures (`analysis_reused`) and the
+  // selections (`selection_reused`) from the Pipeline's previous analysis
+  // instead of building them.
+  bool analysis_reused = false;
+  bool selection_reused = false;
 };
 
 // One instrumented run (steps 5-6). When the execution aborted mid-flight
@@ -166,6 +201,13 @@ class Pipeline {
   // force-observed, and a partial last record seeds the cost model with its
   // salvaged SE sizes scaled by 1/completion (`size_feedback` wins where
   // both give a size).
+  //
+  // The Pipeline keeps the last analysis it built. When `workflow` writes
+  // the same workflow text (and node names) as that one, the block
+  // structures are reused; when the selection inputs (force-observed keys,
+  // partial-record feedback, `size_feedback`) are also the same, so are the
+  // selection problems and results. A workflow that cannot be written as
+  // text is analyzed afresh every time. Safe to call from several threads.
   Result<std::unique_ptr<Analysis>> Analyze(
       const Workflow& workflow,
       const std::vector<CardMap>* size_feedback = nullptr,
@@ -201,9 +243,14 @@ class Pipeline {
 
  private:
   PipelineOptions options_;
+  // The last analysis Analyze built and the inputs it was built from.
+  struct AnalysisCache;
+
   // Worker pool for partitioned execution, spun up once when
   // num_threads > 1 and reused by every RunAndObserve.
   std::unique_ptr<ThreadPool> pool_;
+  mutable std::mutex cache_mu_;
+  mutable std::shared_ptr<const AnalysisCache> cache_;  // guarded by cache_mu_
 };
 
 // Sorted (name, value) view of a string->int64 map, for deterministic

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "obs/accuracy.h"
@@ -187,12 +188,15 @@ std::string FormatObsSummary(const obs::RunRecord& record,
   // Where the run's time and memory went: the cycle's phases (the analyze
   // command has only the first) and the process's peak RSS.
   std::string phases;
-  for (const auto& [name, ms] : {std::pair{"analyze", record.analyze_ms},
-                                 std::pair{"execute", record.execute_ms},
-                                 std::pair{"optimize", record.optimize_ms}}) {
+  const char* analyze_note =
+      record.Metric("etlopt.core.analysis_reused") != 0 ? " (reused)" : "";
+  for (const auto& [name, ms, note] :
+       {std::tuple{"analyze", record.analyze_ms, analyze_note},
+        std::tuple{"execute", record.execute_ms, ""},
+        std::tuple{"optimize", record.optimize_ms, ""}}) {
     if (ms <= 0.0) continue;
     phases += (phases.empty() ? "" : ", ") + std::string(name) + " " +
-              Fixed(ms, 1) + " ms";
+              Fixed(ms, 1) + " ms" + note;
   }
   if (!phases.empty()) out << "  phases: " << phases << "\n";
   if (record.peak_rss_bytes > 0) {

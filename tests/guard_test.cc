@@ -12,6 +12,7 @@
 
 #include "core/lifecycle.h"
 #include "core/pipeline.h"
+#include "datagen/workload_suite.h"
 #include "estimator/estimator.h"
 #include "obs/calibrate.h"
 #include "obs/guard.h"
@@ -505,6 +506,138 @@ TEST_F(GuardPipelineTest, LifecycleGateKeepsDesignedPlanOnPartialHistory) {
 }
 
 // ---- satellite 1: calibration overlay validation ----
+
+// ---- analysis reuse across a history sequence ----
+
+// `record` without what two runs of one cycle may not share: phase and
+// operator timings, the wall clock, the peak RSS and the reuse counters.
+obs::RunRecord WithoutTimings(obs::RunRecord record) {
+  record.timestamp_ms = 0;
+  record.analyze_ms = record.execute_ms = record.optimize_ms = 0.0;
+  record.peak_rss_bytes = 0;
+  record.profile.tap_ns = 0;
+  for (obs::OpProfile& op : record.profile.ops) op.self_ns = 0;
+  std::erase_if(record.metrics, [](const auto& metric) {
+    return metric.first == "etlopt.core.analysis_reused" ||
+           metric.first == "etlopt.opt.selection_reused";
+  });
+  return record;
+}
+
+// A history sequence (none, a monitor violation, a partial record, clean,
+// clean again) through one Pipeline gives the records a fresh Pipeline per
+// cycle gives. The shared Pipeline reuses its block structures from the
+// second cycle on and rebuilds the selection whenever the history-derived
+// inputs change.
+TEST_F(GuardPipelineTest, HistorySequenceThroughOnePipelineMatchesFresh) {
+  const WorkloadSpec spec = BuildWorkload(3);
+  const SourceMap sources = GenerateSources(spec, 7, 0.002);
+  const PipelineOptions options = GuardedOptions(obs::GuardMode::kWarn);
+
+  const CycleOutcome clean =
+      Pipeline(options).RunCycle(spec.workflow, sources).value();
+  ASSERT_FALSE(clean.aborted());
+  const obs::RunRecord clean_record = MakeRunRecord(clean, "run-1");
+
+  // The violated SE: on the designed plan's path, its count not selected,
+  // so force-observing it changes the selection.
+  RelMask forced = 0;
+  int forced_block = -1;
+  for (size_t b = 0; b < clean.analysis->blocks.size() && forced == 0; ++b) {
+    const BlockAnalysis& ba = *clean.analysis->blocks[b];
+    const std::vector<StatKey> keys = ba.selection.ObservedKeys(ba.catalog);
+    for (const auto& [se, node] : ba.ctx.on_path()) {
+      (void)node;
+      if (std::find(keys.begin(), keys.end(), StatKey::Card(se)) ==
+          keys.end()) {
+        forced = se;
+        forced_block = static_cast<int>(b);
+        break;
+      }
+    }
+  }
+  ASSERT_NE(forced, 0u) << "every on-path count is already selected";
+  obs::RunRecord violated = clean_record;
+  violated.run_id = "run-2";
+  obs::GuardRecord::Monitor monitor;
+  monitor.block = forced_block;
+  monitor.se = forced;
+  monitor.expected = 1.0;
+  monitor.actual = 100.0;
+  monitor.qerror = 100.0;
+  violated.guard.violations.push_back(monitor);
+  obs::RunRecord partial = clean_record;
+  partial.run_id = "run-3";
+  partial.partial = true;
+  partial.completion = 0.5;
+
+  const std::vector<std::vector<obs::RunRecord>> histories = {
+      {}, {violated}, {clean_record, partial}, {clean_record},
+      {clean_record}};
+  // Expected (analysis_reused, selection_reused) per cycle on the shared
+  // Pipeline: it keeps one entry, so each change of the selection inputs
+  // rebuilds the selection, and only the repeated last cycle reuses it.
+  const std::vector<std::pair<bool, bool>> reuse = {
+      {false, false}, {true, false}, {true, false}, {true, false},
+      {true, true}};
+
+  Pipeline shared(options);
+  std::unique_ptr<CycleOutcome> first;
+  std::unique_ptr<CycleOutcome> fresh_first;
+  for (size_t i = 0; i < histories.size(); ++i) {
+    SCOPED_TRACE("cycle " + std::to_string(i + 1));
+    const std::vector<obs::RunRecord>* history =
+        histories[i].empty() ? nullptr : &histories[i];
+    auto cycle = std::make_unique<CycleOutcome>(
+        shared.RunCycle(spec.workflow, sources, history).value());
+    auto fresh = std::make_unique<CycleOutcome>(
+        Pipeline(options).RunCycle(spec.workflow, sources, history).value());
+    ASSERT_FALSE(cycle->aborted());
+    EXPECT_EQ(cycle->analysis->analysis_reused, reuse[i].first);
+    EXPECT_EQ(cycle->analysis->selection_reused, reuse[i].second);
+    EXPECT_FALSE(fresh->analysis->analysis_reused);
+
+    const obs::RunRecord record = MakeRunRecord(*cycle, "run");
+    EXPECT_EQ(record.Metric("etlopt.core.analysis_reused"),
+              reuse[i].first ? 1 : 0);
+    EXPECT_EQ(record.Metric("etlopt.opt.selection_reused"),
+              reuse[i].second ? 1 : 0);
+    EXPECT_EQ(WithoutTimings(record).ToJsonLine(),
+              WithoutTimings(MakeRunRecord(*fresh, "run")).ToJsonLine());
+    if (i == 0) {
+      first = std::move(cycle);
+      fresh_first = std::move(fresh);
+    }
+  }
+  // The violation's forced count is in the second cycle's selection only.
+  const auto selects_forced = [&](const CycleOutcome& cycle) {
+    const BlockAnalysis& ba =
+        *cycle.analysis->blocks[static_cast<size_t>(forced_block)];
+    const std::vector<StatKey> keys = ba.selection.ObservedKeys(ba.catalog);
+    return std::find(keys.begin(), keys.end(), StatKey::Card(forced)) !=
+           keys.end();
+  };
+  EXPECT_FALSE(selects_forced(*first));
+  EXPECT_TRUE(selects_forced(shared.RunCycle(spec.workflow, sources,
+                                             &histories[1]).value()));
+
+  // Another workflow replaces the Pipeline's entry; the first cycle's
+  // analysis still holds the structures it reads.
+  ASSERT_TRUE(shared.Analyze(BuildWorkload(12).workflow).ok());
+  ASSERT_EQ(first->analysis->blocks.size(),
+            fresh_first->analysis->blocks.size());
+  for (size_t b = 0; b < first->analysis->blocks.size(); ++b) {
+    const BlockAnalysis& ba = *first->analysis->blocks[b];
+    const BlockAnalysis& fa = *fresh_first->analysis->blocks[b];
+    const auto truth = ComputeGroundTruthCards(
+        ba.ctx, ba.plan_space.subexpressions(), first->run.exec);
+    const auto fresh_truth = ComputeGroundTruthCards(
+        fa.ctx, fa.plan_space.subexpressions(), fresh_first->run.exec);
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    ASSERT_TRUE(fresh_truth.ok()) << fresh_truth.status().ToString();
+    EXPECT_EQ(*truth, *fresh_truth) << "block " << b;
+  }
+}
 
 TEST(CalibrationValidationTest, RejectsBadClassFits) {
   const struct {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -981,6 +982,54 @@ TEST(ParallelLedgerTest, NumThreadsSerializesOnlyWhenNotOne) {
   const auto round = obs::RunRecord::FromJsonLine(line);
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round->num_threads, 4);
+}
+
+
+// ---- concurrent analysis on one Pipeline ----
+
+// What an analysis selected, per block, read from the shared catalogs:
+// the observed statistics and the selection's cost.
+std::vector<std::pair<std::vector<StatKey>, double>> SelectedKeys(
+    const Analysis& analysis) {
+  std::vector<std::pair<std::vector<StatKey>, double>> keys;
+  for (const auto& ba : analysis.blocks) {
+    keys.emplace_back(ba->selection.ObservedKeys(ba->catalog),
+                      ba->selection.total_cost);
+  }
+  return keys;
+}
+
+// Two threads analyze through one const Pipeline, first both building the
+// analysis, then both reusing it; then the same for another workflow. Each
+// result equals a fresh Pipeline's.
+TEST(ParallelAnalysisTest, ConcurrentAnalyzeMatchesFreshPipeline) {
+  const Pipeline pipeline;
+  for (int index : {3, 13}) {
+    SCOPED_TRACE("wf" + std::to_string(index));
+    const WorkloadSpec spec = BuildWorkload(index);
+    const auto want = SelectedKeys(*Pipeline().Analyze(spec.workflow).value());
+    for (int round = 0; round < 2; ++round) {
+      Result<std::unique_ptr<Analysis>> got[2] = {Status::Internal("unset"),
+                                                  Status::Internal("unset")};
+      std::vector<std::pair<std::vector<StatKey>, double>> keys[2];
+      std::thread threads[2];
+      for (int t = 0; t < 2; ++t) {
+        threads[t] = std::thread([&, t] {
+          got[t] = pipeline.Analyze(spec.workflow);
+          if (got[t].ok()) keys[t] = SelectedKeys(**got[t]);
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      for (int t = 0; t < 2; ++t) {
+        ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+        EXPECT_EQ(keys[t], want) << "round " << round << ", thread " << t;
+        if (round == 1) {
+          EXPECT_TRUE((*got[t])->analysis_reused);
+          EXPECT_TRUE((*got[t])->selection_reused);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

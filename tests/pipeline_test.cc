@@ -8,6 +8,7 @@
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "datagen/workload_suite.h"
+#include "etl/workflow_io.h"
 #include "test_util.h"
 
 namespace etlopt {
@@ -265,6 +266,166 @@ TEST(PipelineTest, EachCycleReportsItsOwnNumbers) {
   EXPECT_EQ(ReportCycle(wf3.workflow, wf3_sources), wf3_fresh);
   EXPECT_EQ(ReportCycle(paper.workflow, paper.sources), paper_fresh);
   EXPECT_EQ(ReportCycle(wf3.workflow, wf3_sources), wf3_fresh);
+}
+
+
+// ---- analysis reuse: the workflow key decides ----
+
+// An analysis's counters but the two that say what it reused.
+std::vector<std::pair<std::string, int64_t>> CountersWithoutReuse(
+    const Analysis& analysis) {
+  std::vector<std::pair<std::string, int64_t>> counters =
+      AnalysisCounters(analysis);
+  std::erase_if(counters, [](const auto& counter) {
+    return counter.first == "etlopt.core.analysis_reused" ||
+           counter.first == "etlopt.opt.selection_reused";
+  });
+  return counters;
+}
+
+// Two analyses select the same statistics at the same cost, report the same
+// counters and analyze the same workflow.
+void ExpectSameAnalysis(const Analysis& got, const Analysis& want) {
+  EXPECT_EQ(got.workflow->ToString(), want.workflow->ToString());
+  EXPECT_EQ(CountersWithoutReuse(got), CountersWithoutReuse(want));
+  ASSERT_EQ(got.blocks.size(), want.blocks.size());
+  for (size_t b = 0; b < got.blocks.size(); ++b) {
+    const SelectionResult& g = got.blocks[b]->selection;
+    const SelectionResult& w = want.blocks[b]->selection;
+    EXPECT_EQ(g.observed, w.observed) << "block " << b;
+    EXPECT_EQ(g.total_cost, w.total_cost) << "block " << b;
+    EXPECT_EQ(g.method, w.method) << "block " << b;
+  }
+}
+
+// The reuse key is the workflow text: a workflow read back from its text
+// must analyze exactly like the original, for every suite workload.
+TEST(AnalysisReuseTest, WorkflowTextDeterminesTheAnalysis) {
+  for (int i = 1; i <= 30; ++i) {
+    SCOPED_TRACE("wf" + std::to_string(i));
+    const WorkloadSpec spec = BuildWorkload(i);
+    const Result<Workflow> parsed =
+        ParseWorkflowText(WriteWorkflowTextOrDie(spec.workflow));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const auto direct = Pipeline().Analyze(spec.workflow);
+    const auto via_text = Pipeline().Analyze(*parsed);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    ASSERT_TRUE(via_text.ok()) << via_text.status().ToString();
+    ExpectSameAnalysis(**via_text, **direct);
+  }
+}
+
+// The first suite workload with a filter, as text.
+std::string FilteredWorkloadText() {
+  for (int i = 1; i <= 30; ++i) {
+    const std::string text = WriteWorkflowTextOrDie(BuildWorkload(i).workflow);
+    if (text.find(" where ") != std::string::npos) return text;
+  }
+  return "";
+}
+
+// `text` with `delta` added to the number that ends the first line starting
+// with `prefix`.
+std::string BumpLastNumber(std::string text, const std::string& prefix,
+                           int64_t delta) {
+  const size_t line = text.find("\n" + prefix);
+  EXPECT_NE(line, std::string::npos) << prefix;
+  const size_t end = text.find('\n', line + 1);
+  const size_t token = text.rfind(' ', end) + 1;
+  const int64_t value = std::stoll(text.substr(token, end - token)) + delta;
+  return text.replace(token, end - token, std::to_string(value));
+}
+
+// One Pipeline analyzing a workflow and then a variant differing in one
+// filter constant or one domain size gives the variant's own analysis.
+TEST(AnalysisReuseTest, OneChangedConstantIsAnalyzedAfresh) {
+  const std::string text = FilteredWorkloadText();
+  ASSERT_FALSE(text.empty());
+  const Workflow base = ParseWorkflowText(text).value();
+  const size_t where = text.find(" where ");
+  const size_t line_start = text.rfind('\n', where) + 1;
+  const std::string filter_prefix =
+      text.substr(line_start, where - line_start);
+  for (const std::string& variant_text :
+       {BumpLastNumber(text, filter_prefix, 1),
+        BumpLastNumber(text, "attr ", 1000)}) {
+    ASSERT_NE(variant_text, text);
+    const Workflow variant = ParseWorkflowText(variant_text).value();
+    const Pipeline pipeline;
+    ASSERT_TRUE(pipeline.Analyze(base).ok());
+    const auto reanalyzed = pipeline.Analyze(variant).value();
+    EXPECT_FALSE(reanalyzed->analysis_reused);
+    EXPECT_FALSE(reanalyzed->selection_reused);
+    ExpectSameAnalysis(*reanalyzed, *Pipeline().Analyze(variant).value());
+    EXPECT_EQ(WriteWorkflowTextOrDie(*reanalyzed->workflow), variant_text);
+  }
+}
+
+// A workflow whose text cannot be written (an ad-hoc lambda transform) has
+// no key: every Analyze builds it afresh.
+TEST(AnalysisReuseTest, LambdaTransformIsNeverReused) {
+  WorkflowBuilder b("lambda_load");
+  const AttrId k = b.DeclareAttr("k", 20);
+  const AttrId v = b.DeclareAttr("v", 30);
+  const NodeId left = b.Source("L", {k, v});
+  const NodeId right = b.Source("R", {k});
+  const NodeId shifted =
+      b.Transform(left, v, [](Value x) { return x % 7 + 1; });
+  b.Sink(b.Join(shifted, right, k), "out");
+  const Workflow wf = std::move(b).Build().value();
+  Status status;
+  WriteWorkflowText(wf, &status);
+  ASSERT_FALSE(status.ok());
+
+  const Pipeline pipeline;
+  for (int i = 0; i < 2; ++i) {
+    const auto analysis = pipeline.Analyze(wf).value();
+    EXPECT_FALSE(analysis->analysis_reused) << "call " << i;
+    EXPECT_FALSE(analysis->selection_reused) << "call " << i;
+    ExpectSameAnalysis(*analysis, *Pipeline().Analyze(wf).value());
+  }
+}
+
+// Repeated analyses of one workflow on one Pipeline reuse the structures
+// and the selection, and equal a fresh Pipeline's.
+TEST(AnalysisReuseTest, RepeatedAnalysisIsReused) {
+  const WorkloadSpec spec = BuildWorkload(13);
+  const Pipeline pipeline;
+  const auto first = pipeline.Analyze(spec.workflow).value();
+  EXPECT_FALSE(first->analysis_reused);
+  const auto second = pipeline.Analyze(spec.workflow).value();
+  EXPECT_TRUE(second->analysis_reused);
+  EXPECT_TRUE(second->selection_reused);
+  EXPECT_EQ(second->workflow, first->workflow);
+  ExpectSameAnalysis(*second, *first);
+  // The counters say so; a fresh analysis reports neither.
+  const auto counters = AnalysisCounters(*second);
+  const auto has = [&](const char* name) {
+    for (const auto& [counter, value] : counters) {
+      if (counter == name) return value == 1;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has("etlopt.core.analysis_reused"));
+  EXPECT_TRUE(has("etlopt.opt.selection_reused"));
+  for (const auto& [counter, value] : AnalysisCounters(*first)) {
+    EXPECT_EQ(counter.find("reused"), std::string::npos) << counter;
+  }
+}
+
+
+// --obs-summary marks a reused analysis in its phases line.
+TEST(AnalysisReuseTest, ObsSummaryMarksReusedAnalyzePhase) {
+  obs::RunRecord record;
+  record.analyze_ms = 1.5;
+  record.execute_ms = 2.0;
+  EXPECT_NE(FormatObsSummary(record, {}).find(
+                "  phases: analyze 1.5 ms, execute 2.0 ms\n"),
+            std::string::npos);
+  record.AddMetric("etlopt.core.analysis_reused", 1);
+  EXPECT_NE(FormatObsSummary(record, {}).find(
+                "  phases: analyze 1.5 ms (reused), execute 2.0 ms\n"),
+            std::string::npos);
 }
 
 }  // namespace
